@@ -699,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, help="override the config seed (default 0)")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=".", help="report output directory")
         p.add_argument("--tol", type=float, help="override the default tolerance")
@@ -723,7 +723,7 @@ def main(argv=None) -> int:
             if getattr(args, key, None) is not None:
                 cfg[key] = getattr(args, key)
         cfg = validate_config(command, cfg)
-        seed = args.seed if args.seed != 0 else cfg.get("seed", 0)
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         hbar = cfg.get("hbar", 1.0)
         tol = args.tol if args.tol is not None else _DEFAULT_TOL[(command, cfg.get("suite"))]
     except ConfigInvalid as exc:

@@ -22,8 +22,7 @@ from scipy.linalg import expm
 
 from .errors import GridCoarseWarning, LengthMismatch, NotNormalized, ZeroVector
 from .spin_core import (EulerAngles, Spin, big_r, compose_euler, invert_euler,
-                        ladder_factor, little_d, spin_operators, su2_matrix,
-                        euler_from_su2, _angles_of, _little_d_exact,
+                        ladder_factor, little_d, spin_operators, _angles_of, _little_d_exact,
                         _little_d_log_columns, _EXACT_TWO_S_MAX)
 
 __all__ = [
@@ -126,28 +125,11 @@ def coherent_state(fv: FiducialVector, omega: EulerAngles) -> CoherentState:
 
 
 def overlap(fv: FiducialVector, omega2: EulerAngles, omega1: EulerAngles) -> complex:
-    """<Omega2|Omega1> for a shared fiducial vector.
-
-    Computed two ways and cross-checked to 1e-10 before returning:
-
-    * amplitude form: conj(amplitudes(Omega2)) . amplitudes(Omega1);
-    * composed form: c^dag R(Omega3) c with Omega3 the Euler angles of
-      R(Omega2)^dag R(Omega1), extracted from the 2x2 product together with
-      its double-cover sign (entering as sign**two_s).
-    """
+    """<Omega2|Omega1> for a shared fiducial vector, computed as
+    conj(amplitudes(Omega2)) . amplitudes(Omega1)."""
     a2 = coherent_state(fv, omega2).amplitudes
     a1 = coherent_state(fv, omega1).amplitudes
-    direct = complex(np.vdot(a2, a1))
-
-    u = su2_matrix((-omega2.psi, -omega2.theta, -omega2.phi)) @ su2_matrix(omega1)
-    omega3, sign = euler_from_su2(u)
-    composed = (sign ** fv.spin.two_s) * complex(
-        fv.coeffs.conj() @ (big_r(fv.spin, omega3).entries @ fv.coeffs))
-    if abs(direct - composed) > 1e-10:
-        raise RuntimeError(
-            f"overlap routes disagree by {abs(direct - composed):.3e}; "
-            "this indicates an internal rotation-algebra inconsistency")
-    return direct
+    return complex(np.vdot(a2, a1))
 
 
 def structure_pair(fv: FiducialVector) -> tuple:

@@ -14,12 +14,17 @@ with H(O'', O') = <O''|H|O'>/<O''|O'>.  M1 and M2 are algebraically equal
 wherever the overlap is nonzero; all three converge to the exact
 time-ordered propagator at first order in eps.
 
-M1 contracts through (2s+1)-dimensional transfer matrices (the grid sum
-collapses between kernels).  M2/M3 kernels do not factorize through the
-spin space, so their chains run over grid-indexed vectors with the kernel
-matrix applied in row blocks.  Near-orthogonal grid pairs never divide by
-the overlap: M2 uses the product form o - i*eps*h throughout, and M3 falls
-back to that form wherever |eps*h/o| is not small (see _kernel_entries).
+M1 and M2 contract through (2s+1)-dimensional transfer matrices: the M2
+kernel in its product form o - i*eps*h is exactly <O''|(1 - i eps H)|O'>,
+so both grid sums between kernels collapse into the quadrature projector
+P = sum_g w_g |O_g><O_g|, built once per call, and the chain is
+v -> P (1 - i eps H_j) v.  M2 never divides by the overlap.  The M3 kernel
+does not factorize through the spin space, so its chain runs over
+grid-indexed vectors.  M3 falls back to the product form wherever
+|eps*h/o| is not small (see _kernel_entries).  For a time-independent H
+whose G x G kernel fits in one row block it is built once per call and
+reused at every slice; otherwise it is rebuilt per slice in row blocks to
+bound memory.
 """
 
 from dataclasses import dataclass
@@ -40,6 +45,7 @@ _ZERO_OVERLAP = 1e-12
 _M3_GUARD = 0.5
 _HERMITICITY_TOL = 1e-12
 _MODES = ("M1", "M2", "M3")
+_KERNEL_BLOCK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -119,10 +125,10 @@ class PropagatorResult:
     """Discrete path-integral amplitude plus the settings that produced it.
 
     error_estimate is |amplitude - exact| when an oracle matrix was passed,
-    else None.  n_zeroed is the near-orthogonal-pair diagnostic: in mode M2
-    the number of kernel entries with overlap magnitude below 1e-12, in M3
-    the number of entries evaluated with the linearized fallback instead of
-    the exponentiated ratio, and 0 in M1.
+    else None.  n_zeroed is the near-orthogonal-pair diagnostic: in M3 the
+    number of kernel entries evaluated with the linearized fallback instead
+    of the exponentiated ratio, summed over slices; 0 in M1 and M2, whose
+    chains run through the spin-space projector and never meet a grid pair.
     """
 
     amplitude: complex
@@ -214,23 +220,20 @@ def _as_angles(omega) -> EulerAngles:
     return omega if isinstance(omega, EulerAngles) else EulerAngles(*omega)
 
 
-def _kernel_entries(o: np.ndarray, h: np.ndarray, eps_over_hbar: float, mode: str):
-    """Elementwise short-time kernel from overlaps o and elements h = <''|H|'>.
+def _kernel_entries(o: np.ndarray, h: np.ndarray, eps_over_hbar: float):
+    """Elementwise M3 short-time kernel from overlaps o and elements
+    h = <''|H|'>.
 
-    M2 is evaluated in the product form o - i*eps*h, the continuous
-    extension of o*(1 - i*eps*h/o) through o = 0; the returned counter
-    reports how many |o| < 1e-12 entries were crossed.  M3 uses the
-    exponentiated ratio o*exp(-i*eps*h/o) only where |eps*h/o| < 1/2 (the
-    regime where it approximates the product form to O(eps^2) per entry)
-    and the linearized form elsewhere, which keeps near-orthogonal pairs
-    from blowing up exp; the counter reports the linearized entries.
-    Symmetric grids do hit exact overlap zeros on a non-negligible pair
-    fraction for low spin, so dropping such entries outright would leave a
-    slice-count-independent bias in the chain.
+    The exponentiated ratio o*exp(-i*eps*h/o) is used only where
+    |eps*h/o| < 1/2 (the regime where it approximates the product form
+    o - i*eps*h to O(eps^2) per entry) and the linearized form elsewhere,
+    which keeps near-orthogonal pairs from blowing up exp; the returned
+    counter reports the linearized entries.  Symmetric grids do hit exact
+    overlap zeros on a non-negligible pair fraction for low spin, so
+    dropping such entries outright would leave a slice-count-independent
+    bias in the chain.
     """
     linear = o - 1j * eps_over_hbar * h
-    if mode == "M2":
-        return linear, int(np.count_nonzero(np.abs(o) < _ZERO_OVERLAP))
     safe = np.abs(o) * _M3_GUARD > abs(eps_over_hbar) * np.abs(h)
     ratio = np.zeros_like(o)
     np.divide(h, o, out=ratio, where=safe)
@@ -239,21 +242,48 @@ def _kernel_entries(o: np.ndarray, h: np.ndarray, eps_over_hbar: float, mode: st
 
 
 def _apply_grid_kernel(a: np.ndarray, h_mat: np.ndarray, wc: np.ndarray,
-                       eps_over_hbar: float, mode: str):
-    """One chain step c -> K @ wc with K[g, g'] the M2/M3 kernel between
-    grid points, built in row blocks to bound memory at large grids."""
+                       eps_over_hbar: float):
+    """One chain step c -> K @ wc with K[g, g'] the M3 kernel between grid
+    points, built in row blocks to bound memory at large grids."""
     g_total = a.shape[0]
     at = a.T
     ha = h_mat @ at
     out = np.empty(g_total, dtype=complex)
     zeroed = 0
-    block = max(1, (1 << 21) // g_total)
+    block = max(1, _KERNEL_BLOCK_ENTRIES // g_total)
     for start in range(0, g_total, block):
         rows = a[start:start + block].conj()
-        k_b, z = _kernel_entries(rows @ at, rows @ ha, eps_over_hbar, mode)
+        k_b, z = _kernel_entries(rows @ at, rows @ ha, eps_over_hbar)
         zeroed += z
         out[start:start + block] = k_b @ wc
     return out, zeroed
+
+
+def _m3_chain(a: np.ndarray, w: np.ndarray, hs, c: np.ndarray, eps_over_hbar: float,
+              static: bool):
+    """Apply the M3 grid kernels of the slice Hamiltonians hs in turn,
+    c -> K_j @ (w * c), and return c with the summed fallback count.
+
+    A static H has the same kernel at every slice; when it is used more than
+    once and fits in one row block it is built once and reused, which gives
+    the same entries as the per-slice build.
+    """
+    if static and len(hs) > 1 and a.shape[0] ** 2 <= _KERNEL_BLOCK_ENTRIES:
+        ac = a.conj()
+        k, z = _kernel_entries(ac @ a.T, ac @ (hs[0] @ a.T), eps_over_hbar)
+        for _ in hs:
+            c = k @ (w * c)
+        return c, z * len(hs)
+    zeroed = 0
+    for h in hs:
+        c, z = _apply_grid_kernel(a, h, w * c, eps_over_hbar)
+        zeroed += z
+    return c, zeroed
+
+
+def _projector(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Quadrature projector P = sum_g w_g |O_g><O_g|, dim x dim."""
+    return a.conj().T @ (w[:, None] * a)
 
 
 def _slice_hamiltonians(spec: HamiltonianSpec, t_i: float, eps: float, n_slices: int):
@@ -300,25 +330,24 @@ def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
     hs = _slice_hamiltonians(spec, t_i, eps, n_slices)
     n_zeroed = 0
 
-    if mode == "M1":
+    if mode == "M3":
+        ac = a.conj()
+        c, z = _kernel_entries(ac @ amps_i, ac @ (hs[0] @ amps_i), eps / hbar)
+        n_zeroed += z
+        c, z = _m3_chain(a, w, hs[1:n_slices], c, eps / hbar, not spec.time_dependent)
+        n_zeroed += z
+        k_f, z = _kernel_entries(np.conj(ac @ amps_f),
+                                 np.conj(ac @ (hs[n_slices] @ amps_f)), eps / hbar)
+        n_zeroed += z
+        amplitude = complex(k_f @ (w * c))
+    else:
+        p = _projector(a, w)
         v = amps_i
         for j in range(n_slices + 1):
             v = v - (1j * eps / hbar) * (hs[j] @ v)
             if j < n_slices:
-                v = a.conj().T @ (w * (a @ v))
+                v = p @ v
         amplitude = complex(np.vdot(amps_f, v))
-    else:
-        c, z = _kernel_entries(a.conj() @ amps_i, a.conj() @ (hs[0] @ amps_i),
-                               eps / hbar, mode)
-        n_zeroed += z
-        for j in range(1, n_slices):
-            c, z = _apply_grid_kernel(a, hs[j], w * c, eps / hbar, mode)
-            n_zeroed += z
-        k_f, z = _kernel_entries(np.conj(a.conj() @ amps_f),
-                                 np.conj(a.conj() @ (hs[n_slices] @ amps_f)),
-                                 eps / hbar, mode)
-        n_zeroed += z
-        amplitude = complex(k_f @ (w * c))
 
     if not np.isfinite(amplitude.real) or not np.isfinite(amplitude.imag):
         raise NumericalFailure(
@@ -352,19 +381,15 @@ def transition_amplitude(fv: FiducialVector, spec: HamiltonianSpec, ket_i, ket_f
     w = grid.measure_weights(fv.spin)
     hs = _slice_hamiltonians(spec, t_i, eps, n_slices)
 
-    if mode == "M1":
-        v = a.conj().T @ (w * (a @ ket_i))
-        for j in range(n_slices + 1):
-            v = v - (1j * eps / hbar) * (hs[j] @ v)
-            if j < n_slices:
-                v = a.conj().T @ (w * (a @ v))
-        v = a.conj().T @ (w * (a @ v))
-        amplitude = complex(np.vdot(ket_f, v))
-    else:
-        c = a.conj() @ ket_i
-        for j in range(n_slices + 1):
-            c, _ = _apply_grid_kernel(a, hs[j], w * c, eps / hbar, mode)
+    if mode == "M3":
+        c, _ = _m3_chain(a, w, hs, a.conj() @ ket_i, eps / hbar, not spec.time_dependent)
         amplitude = complex((a @ ket_f.conj()) @ (w * c))
+    else:
+        p = _projector(a, w)
+        v = p @ ket_i
+        for j in range(n_slices + 1):
+            v = p @ (v - (1j * eps / hbar) * (hs[j] @ v))
+        amplitude = complex(np.vdot(ket_f, v))
 
     if not np.isfinite(amplitude.real) or not np.isfinite(amplitude.imag):
         raise NumericalFailure(f"mode {mode} transition amplitude is not finite")

@@ -308,3 +308,10 @@ def test_seed_changes_inputs_hash(tmp_path):
     (ra,), (rb,) = _reports(out_a), _reports(out_b)
     assert ra["inputs_hash"] != rb["inputs_hash"]
     assert ra["seed"] == 1 and rb["seed"] == 2
+
+
+def test_seed_zero_overrides_config_seed(tmp_path):
+    cfg = _config(tmp_path, {"seed": 5, "suite": "algebra", "count": 2})
+    assert main(["wigner", "--config", cfg, "--seed", "0", "--out", str(tmp_path)]) == 0
+    (report,) = _reports(tmp_path)
+    assert report["seed"] == 0

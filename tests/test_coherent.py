@@ -9,8 +9,8 @@ from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
 from spincs import (EulerAngles, GridCoarseWarning, LengthMismatch, NotNormalized,
                     Spin, ZeroVector, big_r, build_grid, coherent_state,
                     generating_function, grid_amplitudes, make_fiducial,
-                    matrix_elements, overlap, resolution_residual, spin_operators,
-                    structure_pair)
+                    euler_from_su2, matrix_elements, overlap, resolution_residual,
+                    spin_operators, structure_pair, su2_matrix)
 
 
 def test_make_fiducial_normalizes_and_fixes_phase():
@@ -53,6 +53,21 @@ def test_overlap_against_direct_inner_product():
                          coherent_state(fv, om1).amplitudes)
         assert_allclose(overlap(fv, om2, om1), direct, atol=1e-13)
         assert_allclose(overlap(fv, om1, om1), 1.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 7, 26, 34])
+def test_overlap_matches_composed_rotation_route(two_s):
+    # c^dag R(Omega3) c with Omega3 the Euler angles of R(Omega2)^dag
+    # R(Omega1), taken from the 2x2 product with its double-cover sign
+    rng = rng_for(27, two_s)
+    spin = Spin(two_s)
+    for _ in range(5):
+        fv = random_fv(spin, rng)
+        om1, om2 = random_omega(rng), random_omega(rng)
+        u = su2_matrix((-om2.psi, -om2.theta, -om2.phi)) @ su2_matrix(om1)
+        om3, sign = euler_from_su2(u)
+        composed = sign ** two_s * np.vdot(fv.coeffs, big_r(spin, om3).entries @ fv.coeffs)
+        assert abs(overlap(fv, om2, om1) - composed) < 1e-10
 
 
 def test_structure_pair_against_operator_expectations():

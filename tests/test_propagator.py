@@ -177,6 +177,67 @@ def test_m1_and_m2_agree_to_roundoff():
     assert r1.n_zeroed == 0
 
 
+@pytest.mark.parametrize("two_s", [1, 2, 3])
+def test_m2_equals_m1_for_driven_degree2_h(two_s):
+    rng = rng_for(57, two_s)
+    spin = Spin(two_s)
+    fv = random_fv(spin, rng)
+    # S3 + a cos-driven S+S3 + S3S- pair + a ramped S+S-
+    spec = HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0),
+                                  MonomialTerm(1, 1, 0, 0.3, ("cosine", 1.5, 0.4)),
+                                  MonomialTerm(0, 1, 1, 0.3, ("cosine", 1.5, 0.4)),
+                                  MonomialTerm(1, 0, 1, 0.2, ("ramp",))))
+    grid = build_grid(spin)
+    om_i, om_f = random_omega(rng), random_omega(rng)
+    ket_i, ket_f = random_fv(spin, rng).coeffs, random_fv(spin, rng).coeffs
+    n, t_f = 5, 1.2
+    eps = t_f / (n + 1)
+    # the Euler chain with each step's H at its left endpoint: an exact grid
+    # makes every inserted projector the identity
+    chain = np.eye(spin.dim, dtype=complex)
+    for j in range(n + 1):
+        chain = (np.eye(spin.dim) - 1j * eps * hamiltonian_matrix(spec, j * eps)) @ chain
+    amps_i = coherent_state(fv, om_i).amplitudes
+    amps_f = coherent_state(fv, om_f).amplitudes
+    r1, r2 = (discrete_cspi(fv, spec, om_i, om_f, 0.0, t_f, n, grid, mode)
+              for mode in ("M1", "M2"))
+    assert abs(r1.amplitude - r2.amplitude) < 1e-12
+    assert abs(r2.amplitude - np.vdot(amps_f, chain @ amps_i)) < 1e-12
+    assert r2.n_zeroed == 0
+    t1, t2 = (transition_amplitude(fv, spec, ket_i, ket_f, 0.0, t_f, grid, n, mode)
+              for mode in ("M1", "M2"))
+    assert abs(t1 - t2) < 1e-12
+    assert abs(t2 - np.vdot(ket_f, chain @ ket_i)) < 1e-12
+
+
+@pytest.mark.parametrize("two_s", [1, 4])
+def test_static_m3_kernel_reuse_matches_per_slice_build(two_s):
+    # a zero-coefficient cosine term leaves H unchanged but marks the spec
+    # time-dependent, which forces the kernel to be rebuilt at every slice;
+    # two_s=4 (G=1568) is past the one-block size, so both runs take the
+    # blocked per-slice build
+    rng = rng_for(58, two_s)
+    spin = Spin(two_s)
+    fv = random_fv(spin, rng)
+    static = _precession_spec(spin)
+    driven = HamiltonianSpec(spin, static.terms + (
+        MonomialTerm(0, 1, 0, 0.0, ("cosine", 2.0, 0.3)),))
+    assert not static.time_dependent and driven.time_dependent
+    grid = build_grid(spin)
+    om_i, om_f = random_omega(rng), random_omega(rng)
+    ket_i, ket_f = random_fv(spin, rng).coeffs, random_fv(spin, rng).coeffs
+    n = 6 if two_s == 1 else 2
+    reused, rebuilt = (discrete_cspi(fv, spec, om_i, om_f, 0.0, 2.0, n, grid, "M3")
+                       for spec in (static, driven))
+    assert abs(reused.amplitude - rebuilt.amplitude) < 1e-13
+    assert reused.n_zeroed == rebuilt.n_zeroed > 0
+    if two_s == 1:
+        t_reused, t_rebuilt = (
+            transition_amplitude(fv, spec, ket_i, ket_f, 0.0, 2.0, grid, n, "M3")
+            for spec in (static, driven))
+        assert abs(t_reused - t_rebuilt) < 1e-13
+
+
 @pytest.mark.parametrize("mode", ["M1", "M3"])
 def test_discrete_cspi_first_order_convergence(mode):
     spin = Spin(1)
