@@ -16,7 +16,7 @@ from .contraction import (CanonicalCS, FockVector, annihilation_degree_residual,
                           dns_amplitudes, dns_number_check, fock_annihilation,
                           hp_contract_state, hp_measure_ratio, make_fock,
                           normal_ordered_matrix)
-from .errors import (ConfigInvalid, DecompositionPole, GridCoarseWarning,
+from .errors import (AmplitudesTooLarge, ConfigInvalid, DecompositionPole, GridCoarseWarning,
                      GridTooCoarse, InconsistentSystem, LengthMismatch,
                      NoConvergence, NotHermitian, NotNormalized, NotUnitary,
                      NumericalFailure, OrthogonalPair, PathTooShort, PoleMargin,

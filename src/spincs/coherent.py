@@ -14,16 +14,17 @@ fiducial vector.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 import warnings
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import GridCoarseWarning, LengthMismatch, NotNormalized, ZeroVector
-from .spin_core import (EulerAngles, Spin, big_r, compose_euler, invert_euler,
-                        ladder_factor, little_d, spin_operators, _angles_of, _little_d_exact,
-                        _little_d_log_columns, _EXACT_TWO_S_MAX)
+from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotNormalized,
+                     ZeroVector)
+from .spin_core import (EulerAngles, Spin, big_r, ladder_factor, spin_operators, _angles_of,
+                        _little_d_spectral)
 
 __all__ = [
     "FiducialVector",
@@ -61,6 +62,16 @@ class FiducialVector:
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+
+    @cached_property
+    def _structure_pair(self) -> tuple:
+        c = self.coeffs
+        a0 = float(np.sum(self.spin.m_values() * np.abs(c) ** 2))
+        two_m = self.spin.two_m_values()
+        f = np.array([ladder_factor(self.spin, int(t)) for t in two_m[:-1]])
+        # c is descending in m: index i holds m_i, index i+1 holds m_i - 1
+        b0 = complex(np.sum(f * np.conj(c[:-1]) * c[1:]))
+        return a0, b0
 
 
 @dataclass(frozen=True)
@@ -137,15 +148,9 @@ def structure_pair(fv: FiducialVector) -> tuple:
 
     Every angle-dependent structure function is built from these two numbers:
     a1 = Re(e^{i psi} b0), a4 = Im(e^{i psi} b0).
+    Computed on the first call for a fiducial vector and kept with it.
     """
-    c = fv.coeffs
-    m = fv.spin.m_values()
-    a0 = float(np.sum(m * np.abs(c) ** 2))
-    two_m = fv.spin.two_m_values()
-    f = np.array([ladder_factor(fv.spin, int(t)) for t in two_m[:-1]])
-    # c is descending in m: index i holds m_i, index i+1 holds m_i - 1
-    b0 = complex(np.sum(f * np.conj(c[:-1]) * c[1:]))
-    return a0, b0
+    return fv._structure_pair
 
 
 def matrix_elements(fv: FiducialVector, omega) -> tuple:
@@ -237,39 +242,40 @@ def build_grid(spin_max: Spin, oversample: float = 1.2) -> QuadratureGrid:
     return QuadratureGrid(n_theta, n_ang, n_ang, theta, w, phi, phi.copy())
 
 
+# Budget for one (n_points, dim) complex amplitude array.  It lets through
+# every grid this package's tests and benchmark use (the largest, two_s = 36
+# on an oversample-1 grid, is 0.13 GB) and stops two_s = 60 on the default
+# grid (1.6 GB) before numpy runs out of memory.  resolution_residual keeps
+# two such arrays alive at once.
+_AMPLITUDE_BYTES_MAX = 2 ** 30
+
+
 def grid_amplitudes(fv: FiducialVector, grid: QuadratureGrid) -> np.ndarray:
     """Coherent-state amplitudes at every grid node, shape (n_points, dim),
     in the same flattened order as ``grid.weights()``.
 
-    Built factorized: per theta node one r(theta) matrix, then diagonal
-    psi/phi phases, so the cost is n_theta matrix builds rather than
-    n_points.
+    Built factorized: the r(theta) matrices of all theta nodes come from one
+    batched product on the cached S2 eigensystem, then diagonal psi/phi
+    phases are applied, so no rotation matrix is built per grid node.
+
+    Raises AmplitudesTooLarge, before allocating, when the result would
+    exceed ``_AMPLITUDE_BYTES_MAX`` bytes.
     """
     spin = fv.spin
     dim = spin.dim
+    n_bytes = grid.n_points * dim * np.dtype(complex).itemsize
+    if n_bytes > _AMPLITUDE_BYTES_MAX:
+        raise AmplitudesTooLarge(
+            f"amplitudes of {grid.n_points} grid points x {dim} states need "
+            f"{n_bytes / 1e9:.2f} GB, above the {_AMPLITUDE_BYTES_MAX / 1e9:.2f} GB budget")
     m = 0.5 * spin.two_m_values()
     psi_phase = np.exp(-1j * np.outer(grid.psi, m)) * fv.coeffs[None, :]   # (n_psi, dim)
     phi_phase = np.exp(-1j * np.outer(grid.phi, m))                        # (n_phi, dim)
+    r = _little_d_spectral(spin.two_s, grid.theta)                         # (n_theta, dim, dim)
+    rot = psi_phase @ r.swapaxes(1, 2)                                     # (n_theta, n_psi, dim)
     out = np.empty((grid.n_theta, grid.n_phi, grid.n_psi, dim), dtype=complex)
-    for i, th in enumerate(grid.theta):
-        r = _r_matrix_cached(spin.two_s, float(th))
-        rot = psi_phase @ r.T                                              # (n_psi, dim)
-        out[i] = phi_phase[:, None, :] * rot[None, :, :]
+    np.multiply(phi_phase[None, :, None, :], rot[:, None, :, :], out=out)
     return out.reshape(grid.n_points, dim)
-
-
-def _r_matrix_cached(two_s: int, theta: float, _cache={}) -> np.ndarray:
-    key = (two_s, theta)
-    r = _cache.get(key)
-    if r is None:
-        if two_s <= _EXACT_TWO_S_MAX:
-            r = _little_d_exact(two_s, theta)
-        else:
-            r = _little_d_log_columns(two_s, theta, np.arange(two_s + 1))
-        if len(_cache) > 4096:
-            _cache.clear()
-        _cache[key] = r
-    return r
 
 
 def resolution_residual(fv: FiducialVector, grid: QuadratureGrid) -> float:
@@ -285,6 +291,7 @@ def resolution_residual(fv: FiducialVector, grid: QuadratureGrid) -> float:
             f"two_s={fv.spin.two_s}; residual will not be at roundoff level",
             GridCoarseWarning, stacklevel=2)
     amps = grid_amplitudes(fv, grid)
-    wmu = grid.measure_weights(fv.spin)
-    p = (amps.conj() * wmu[:, None]).T @ amps
+    weighted = amps.conj()
+    weighted *= grid.measure_weights(fv.spin)[:, None]
+    p = weighted.T @ amps
     return float(np.linalg.norm(p - np.eye(fv.spin.dim), 2))

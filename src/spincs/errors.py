@@ -47,6 +47,10 @@ class GridTooCoarse(SpincsError):
     """An angular quadrature grid is not exact for the requested spin."""
 
 
+class AmplitudesTooLarge(SpincsError):
+    """A grid amplitude array would exceed the package's memory budget."""
+
+
 class GridCoarseWarning(UserWarning):
     """Non-fatal variant of :class:`GridTooCoarse`: the value is still returned."""
 

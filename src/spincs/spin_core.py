@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .errors import DecompositionPole, NotUnitary
 
@@ -45,12 +44,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# Largest doubled spin for which the factorial sum uses exact integer
-# arithmetic.  Above this the factorials overflow comfortable integer sizes
-# and the sum switches to log-space with explicit sign tracking.
-_EXACT_TWO_S_MAX = 30
-
 
 @dataclass(frozen=True)
 class Spin:
@@ -159,130 +152,57 @@ def ladder_factor(spin: Spin, two_m: int) -> float:
     return math.sqrt(a * b)
 
 
-@lru_cache(maxsize=None)
-def _d_term_table(two_s: int):
-    """Precomputed terms of the factorial sum for r(theta) at small spin.
+# Bounded because the eigenvectors grow as dim^2: 20 MB at two_s = 1600.
+@lru_cache(maxsize=32)
+def _s2_eigensystem(two_s: int) -> tuple:
+    """Real eigenvectors of S2, the eigenvalues, and the phase signs.
 
-    Returns index arrays (rows, cols), exact combinatorial coefficients
-    (float of an exact sqrt(integer)/integer), and the cos/sin half-angle
-    exponents, so a single vectorized pass evaluates the full matrix.
-    """
-    two_ms = range(two_s, -two_s - 2, -2)
-    rows, cols, coeffs, pcs, pss = [], [], [], [], []
-    for i, tm in enumerate(two_ms):
-        a = (two_s + tm) // 2   # s + m
-        b = (two_s - tm) // 2   # s - m
-        for j, tmp in enumerate(two_ms):
-            ap = (two_s + tmp) // 2  # s + m'
-            bp = (two_s - tmp) // 2  # s - m'
-            k = (tm - tmp) // 2      # m - m'
-            num = math.factorial(a) * math.factorial(b) * math.factorial(ap) * math.factorial(bp)
-            root = math.sqrt(num)
-            for t in range(max(0, k), min(a, bp) + 1):
-                den = (math.factorial(a - t) * math.factorial(bp - t)
-                       * math.factorial(t) * math.factorial(t - k))
-                rows.append(i)
-                cols.append(j)
-                coeffs.append((-1.0) ** t * root / den)
-                pcs.append(two_s + k - 2 * t)
-                pss.append(2 * t - k)
-    return (np.array(rows), np.array(cols), np.array(coeffs),
-            np.array(pcs), np.array(pss))
+    The phase similarity P = diag(i^k) turns S2 into the real symmetric
+    tridiagonal T = P^dag S2 P with off-diagonal f/2, so S2 = P V diag(m) V^T
+    P^dag with V real and the exact eigenvalues m = -s, ..., s in place of
+    the computed ones.  Then r_jk(theta) = Re(i^(j-k) sum_l V_jl V_kl
+    e^(-i theta m_l)).  The eigenvectors of +m and -m differ by the parity
+    diag((-1)^k), so the cosine part of that sum vanishes for odd j - k and
+    the sine part for even j - k, which leaves
 
+        r(theta) = sign * (V diag(cos(theta m) + sin(theta m)) V^T),
+        sign_jk = Re(i^(j-k)) + Im(i^(j-k)).
 
-def _little_d_exact(two_s: int, theta: float) -> np.ndarray:
-    rows, cols, coeffs, pcs, pss = _d_term_table(two_s)
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    terms = coeffs * np.power(c, pcs) * np.power(s, pss)
-    r = np.zeros((two_s + 1, two_s + 1))
-    np.add.at(r, (rows, cols), terms)
-    return r
-
-
-def _little_d_log_columns(two_s: int, theta: float, col_idx: np.ndarray) -> np.ndarray:
-    """Selected columns of r(theta) for large spin, via log-space factorials.
-
-    Column ``j`` holds m' = s - j.  Individual t-terms can be astronomically
-    larger than the final entry at mid angles (the sum is then catastrophically
-    cancelling in any fixed precision); accuracy is retained when the t-range
-    per entry is short or theta is near 0 or pi, which covers the large-spin
-    uses in this package.
-    """
-    col_idx = np.atleast_1d(col_idx)
-    dim = two_s + 1
-    two_m = np.arange(two_s, -two_s - 2, -2)
-    a = (two_s + two_m) // 2          # s + m, per row
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    log_abs_c = math.log(abs(c)) if c != 0.0 else -math.inf
-    log_abs_s = math.log(abs(s)) if s != 0.0 else -math.inf
-    sign_c = 1.0 if c >= 0.0 else -1.0
-    sign_s = 1.0 if s >= 0.0 else -1.0
-
-    def lg(n):
-        return gammaln(np.asarray(n) + 1.0)
-
-    out = np.zeros((dim, len(col_idx)))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for out_j, j in enumerate(col_idx):
-            tmp = two_s - 2 * int(j)      # 2m'
-            ap = (two_s + tmp) // 2
-            bp = (two_s - tmp) // 2
-            k = a - ap                    # m - m', per row
-            log_root = 0.5 * (lg(a) + lg(two_s - a) + lg(ap) + lg(bp))
-            col = np.zeros(dim)
-            for t in range(max(0, int(k.min())), min(int(a.max()), bp) + 1):
-                valid = (t >= k) & (t <= a)
-                if not np.any(valid):
-                    continue
-                pc = two_s + k - 2 * t
-                ps = 2 * t - k
-                log_den = lg(a - t) + lg(bp - t) + lg(t) + lg(t - k)
-                log_pow = (np.where(pc == 0, 0.0, pc * log_abs_c)
-                           + np.where(ps == 0, 0.0, ps * log_abs_s))
-                sign = ((-1.0) ** t) * np.where(pc % 2 == 0, 1.0, sign_c) \
-                    * np.where(ps % 2 == 0, 1.0, sign_s)
-                term = np.where(valid, sign * np.exp(log_root - log_den + log_pow), 0.0)
-                # a zero base with positive exponent kills the term outright
-                if c == 0.0:
-                    term = np.where(pc > 0, 0.0, term)
-                if s == 0.0:
-                    term = np.where(ps > 0, 0.0, term)
-                col += np.nan_to_num(term, nan=0.0)
-            out[:, out_j] = col
-    return out
-
-
-def _little_d_dense_large(two_s: int, theta: float) -> np.ndarray:
-    """Full r(theta) at large spin via the eigendecomposition of S2.
-
-    A diagonal phase similarity turns S2 into a real symmetric tridiagonal
-    matrix, whose eigensystem is backward stable, so the result stays
-    orthogonal to machine precision at any angle (the factorial sum
-    cancels catastrophically at mid angles once two_s is large).
+    The eigensystem does not depend on theta; the arrays are read-only
+    because every caller shares them.
     """
     n = np.arange(two_s)
-    off = 0.5 * np.sqrt((two_s - n) * (n + 1.0))
-    lam, v = eigh_tridiagonal(np.zeros(two_s + 1), off)
-    p = 1j ** np.arange(two_s + 1)
-    u = (p[:, None] * v) @ (np.exp(-1j * theta * lam)[:, None]
-                            * (v.T * p.conj()[None, :]))
-    return u.real
+    _, v = eigh_tridiagonal(np.zeros(two_s + 1), 0.5 * np.sqrt((two_s - n) * (n + 1.0)))
+    m = np.arange(two_s + 1) - 0.5 * two_s
+    k = np.arange(two_s + 1)
+    sign = np.where((k[:, None] - k[None, :]) % 4 < 2, 1.0, -1.0)
+    for a in (v, m, sign):
+        a.flags.writeable = False
+    return v, m, sign
+
+
+def _little_d_spectral(two_s: int, theta, cols=slice(None)) -> np.ndarray:
+    """Columns ``cols`` of r(theta) from the cached S2 eigensystem.
+
+    A scalar theta gives a (dim, n_cols) matrix; an array of angles gives
+    one such matrix per angle, stacked along a leading axis, from one
+    batched product.
+    """
+    v, m, sign = _s2_eigensystem(two_s)
+    x = np.multiply.outer(theta, m)
+    return sign[:, cols] * ((v * (np.cos(x) + np.sin(x))[..., None, :]) @ v[cols].T)
 
 
 def little_d(spin: Spin, theta: float) -> np.ndarray:
     """Real rotation matrix r(theta) = exp(-i theta S2) in the descending-m
     basis.
 
-    Exact integer combinatorics of the factorial sum are used for
-    two_s <= 30; larger spins switch to a stable spectral evaluation.
+    Built at every spin from the eigensystem of S2, cached per two_s (Feng,
+    Wang, Yang, Jin, PRE 92, 043307, 2015), so a warm call costs one real
+    matrix product and the result is orthogonal to roundoff at any angle.
     theta may be any real number.
     """
-    theta = float(theta)
-    if spin.two_s <= _EXACT_TWO_S_MAX:
-        return _little_d_exact(spin.two_s, theta)
-    return _little_d_dense_large(spin.two_s, theta)
+    return _little_d_spectral(spin.two_s, float(theta))
 
 
 def big_r(spin: Spin, omega: EulerAngles) -> RotationMatrix:
@@ -297,15 +217,14 @@ def big_r(spin: Spin, omega: EulerAngles) -> RotationMatrix:
 def _big_r_columns(spin: Spin, omega, col_idx: np.ndarray) -> np.ndarray:
     """Selected columns of R(omega) without the unitarity-validated wrapper.
 
-    Used where only a few columns of a large-spin matrix are needed.
-    ``omega`` may be an EulerAngles or a raw (phi, theta, psi) triple.
+    Used where only a few columns of a large-spin matrix are needed: the
+    columns of r(theta) come from the cached S2 eigensystem, at a cost of
+    dim^2 per column once the eigensystem is built.  ``omega`` may be an
+    EulerAngles or a raw (phi, theta, psi) triple.
     """
     phi, theta, psi = _angles_of(omega)
     m = 0.5 * spin.two_m_values()
-    if spin.two_s <= _EXACT_TWO_S_MAX:
-        r_cols = _little_d_exact(spin.two_s, theta)[:, col_idx]
-    else:
-        r_cols = _little_d_log_columns(spin.two_s, theta, col_idx)
+    r_cols = _little_d_spectral(spin.two_s, theta, col_idx)
     return np.exp(-1j * phi * m)[:, None] * r_cols * np.exp(-1j * psi * m[col_idx])[None, :]
 
 

@@ -264,6 +264,15 @@ def test_verify_resolution_flags(tmp_path):
     assert report["outputs"]["max_residual"] <= 1e-10
 
 
+def test_verify_resolution_refuses_oversized_grid(tmp_path, capsys):
+    rc = main(["verify-resolution", "--two-s", "100", "--out", str(tmp_path)])
+    assert rc == 3
+    (report,) = _reports(tmp_path)
+    assert report["passed"] is False
+    assert report["outputs"]["error_type"] == "AmplitudesTooLarge"
+    assert "AmplitudesTooLarge" in capsys.readouterr().err
+
+
 def test_thread_count_does_not_change_results(tmp_path):
     out1 = tmp_path / "t1"
     out4 = tmp_path / "t4"

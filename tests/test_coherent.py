@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
-from spincs import (EulerAngles, GridCoarseWarning, LengthMismatch, NotNormalized,
-                    Spin, ZeroVector, big_r, build_grid, coherent_state,
+from spincs import (AmplitudesTooLarge, EulerAngles, GridCoarseWarning, LengthMismatch,
+                    NotNormalized, Spin, ZeroVector, big_r, build_grid, coherent_state,
                     generating_function, grid_amplitudes, make_fiducial,
                     euler_from_su2, matrix_elements, overlap, resolution_residual,
                     spin_operators, structure_pair, su2_matrix)
@@ -80,6 +81,15 @@ def test_structure_pair_against_operator_expectations():
                         atol=1e-13)
         assert_allclose(b0, np.vdot(fv.coeffs, ops.s_plus @ fv.coeffs),
                         atol=1e-13)
+
+
+def test_structure_pair_computed_once_per_fiducial():
+    fv = random_fv(Spin(4), rng_for(32))
+    # nothing is computed at construction, where large-spin fiducials are cheap
+    assert "_structure_pair" not in vars(fv)
+    pair = structure_pair(fv)
+    assert structure_pair(fv) is pair
+    assert structure_pair(make_fiducial(fv.spin, fv.coeffs)) is not pair
 
 
 def test_matrix_elements_match_dense_conjugation():
@@ -188,6 +198,44 @@ def test_grid_amplitudes_match_pointwise_states():
         i_p, i_s = divmod(rem, n_psi)
         om = EulerAngles(grid.phi[i_p], grid.theta[i_t], grid.psi[i_s])
         assert_allclose(amps[g], coherent_state(fv, om).amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("two_s", [64, 80])
+def test_grid_amplitudes_large_spin_match_expm(two_s):
+    # the coarse grid has a theta node at pi/2, the angle where a factorial
+    # sum for r(theta) cancels worst
+    fv = random_fv(Spin(two_s), rng_for(29, two_s))
+    grid = build_grid(Spin(0))
+    amps = grid_amplitudes(fv, grid)
+    ops = spin_operators(fv.spin)
+    m = fv.spin.m_values()
+    g = 0
+    for th in grid.theta:
+        r_c = expm(-1j * th * ops.s2)
+        for ph in grid.phi:
+            for ps in grid.psi:
+                expected = np.exp(-1j * ph * m) * (r_c @ (np.exp(-1j * ps * m) * fv.coeffs))
+                assert_allclose(amps[g], expected, atol=1e-10)
+                g += 1
+
+
+def test_resolution_residual_above_two_s_30():
+    fv = random_fv(Spin(36), rng_for(30))
+    assert resolution_residual(fv, build_grid(Spin(36), oversample=1.0)) <= 1e-13
+
+
+def test_grid_amplitudes_size_guard():
+    # 11.8 GB per amplitude array: refused before numpy allocates it
+    fv = random_fv(Spin(100), rng_for(31))
+    grid = build_grid(Spin(100))
+    tracemalloc.start()
+    try:
+        with pytest.raises(AmplitudesTooLarge, match="GB"):
+            resolution_residual(fv, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_generating_function_matches_expm_product():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse import diags
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import factorial
 
 from spincs import (FockVector, GridCoarseWarning, LengthMismatch, NotHermitian,
@@ -12,7 +14,7 @@ from spincs import (FockVector, GridCoarseWarning, LengthMismatch, NotHermitian,
                     dns_amplitudes, dns_number_check, fock_annihilation,
                     hp_contract_state, hp_measure_ratio, kinetic_term_z,
                     ladder_factor, make_fiducial, make_fock, normal_ordered_matrix,
-                    structure_pair)
+                    structure_pair, z_to_omega)
 
 
 def _spin_fiducial_from_fock(fock, spin):
@@ -116,6 +118,22 @@ def test_hp_contract_state_converges_to_canonical():
     # O(1/s): halving the deviation when the spin doubles
     assert 1.7 < devs[0] / devs[1] < 2.3
     assert 1.7 < devs[1] / devs[2] < 2.3
+
+
+@pytest.mark.parametrize("two_s", [100, 400, 1600])
+def test_hp_contract_state_matches_sparse_expm(two_s):
+    alpha = 1.3 + 0.4j
+    spin = Spin(two_s)
+    fv = _spin_fiducial_from_fock(make_fock([0.8, 0.3j, 0.6]), spin)
+    root = math.sqrt(two_s)
+    om = z_to_omega(ZCoords(alpha / root, -np.conj(alpha) / root))
+    m = spin.m_values()
+    # S2 = -i/2 (S+ - S-) with S+ on the first superdiagonal (descending m)
+    f = np.array([ladder_factor(spin, int(t)) for t in spin.two_m_values()[:-1]])
+    s2 = diags([-0.5j * f, 0.5j * f], [1, -1], format="csr")
+    expected = np.exp(-1j * om.phi * m) * expm_multiply(
+        -1j * om.theta * s2, np.exp(-1j * om.psi * m) * fv.coeffs)
+    assert_allclose(hp_contract_state(fv, alpha).coeffs, expected[::-1], rtol=0, atol=1e-12)
 
 
 def test_occupation_identity():

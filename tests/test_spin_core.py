@@ -56,12 +56,12 @@ def test_little_d_spin_one_closed_form():
     assert_allclose(little_d(Spin(2), th), expected, atol=1e-14)
 
 
-@pytest.mark.parametrize("two_s", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("two_s", [1, 2, 3, 5, 8, 31, 40, 64, 80])
 def test_little_d_matches_exponential(two_s):
+    # 31 to 80 are where a factorial sum cancels at mid angles
     rng = rng_for(10, two_s)
     ops = spin_operators(Spin(two_s))
-    for _ in range(4):
-        th = rng.uniform(0, math.pi)
+    for th in [rng.uniform(0, math.pi) for _ in range(4)] + [0.5 * math.pi]:
         assert_allclose(little_d(Spin(two_s), th), expm(-1j * th * ops.s2).real,
                         atol=1e-12)
 
