@@ -9,23 +9,28 @@ and a pass flag.  Commands with natural series also write
 (config, seed) apart from the timestamp field; the experiment id is derived
 from the inputs hash, not the clock.
 
-Exit codes: 0 on success, 2 for an invalid config, 3 for a numerical
-failure (the report is still written with the error recorded).
+A command is declared in one place, the ``_COMMANDS`` table (config schema;
+runner, default tolerance and required keys per suite; direct flags), which
+the parser, the config validation and ``main`` read.
+
+Exit codes: 0 on success, 2 for an invalid config (or an ``--out``
+directory that cannot be created), 3 for a numerical failure (the report is
+still written with the error recorded).
 """
 
 import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .coherent import (FiducialVector, build_grid, coherent_state, grid_amplitudes,
                        make_fiducial, overlap, random_fiducial, resolution_residual,
-                       structure_pair)
+                       structure_pair, _check_amplitude_budget)
 from .contraction import (annihilation_degree_residual, canonical_cs,
                           ccs_kinetic_term, ccs_resolution_residual,
                           displacement_matrix, dns_amplitudes, dns_number_check,
@@ -35,8 +40,8 @@ from .geometry import (gauge_potential, geometric_phase, kinetic_term, one_form,
                        two_form)
 from .parametrizations import (ZCoords, kinetic_term_a, kinetic_term_z, omega_to_a,
                                omega_to_z)
-from .propagator import (HamiltonianSpec, MonomialTerm, discrete_cspi,
-                         exact_propagator, infinitesimal_overlap)
+from .propagator import (HamiltonianSpec, MonomialTerm, action_along_path,
+                         discrete_cspi, exact_propagator, infinitesimal_overlap)
 from .semiclassical import integrate_trajectory
 from .spin_core import (EulerAngles, Spin, big_r, compose_euler, invert_euler,
                         little_d)
@@ -98,51 +103,7 @@ def _identity(v, key):
     return v
 
 
-_SCHEMAS = {
-    "wigner": {"two_s": _as_int, "theta": _as_float, "phi": _as_float,
-               "psi": _as_float, "suite": _as_str, "count": _as_int,
-               "max_two_s": _as_int},
-    "verify-resolution": {"two_s": _as_int_list, "count": _as_int,
-                          "oversample": _as_float, "suite": _as_str},
-    "overlap": {"two_s": _as_int, "fv": _identity, "omega1": _as_omega,
-                "omega2": _as_omega, "suite": _as_str, "count": _as_int},
-    "propagate": {"two_s": _as_int, "fv": _identity, "hamiltonian": _identity,
-                  "omega_i": _as_omega, "omega_f": _as_omega, "t_i": _as_float,
-                  "t_f": _as_float, "n_slices": _as_int_list, "modes": _identity,
-                  "oversample": _as_float},
-    "action": {"two_s": _as_int, "fv": _identity, "hamiltonian": _identity,
-               "path": _as_path_rows, "suite": _as_str, "count": _as_int},
-    "geometry": {"two_s": _as_int, "fv": _identity, "omega": _as_omega,
-                 "loop": _as_path_rows, "suite": _as_str, "count": _as_int},
-    "semiclassical": {"two_s": _as_int, "fv": _identity, "hamiltonian": _identity,
-                      "omega0": _as_omega, "t_span": _identity, "dt": _as_float},
-    "contract": {"alpha": _as_complex, "two_s_list": _as_int_list, "fv": _identity,
-                 "suite": _as_str},
-}
-
 _GLOBAL_KEYS = {"seed": _as_int, "hbar": _as_float}
-
-_DEFAULT_TOL = {
-    ("wigner", None): 1e-10, ("wigner", "algebra"): 1e-10,
-    ("verify-resolution", None): 1e-10, ("verify-resolution", "orthogonality"): 1e-10,
-    ("overlap", None): 1e-12, ("overlap", "infinitesimal"): 0.1,
-    ("propagate", None): 0.02,
-    ("action", None): 1e-12, ("action", "kinetic_fd"): 1e-6,
-    ("geometry", None): 1e-6, ("geometry", "charts"): 1e-8,
-    ("semiclassical", None): 1e-8,
-    ("contract", None): 0.01, ("contract", "ccs"): 1e-6,
-}
-
-_SUITES = {
-    "wigner": (None, "algebra"),
-    "verify-resolution": (None, "orthogonality"),
-    "overlap": (None, "infinitesimal"),
-    "propagate": (None,),
-    "action": (None, "kinetic_fd"),
-    "geometry": (None, "charts"),
-    "semiclassical": (None,),
-    "contract": (None, "ccs"),
-}
 
 
 def load_config(path) -> dict:
@@ -161,8 +122,9 @@ def load_config(path) -> dict:
 
 
 def validate_config(command: str, cfg: dict) -> dict:
-    """Parse every key through the command schema; unknown keys are errors."""
-    schema = _SCHEMAS[command]
+    """Parse every key through the command schema (unknown keys are errors),
+    then check the suite and the keys it requires."""
+    schema, suites, _ = _COMMANDS[command]
     out = {}
     for key, value in cfg.items():
         if key in _GLOBAL_KEYS:
@@ -172,34 +134,35 @@ def validate_config(command: str, cfg: dict) -> dict:
         else:
             raise ConfigInvalid(f"unknown key '{key}' for command '{command}'")
     suite = out.get("suite")
-    if suite is not None and suite not in _SUITES[command]:
+    if suite not in suites:
         raise ConfigInvalid(f"unknown suite '{suite}' for command '{command}'"
-                            f" (expected one of {[s for s in _SUITES[command] if s]})")
+                            f" (expected one of {[s for s in suites if s]})")
+    for key in suites[suite][2]:
+        if out.get(key) is None:
+            raise ConfigInvalid(f"command '{command}' requires '{key}'")
     return out
 
 
-def _require(cfg, command, *keys):
-    for key in keys:
-        if cfg.get(key) is None:
-            raise ConfigInvalid(f"command '{command}' requires '{key}'")
+def _from_pairs(node, make, what, expected):
+    """``make`` applied to a list of [re, im] pairs; any other node is a
+    config error naming the accepted forms."""
+    if not (isinstance(node, list)
+            and all(isinstance(x, list) and len(x) == 2 for x in node)):
+        raise ConfigInvalid(f"'fv' must be {expected} or a list of [re, im] pairs,"
+                            f" got {node!r}")
+    try:
+        return make([complex(re, im) for re, im in node])
+    except (SpincsError, TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"bad {what} coefficients: {exc}")
 
 
 def _build_fv(spin: Spin, node) -> FiducialVector:
-    if node == "lowest":
+    if node in ("lowest", "highest"):
         c = np.zeros(spin.dim)
-        c[-1] = 1.0
+        c[-1 if node == "lowest" else 0] = 1.0
         return FiducialVector(spin, c)
-    if node == "highest":
-        c = np.zeros(spin.dim)
-        c[0] = 1.0
-        return FiducialVector(spin, c)
-    if isinstance(node, list) and all(isinstance(x, list) and len(x) == 2 for x in node):
-        try:
-            return make_fiducial(spin, [complex(re, im) for re, im in node])
-        except (SpincsError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad fiducial coefficients: {exc}")
-    raise ConfigInvalid(f"'fv' must be \"lowest\", \"highest\", or a list of"
-                        f" [re, im] pairs, got {node!r}")
+    return _from_pairs(node, lambda c: make_fiducial(spin, c), "fiducial",
+                       '"lowest", "highest",')
 
 
 def _build_hamiltonian(spin: Spin, node) -> HamiltonianSpec:
@@ -246,12 +209,7 @@ def _build_hamiltonian(spin: Spin, node) -> HamiltonianSpec:
 def _build_fock(node):
     if node is None or node == "lowest":
         return make_fock([1.0])
-    if isinstance(node, list) and all(isinstance(x, list) and len(x) == 2 for x in node):
-        try:
-            return make_fock([complex(re, im) for re, im in node])
-        except (SpincsError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad Fock coefficients: {exc}")
-    raise ConfigInvalid(f"'fv' must be \"lowest\" or a list of [re, im] pairs, got {node!r}")
+    return _from_pairs(node, make_fock, "Fock", '"lowest"')
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +260,8 @@ def _write_csv(out_dir, experiment_id, header, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# suite sweeps (seeded, shared by the corresponding subcommands)
+# command runners: (cfg, seed, tol, hbar) -> (outputs, passed, csv header,
+# csv rows); one per (command, suite) of the command table
 
 
 def _rng(seed, *tags):
@@ -316,11 +275,26 @@ def _random_omega(rng, theta_margin=0.0, wrap_margin=0.0):
                        rng.uniform(lo, hi))
 
 
-def _suite_algebra(seed, count, max_two_s):
+def _run_wigner(cfg, seed, tol, hbar):
+    spin = Spin(cfg["two_s"])
+    if cfg.get("phi") is not None or cfg.get("psi") is not None:
+        om = EulerAngles(cfg.get("phi", 0.0), cfg["theta"], cfg.get("psi", 0.0))
+        mat = big_r(spin, om).entries
+        kind = "big_r"
+    else:
+        mat = little_d(spin, cfg["theta"])
+        kind = "little_d"
+    defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(spin.dim)))
+    outputs = {"matrix_kind": kind, "matrix": mat, "unitarity_defect": defect}
+    return outputs, defect <= tol, None, None
+
+
+def _run_algebra(cfg, seed, tol, hbar):
     """Unitarity, inverse, composition, and the composed-cos(theta) relation
     on random rotation pairs."""
+    max_two_s = cfg.get("max_two_s", 4)
     worst = {"unitarity": 0.0, "inverse": 0.0, "composition": 0.0, "triangle": 0.0}
-    for i in range(count):
+    for i in range(cfg.get("count", 100)):
         rng = _rng(seed, 1, i)
         spin = Spin(int(rng.integers(0, max_two_s + 1)))
         om1, om2 = _random_omega(rng), _random_omega(rng)
@@ -339,16 +313,34 @@ def _suite_algebra(seed, count, max_two_s):
         cos_exp = (np.cos(om1.theta) * np.cos(om2.theta)
                    - np.sin(om1.theta) * np.sin(om2.theta) * np.cos(om2.psi + om1.phi))
         worst["triangle"] = max(worst["triangle"], abs(np.cos(om12.theta) - cos_exp))
-    return worst
+    return worst, all(v <= tol for v in worst.values()), None, None
 
 
-def _suite_orthogonality(two_s_list, oversample):
+def _run_verify_resolution(cfg, seed, tol, hbar):
+    oversample = cfg.get("oversample", 1.2)
+    count = cfg.get("count", 20)
+    rows, per_spin = [], {}
+    for two_s in cfg["two_s"]:
+        spin = Spin(two_s)
+        grid = build_grid(spin, oversample)
+        res = [resolution_residual(random_fiducial(spin, _rng(seed, two_s, i)), grid)
+               for i in range(count)]
+        rows += [(two_s, i, r) for i, r in enumerate(res)]
+        per_spin[str(two_s)] = max(res)
+    worst = max(r for _, _, r in rows)
+    outputs = {"per_spin_max": per_spin, "max_residual": worst, "count": count}
+    return outputs, worst <= tol, ("two_s", "fv_index", "residual"), rows
+
+
+def _run_orthogonality(cfg, seed, tol, hbar):
     """Quadrature orthogonality of rotation-matrix entries: the weighted grid
     sum of conj(R_ak) R_bl equals delta_ab delta_kl."""
     worst = 0.0
-    for two_s in two_s_list:
+    for two_s in cfg["two_s"]:
         spin = Spin(two_s)
-        grid = build_grid(spin, oversample)
+        grid = build_grid(spin, cfg.get("oversample", 1.2))
+        # the Gram sums keep one amplitude array per basis state alive
+        _check_amplitude_budget(grid, spin.dim, n_arrays=spin.dim)
         w = grid.measure_weights(spin)
         cols = []
         for k in range(spin.dim):
@@ -360,15 +352,24 @@ def _suite_orthogonality(two_s_list, oversample):
                 gram = cols[k].conj().T @ (w[:, None] * cols[l])
                 target = np.eye(spin.dim) if k == l else 0.0
                 worst = max(worst, float(np.max(np.abs(gram - target))))
-    return worst
+    return {"max_residual": worst}, worst <= tol, None, None
 
 
-def _suite_infinitesimal(seed, count):
+def _run_overlap(cfg, seed, tol, hbar):
+    spin = Spin(cfg["two_s"])
+    fv = _build_fv(spin, cfg["fv"])
+    val = overlap(fv, EulerAngles(*cfg["omega2"]), EulerAngles(*cfg["omega1"]))
+    a0, b0 = structure_pair(fv)
+    outputs = {"re": val.real, "im": val.imag, "abs": abs(val), "a0": a0, "b0": b0}
+    return outputs, abs(val) <= 1.0 + tol, None, None
+
+
+def _run_infinitesimal(cfg, seed, tol, hbar):
     """Log-log slope of the first-order short-displacement overlap remainder;
     2.0 means the linearization is correct through first order."""
     steps = np.logspace(-5, -2, 7)
     slopes = []
-    for i in range(count):
+    for i in range(cfg.get("count", 20)):
         rng = _rng(seed, 2, i)
         spin = Spin(int(rng.integers(1, 5)))
         fv = random_fiducial(spin, rng)
@@ -383,135 +384,12 @@ def _suite_infinitesimal(seed, count):
             exact = overlap(fv, displaced, om)
             errs.append(abs(exact - infinitesimal_overlap(fv, om, delta)))
         slopes.append(np.polyfit(np.log(steps), np.log(errs), 1)[0])
-    return float(min(slopes)), float(max(slopes))
+    lo, hi = float(min(slopes)), float(max(slopes))
+    outputs = {"min_slope": lo, "max_slope": hi}
+    return outputs, abs(lo - 2.0) <= tol and abs(hi - 2.0) <= tol, None, None
 
 
-def _suite_kinetic_fd(seed, count, step=1e-5):
-    """Analytic <Omega|i d/dt|Omega> against a central finite difference of
-    the coherent-state amplitudes."""
-    worst_dev, worst_imag = 0.0, 0.0
-    for i in range(count):
-        rng = _rng(seed, 3, i)
-        spin = Spin(int(rng.integers(1, 5)))
-        fv = random_fiducial(spin, rng)
-        om = _random_omega(rng, theta_margin=0.3, wrap_margin=0.3)
-        om_dot = rng.normal(size=3)
-        plus = coherent_state(fv, EulerAngles(*(np.array([om.phi, om.theta, om.psi])
-                                                + step * om_dot))).amplitudes
-        minus = coherent_state(fv, EulerAngles(*(np.array([om.phi, om.theta, om.psi])
-                                                 - step * om_dot))).amplitudes
-        here = coherent_state(fv, om).amplitudes
-        fd = 1j * np.vdot(here, (plus - minus) / (2.0 * step))
-        worst_dev = max(worst_dev, abs(fd.real - kinetic_term(fv, om, om_dot)))
-        worst_imag = max(worst_imag, abs(fd.imag))
-    return worst_dev, worst_imag
-
-
-def _suite_charts(seed, count, step=1e-6):
-    """Kinetic term evaluated in the z and spinor charts with numerically
-    differentiated chart velocities against the Euler-angle form."""
-    worst_z, worst_a = 0.0, 0.0
-    for i in range(count):
-        rng = _rng(seed, 4, i)
-        spin = Spin(int(rng.integers(1, 5)))
-        fv = random_fiducial(spin, rng)
-        om = _random_omega(rng, theta_margin=0.25, wrap_margin=0.3)
-        om_dot = rng.normal(size=3)
-        base = kinetic_term(fv, om, om_dot)
-        angles = np.array([om.phi, om.theta, om.psi])
-        om_p = EulerAngles(*(angles + step * om_dot))
-        om_m = EulerAngles(*(angles - step * om_dot))
-        z_p, z_m = omega_to_z(om_p), omega_to_z(om_m)
-        z_dot = ((z_p.z_plus - z_m.z_plus) / (2 * step),
-                 (z_p.z_minus - z_m.z_minus) / (2 * step))
-        worst_z = max(worst_z, abs(kinetic_term_z(fv, omega_to_z(om), z_dot) - base))
-        a_p, a_m = omega_to_a(om_p), omega_to_a(om_m)
-        a_dot = ((a_p.a1 - a_m.a1) / (2 * step), (a_p.a2 - a_m.a2) / (2 * step))
-        worst_a = max(worst_a, abs(kinetic_term_a(fv, omega_to_a(om), a_dot) - base))
-    return worst_z, worst_a
-
-
-def _suite_ccs():
-    """Displaced-number-state closed forms, eigen-relation residuals, and the
-    canonical resolution of unity at reference truncations."""
-    dns_dev = 0.0
-    for alpha in (0.7, 1.3 - 0.4j):
-        d = displacement_matrix(alpha, 64)
-        for n in (0, 2, 5):
-            dns_dev = max(dns_dev, float(np.max(np.abs(
-                dns_amplitudes(alpha, n, 64) - d[:, n]))))
-    number_res = dns_number_check(1.0, 3, 96)
-    degree_res = annihilation_degree_residual(make_fock([0.6, 0.0, 0.8]), 1.0, n_max=96)
-    resolution = ccs_resolution_residual(make_fock([1.0]))
-    return {"dns_max_dev": dns_dev, "number_residual": number_res,
-            "degree_residual": degree_res, "resolution_residual": resolution}
-
-
-# ---------------------------------------------------------------------------
-# command runners: cfg -> (outputs, passed, csv header, csv rows)
-
-
-def _run_wigner(cfg, seed, tol, threads, hbar):
-    if cfg.get("suite") == "algebra":
-        worst = _suite_algebra(seed, cfg.get("count", 100), cfg.get("max_two_s", 4))
-        return worst, all(v <= tol for v in worst.values()), None, None
-    _require(cfg, "wigner", "two_s", "theta")
-    spin = Spin(cfg["two_s"])
-    if cfg.get("phi") is not None or cfg.get("psi") is not None:
-        om = EulerAngles(cfg.get("phi", 0.0), cfg["theta"], cfg.get("psi", 0.0))
-        mat = big_r(spin, om).entries
-        kind = "big_r"
-    else:
-        mat = little_d(spin, cfg["theta"])
-        kind = "little_d"
-    defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(spin.dim)))
-    outputs = {"matrix_kind": kind, "matrix": mat, "unitarity_defect": defect}
-    return outputs, defect <= tol, None, None
-
-
-def _run_verify_resolution(cfg, seed, tol, threads, hbar):
-    _require(cfg, "verify-resolution", "two_s")
-    oversample = cfg.get("oversample", 1.2)
-    if cfg.get("suite") == "orthogonality":
-        worst = _suite_orthogonality(cfg["two_s"], oversample)
-        return {"max_residual": worst}, worst <= tol, None, None
-    count = cfg.get("count", 20)
-
-    def one_spin(two_s):
-        spin = Spin(two_s)
-        grid = build_grid(spin, oversample)
-        res = []
-        for i in range(count):
-            fv = random_fiducial(spin, _rng(seed, two_s, i))
-            res.append(resolution_residual(fv, grid))
-        return res
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        all_res = list(pool.map(one_spin, cfg["two_s"]))
-    rows = [(two_s, i, r) for two_s, res in zip(cfg["two_s"], all_res)
-            for i, r in enumerate(res)]
-    per_spin = {str(two_s): max(res) for two_s, res in zip(cfg["two_s"], all_res)}
-    worst = max(max(res) for res in all_res)
-    outputs = {"per_spin_max": per_spin, "max_residual": worst, "count": count}
-    return outputs, worst <= tol, ("two_s", "fv_index", "residual"), rows
-
-
-def _run_overlap(cfg, seed, tol, threads, hbar):
-    if cfg.get("suite") == "infinitesimal":
-        lo, hi = _suite_infinitesimal(seed, cfg.get("count", 20))
-        outputs = {"min_slope": lo, "max_slope": hi}
-        return outputs, abs(lo - 2.0) <= tol and abs(hi - 2.0) <= tol, None, None
-    _require(cfg, "overlap", "two_s", "fv", "omega1", "omega2")
-    spin = Spin(cfg["two_s"])
-    fv = _build_fv(spin, cfg["fv"])
-    val = overlap(fv, EulerAngles(*cfg["omega2"]), EulerAngles(*cfg["omega1"]))
-    a0, b0 = structure_pair(fv)
-    outputs = {"re": val.real, "im": val.imag, "abs": abs(val), "a0": a0, "b0": b0}
-    return outputs, abs(val) <= 1.0 + tol, None, None
-
-
-def _run_propagate(cfg, seed, tol, threads, hbar):
-    _require(cfg, "propagate", "two_s", "fv", "omega_i", "omega_f", "t_f")
+def _run_propagate(cfg, seed, tol, hbar):
     spin = Spin(cfg["two_s"])
     fv = _build_fv(spin, cfg["fv"])
     spec = _build_hamiltonian(spin, cfg.get("hamiltonian"))
@@ -541,13 +419,7 @@ def _run_propagate(cfg, seed, tol, threads, hbar):
     return outputs, passed, ("mode", "n_slices", "re", "im", "abs_err_vs_oracle"), rows
 
 
-def _run_action(cfg, seed, tol, threads, hbar):
-    if cfg.get("suite") == "kinetic_fd":
-        dev, imag = _suite_kinetic_fd(seed, cfg.get("count", 50))
-        outputs = {"max_abs_dev": dev, "max_imag": imag}
-        return outputs, dev <= tol and imag <= 1e-9, None, None
-    _require(cfg, "action", "two_s", "fv", "path")
-    from .propagator import action_along_path
+def _run_action(cfg, seed, tol, hbar):
     spin = Spin(cfg["two_s"])
     fv = _build_fv(spin, cfg["fv"])
     spec = _build_hamiltonian(spin, cfg.get("hamiltonian"))
@@ -556,12 +428,29 @@ def _run_action(cfg, seed, tol, threads, hbar):
     return outputs, bool(np.isfinite(value)), None, None
 
 
-def _run_geometry(cfg, seed, tol, threads, hbar):
-    if cfg.get("suite") == "charts":
-        dev_z, dev_a = _suite_charts(seed, cfg.get("count", 100))
-        outputs = {"max_dev_z": dev_z, "max_dev_a": dev_a}
-        return outputs, dev_z <= tol and dev_a <= tol, None, None
-    _require(cfg, "geometry", "two_s", "fv", "omega")
+def _run_kinetic_fd(cfg, seed, tol, hbar):
+    """Analytic <Omega|i d/dt|Omega> against a central finite difference of
+    the coherent-state amplitudes."""
+    step = 1e-5
+    dev, imag = 0.0, 0.0
+    for i in range(cfg.get("count", 50)):
+        rng = _rng(seed, 3, i)
+        spin = Spin(int(rng.integers(1, 5)))
+        fv = random_fiducial(spin, rng)
+        om = _random_omega(rng, theta_margin=0.3, wrap_margin=0.3)
+        om_dot = rng.normal(size=3)
+        angles = np.array([om.phi, om.theta, om.psi])
+        plus = coherent_state(fv, EulerAngles(*(angles + step * om_dot))).amplitudes
+        minus = coherent_state(fv, EulerAngles(*(angles - step * om_dot))).amplitudes
+        here = coherent_state(fv, om).amplitudes
+        fd = 1j * np.vdot(here, (plus - minus) / (2.0 * step))
+        dev = max(dev, abs(fd.real - kinetic_term(fv, om, om_dot)))
+        imag = max(imag, abs(fd.imag))
+    outputs = {"max_abs_dev": dev, "max_imag": imag}
+    return outputs, dev <= tol and imag <= 1e-9, None, None
+
+
+def _run_geometry(cfg, seed, tol, hbar):
     spin = Spin(cfg["two_s"])
     fv = _build_fv(spin, cfg["fv"])
     om = EulerAngles(*cfg["omega"])
@@ -600,8 +489,33 @@ def _run_geometry(cfg, seed, tol, threads, hbar):
     return outputs, passed, None, None
 
 
-def _run_semiclassical(cfg, seed, tol, threads, hbar):
-    _require(cfg, "semiclassical", "two_s", "fv", "hamiltonian", "omega0", "t_span", "dt")
+def _run_charts(cfg, seed, tol, hbar):
+    """Kinetic term evaluated in the z and spinor charts with numerically
+    differentiated chart velocities against the Euler-angle form."""
+    step = 1e-6
+    worst_z, worst_a = 0.0, 0.0
+    for i in range(cfg.get("count", 100)):
+        rng = _rng(seed, 4, i)
+        spin = Spin(int(rng.integers(1, 5)))
+        fv = random_fiducial(spin, rng)
+        om = _random_omega(rng, theta_margin=0.25, wrap_margin=0.3)
+        om_dot = rng.normal(size=3)
+        base = kinetic_term(fv, om, om_dot)
+        angles = np.array([om.phi, om.theta, om.psi])
+        om_p = EulerAngles(*(angles + step * om_dot))
+        om_m = EulerAngles(*(angles - step * om_dot))
+        z_p, z_m = omega_to_z(om_p), omega_to_z(om_m)
+        z_dot = ((z_p.z_plus - z_m.z_plus) / (2 * step),
+                 (z_p.z_minus - z_m.z_minus) / (2 * step))
+        worst_z = max(worst_z, abs(kinetic_term_z(fv, omega_to_z(om), z_dot) - base))
+        a_p, a_m = omega_to_a(om_p), omega_to_a(om_m)
+        a_dot = ((a_p.a1 - a_m.a1) / (2 * step), (a_p.a2 - a_m.a2) / (2 * step))
+        worst_a = max(worst_a, abs(kinetic_term_a(fv, omega_to_a(om), a_dot) - base))
+    outputs = {"max_dev_z": worst_z, "max_dev_a": worst_a}
+    return outputs, worst_z <= tol and worst_a <= tol, None, None
+
+
+def _run_semiclassical(cfg, seed, tol, hbar):
     span = cfg["t_span"]
     if not isinstance(span, list) or len(span) != 2:
         raise ConfigInvalid(f"'t_span' must be [t0, t1], got {span!r}")
@@ -648,21 +562,10 @@ def _contract_one(two_s, alpha, fock_fv):
     return max_abs_dev, float(measure_dev), float(kinetic_dev)
 
 
-def _run_contract(cfg, seed, tol, threads, hbar):
-    if cfg.get("suite") == "ccs":
-        outputs = _suite_ccs()
-        passed = (outputs["dns_max_dev"] <= 1e-9
-                  and outputs["number_residual"] <= 1e-8
-                  and outputs["degree_residual"] <= 1e-8
-                  and outputs["resolution_residual"] <= tol)
-        return outputs, passed, None, None
-    _require(cfg, "contract", "alpha")
+def _run_contract(cfg, seed, tol, hbar):
     fock_fv = _build_fock(cfg.get("fv"))
     two_s_list = cfg.get("two_s_list", [100, 200, 400])
-    alpha = cfg["alpha"]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = list(pool.map(lambda ts: _contract_one(ts, alpha, fock_fv),
-                                two_s_list))
+    results = [_contract_one(ts, cfg["alpha"], fock_fv) for ts in two_s_list]
     rows = [(0.5 * ts, d, m, k) for ts, (d, m, k) in zip(two_s_list, results)]
     devs = [d for d, _, _ in results]
     monotone = all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
@@ -674,15 +577,85 @@ def _run_contract(cfg, seed, tol, threads, hbar):
             ("s", "max_abs_dev", "measure_dev", "kinetic_dev"), rows)
 
 
-_RUNNERS = {
-    "wigner": _run_wigner,
-    "verify-resolution": _run_verify_resolution,
-    "overlap": _run_overlap,
-    "propagate": _run_propagate,
-    "action": _run_action,
-    "geometry": _run_geometry,
-    "semiclassical": _run_semiclassical,
-    "contract": _run_contract,
+def _run_ccs(cfg, seed, tol, hbar):
+    """Displaced-number-state closed forms, eigen-relation residuals, and the
+    canonical resolution of unity at reference truncations."""
+    dns_dev = 0.0
+    for alpha in (0.7, 1.3 - 0.4j):
+        d = displacement_matrix(alpha, 64)
+        for n in (0, 2, 5):
+            dns_dev = max(dns_dev, float(np.max(np.abs(
+                dns_amplitudes(alpha, n, 64) - d[:, n]))))
+    outputs = {"dns_max_dev": dns_dev,
+               "number_residual": dns_number_check(1.0, 3, 96),
+               "degree_residual": annihilation_degree_residual(
+                   make_fock([0.6, 0.0, 0.8]), 1.0, n_max=96),
+               "resolution_residual": ccs_resolution_residual(make_fock([1.0]))}
+    passed = (outputs["dns_max_dev"] <= 1e-9
+              and outputs["number_residual"] <= 1e-8
+              and outputs["degree_residual"] <= 1e-8
+              and outputs["resolution_residual"] <= tol)
+    return outputs, passed, None, None
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+
+_INT, _FLOAT = {"type": int}, {"type": float}
+
+# command -> (config schema: every key besides seed and hbar,
+#             {suite: (runner, default tol, required keys)}, None the plain run,
+#             direct flags: {config key: argparse keywords})
+_COMMANDS = {
+    "wigner": (
+        {"two_s": _as_int, "theta": _as_float, "phi": _as_float, "psi": _as_float,
+         "suite": _as_str, "count": _as_int, "max_two_s": _as_int},
+        {None: (_run_wigner, 1e-10, ("two_s", "theta")),
+         "algebra": (_run_algebra, 1e-10, ())},
+        {"two_s": _INT, "theta": _FLOAT, "phi": _FLOAT, "psi": _FLOAT}),
+    "verify-resolution": (
+        {"two_s": _as_int_list, "count": _as_int, "oversample": _as_float,
+         "suite": _as_str},
+        {None: (_run_verify_resolution, 1e-10, ("two_s",)),
+         "orthogonality": (_run_orthogonality, 1e-10, ("two_s",))},
+        {"two_s": {"type": int, "action": "append"}, "count": _INT}),
+    "overlap": (
+        {"two_s": _as_int, "fv": _identity, "omega1": _as_omega, "omega2": _as_omega,
+         "suite": _as_str, "count": _as_int},
+        {None: (_run_overlap, 1e-12, ("two_s", "fv", "omega1", "omega2")),
+         "infinitesimal": (_run_infinitesimal, 0.1, ())},
+        {}),
+    "propagate": (
+        {"two_s": _as_int, "fv": _identity, "hamiltonian": _identity,
+         "omega_i": _as_omega, "omega_f": _as_omega, "t_i": _as_float, "t_f": _as_float,
+         "n_slices": _as_int_list, "modes": _identity, "oversample": _as_float},
+        {None: (_run_propagate, 0.02, ("two_s", "fv", "omega_i", "omega_f", "t_f"))},
+        {}),
+    "action": (
+        {"two_s": _as_int, "fv": _identity, "hamiltonian": _identity,
+         "path": _as_path_rows, "suite": _as_str, "count": _as_int},
+        {None: (_run_action, 1e-12, ("two_s", "fv", "path")),
+         "kinetic_fd": (_run_kinetic_fd, 1e-6, ())},
+        {}),
+    "geometry": (
+        {"two_s": _as_int, "fv": _identity, "omega": _as_omega, "loop": _as_path_rows,
+         "suite": _as_str, "count": _as_int},
+        {None: (_run_geometry, 1e-6, ("two_s", "fv", "omega")),
+         "charts": (_run_charts, 1e-8, ())},
+        {}),
+    "semiclassical": (
+        {"two_s": _as_int, "fv": _identity, "hamiltonian": _identity,
+         "omega0": _as_omega, "t_span": _identity, "dt": _as_float},
+        {None: (_run_semiclassical, 1e-8,
+                ("two_s", "fv", "hamiltonian", "omega0", "t_span", "dt"))},
+        {}),
+    "contract": (
+        {"alpha": _as_complex, "two_s_list": _as_int_list, "fv": _identity,
+         "suite": _as_str},
+        {None: (_run_contract, 0.01, ("alpha",)),
+         "ccs": (_run_ccs, 1e-6, ())},
+        {}),
 }
 
 
@@ -696,36 +669,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spin coherent-state experiments with JSON reports and CSV series.")
     parser.add_argument("--version", action="version", version=f"spincs {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name, (_, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed (default 0)")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=".", help="report output directory")
         p.add_argument("--tol", type=float, help="override the default tolerance")
-        if name == "wigner":
-            p.add_argument("--two-s", type=int, dest="two_s")
-            p.add_argument("--theta", type=float)
-            p.add_argument("--phi", type=float)
-            p.add_argument("--psi", type=float)
-        if name == "verify-resolution":
-            p.add_argument("--two-s", type=int, action="append", dest="two_s")
-            p.add_argument("--count", type=int)
+        for key, kwargs in flags.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
+    _, suites, flags = _COMMANDS[command]
     try:
         cfg = load_config(args.config) if args.config else {}
-        for key in ("two_s", "theta", "phi", "psi", "count"):
-            if getattr(args, key, None) is not None:
-                cfg[key] = getattr(args, key)
+        cfg.update({key: getattr(args, key) for key in flags
+                    if getattr(args, key) is not None})
         cfg = validate_config(command, cfg)
+        run, default_tol, _ = suites[cfg.get("suite")]
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         hbar = cfg.get("hbar", 1.0)
-        tol = args.tol if args.tol is not None else _DEFAULT_TOL[(command, cfg.get("suite"))]
+        tol = args.tol if args.tol is not None else default_tol
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot create output directory {args.out}: {exc}")
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -742,8 +713,7 @@ def main(argv=None) -> int:
         "config": _jsonable(cfg),
     }
     try:
-        outputs, passed, header, rows = _RUNNERS[command](
-            cfg, seed, tol, args.threads, hbar)
+        outputs, passed, header, rows = run(cfg, seed, tol, hbar)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

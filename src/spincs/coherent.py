@@ -242,12 +242,26 @@ def build_grid(spin_max: Spin, oversample: float = 1.2) -> QuadratureGrid:
     return QuadratureGrid(n_theta, n_ang, n_ang, theta, w, phi, phi.copy())
 
 
-# Budget for one (n_points, dim) complex amplitude array.  It lets through
-# every grid this package's tests and benchmark use (the largest, two_s = 36
-# on an oversample-1 grid, is 0.13 GB) and stops two_s = 60 on the default
-# grid (1.6 GB) before numpy runs out of memory.  resolution_residual keeps
-# two such arrays alive at once.
+# Budget for the (n_points, dim) complex amplitude arrays one computation
+# keeps alive: one for grid_amplitudes, one per basis state for the CLI
+# orthogonality suite.  It lets through every grid this package's tests and
+# benchmark use (the largest, two_s = 36 on an oversample-1 grid, is
+# 0.13 GB) and stops two_s = 60 on the default grid (1.6 GB) before numpy
+# runs out of memory.  resolution_residual keeps two such arrays alive at
+# once.
 _AMPLITUDE_BYTES_MAX = 2 ** 30
+
+
+def _check_amplitude_budget(grid: QuadratureGrid, dim: int, n_arrays: int = 1):
+    """Raise AmplitudesTooLarge when ``n_arrays`` (n_points, dim) complex
+    amplitude arrays on ``grid``, alive together, would exceed
+    ``_AMPLITUDE_BYTES_MAX`` bytes."""
+    n_bytes = n_arrays * grid.n_points * dim * np.dtype(complex).itemsize
+    if n_bytes > _AMPLITUDE_BYTES_MAX:
+        arrays = "" if n_arrays == 1 else f" for {n_arrays} fiducials"
+        raise AmplitudesTooLarge(
+            f"amplitudes of {grid.n_points} grid points x {dim} states{arrays} need "
+            f"{n_bytes / 1e9:.2f} GB, above the {_AMPLITUDE_BYTES_MAX / 1e9:.2f} GB budget")
 
 
 def grid_amplitudes(fv: FiducialVector, grid: QuadratureGrid) -> np.ndarray:
@@ -263,11 +277,7 @@ def grid_amplitudes(fv: FiducialVector, grid: QuadratureGrid) -> np.ndarray:
     """
     spin = fv.spin
     dim = spin.dim
-    n_bytes = grid.n_points * dim * np.dtype(complex).itemsize
-    if n_bytes > _AMPLITUDE_BYTES_MAX:
-        raise AmplitudesTooLarge(
-            f"amplitudes of {grid.n_points} grid points x {dim} states need "
-            f"{n_bytes / 1e9:.2f} GB, above the {_AMPLITUDE_BYTES_MAX / 1e9:.2f} GB budget")
+    _check_amplitude_budget(grid, dim)
     m = 0.5 * spin.two_m_values()
     psi_phase = np.exp(-1j * np.outer(grid.psi, m)) * fv.coeffs[None, :]   # (n_psi, dim)
     phi_phase = np.exp(-1j * np.outer(grid.phi, m))                        # (n_phi, dim)

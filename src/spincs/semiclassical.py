@@ -177,15 +177,16 @@ def _rk4_path(fv, spec, omega0, t0, t1, n_steps, hbar, record=True):
     rows, energies, ranks, residuals = [], [], [], []
     for j in range(n_steps + 1):
         t = t0 + j * dt
+        if j == n_steps and not record:
+            break
+        k1, diag = _solve_at(fv, spec, y, t, hbar)
         if record:
-            od, diag = _solve_at(fv, spec, y, t, hbar)
             rows.append((t, y[0], y[1], y[2]))
             energies.append(h_expectation(fv, spec, y, t))
             ranks.append(diag.rank)
             residuals.append(diag.residual)
         if j == n_steps:
             break
-        k1 = _solve_at(fv, spec, y, t, hbar)[0]
         k2 = _solve_at(fv, spec, y + 0.5 * dt * k1, t + 0.5 * dt, hbar)[0]
         k3 = _solve_at(fv, spec, y + 0.5 * dt * k2, t + 0.5 * dt, hbar)[0]
         k4 = _solve_at(fv, spec, y + dt * k3, t + dt, hbar)[0]

@@ -1,10 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from spincs import EulerAngles, Spin, little_d, make_fiducial, overlap
+from spincs import cli
 from spincs.cli import main
 
 
@@ -273,35 +276,132 @@ def test_verify_resolution_refuses_oversized_grid(tmp_path, capsys):
     assert "AmplitudesTooLarge" in capsys.readouterr().err
 
 
-def test_thread_count_does_not_change_results(tmp_path):
-    out1 = tmp_path / "t1"
-    out4 = tmp_path / "t4"
-    out1.mkdir()
-    out4.mkdir()
-    cfg = _config(tmp_path, {"two_s": [1, 2], "count": 4})
-    assert main(["verify-resolution", "--config", cfg, "--threads", "1",
-                 "--out", str(out1)]) == 0
-    assert main(["verify-resolution", "--config", cfg, "--threads", "4",
-                 "--out", str(out4)]) == 0
-    (r1,), (r4,) = _reports(out1), _reports(out4)
-    r1.pop("timestamp")
-    r4.pop("timestamp")
-    assert r1 == r4
+# One config per (command, suite) of the command table, and the two
+# direct-flag paths, each with the experiment id its inputs hash to.
+_PINNED = {
+    ("wigner", None): (
+        {"two_s": 2, "theta": 0.7, "psi": 0.4}, "wigner-81eed83c84f4"),
+    ("wigner", "algebra"): (
+        {"suite": "algebra", "count": 3}, "wigner-e83d52a374fe"),
+    ("verify-resolution", None): (
+        {"two_s": [1, 2], "count": 2, "seed": 3}, "verify-resolution-77eb3022270d"),
+    ("verify-resolution", "orthogonality"): (
+        {"suite": "orthogonality", "two_s": [1, 2]}, "verify-resolution-7b53ef871a6c"),
+    ("overlap", None): (
+        {"two_s": 3, "fv": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.8], [0.0, 0.0]],
+         "omega1": [0.2, 0.9, 1.4], "omega2": [1.1, 0.5, 0.3]}, "overlap-369da577f128"),
+    ("overlap", "infinitesimal"): (
+        {"suite": "infinitesimal", "count": 2}, "overlap-9621d8223c8e"),
+    ("propagate", None): (
+        {"two_s": 1, "fv": "lowest",
+         "hamiltonian": {"terms": [{"q": 1, "coeff": 1.0}, {"p": 1, "coeff": 0.15},
+                                   {"r": 1, "coeff": 0.15}]},
+         "omega_i": [0.7, 0.9, 1.3], "omega_f": [4.1, 1.9, 5.2], "t_f": 1.0,
+         "n_slices": [4, 8]}, "propagate-59888ddb9f9c"),
+    ("action", None): (
+        {"two_s": 2, "fv": "highest", "hbar": 2.0,
+         "path": [[0.0, 0.0, 0.8, 0.0], [0.5, 1.0, 0.8, 0.1], [1.0, 2.0, 0.8, 0.2]]},
+        "action-e9b70f9f9420"),
+    ("action", "kinetic_fd"): (
+        {"suite": "kinetic_fd", "count": 2}, "action-92cf377371d8"),
+    ("geometry", None): (
+        {"two_s": 2, "fv": "lowest", "omega": [0.4, 0.9, 1.2],
+         "loop": [[0.0, 0.0, 0.9, 0.0], [0.5, 3.0, 0.9, 0.0], [1.0, 6.0, 0.9, 0.0]]},
+        "geometry-6d223edaf738"),
+    ("geometry", "charts"): (
+        {"suite": "charts", "count": 2}, "geometry-cdb80407e18c"),
+    ("semiclassical", None): (
+        {"two_s": 2, "fv": "lowest", "hamiltonian": {"terms": [{"q": 1, "coeff": 1.0}]},
+         "omega0": [0.0, 1.0, 0.0], "t_span": [0.0, 0.2], "dt": 0.05},
+        "semiclassical-e82bc06feccd"),
+    ("contract", None): (
+        {"alpha": [1.3, 0.4], "two_s_list": [100, 200]}, "contract-636cff93c630"),
+    ("contract", "ccs"): (
+        {"suite": "ccs"}, "contract-2077c33a7469"),
+}
+_FLAG_RUNS = {
+    "wigner": (["--two-s", "2", "--theta", "0.7"], "wigner-ecbfcf5d4b3e"),
+    "verify-resolution": (["--two-s", "1", "--two-s", "2", "--count", "2"],
+                          "verify-resolution-43ecd6eb7cc0"),
+}
 
 
-def test_contract_threads_csv_identical(tmp_path):
-    out1 = tmp_path / "t1"
-    out5 = tmp_path / "t5"
-    out1.mkdir()
-    out5.mkdir()
-    cfg = _config(tmp_path, {"alpha": [1.0, 0.0], "two_s_list": [100, 200]})
-    assert main(["contract", "--config", cfg, "--threads", "1",
-                 "--out", str(out1)]) == 0
-    assert main(["contract", "--config", cfg, "--threads", "5",
-                 "--out", str(out5)]) == 0
-    csv1 = next(out1.glob("*.csv")).read_bytes()
-    csv5 = next(out5.glob("*.csv")).read_bytes()
-    assert csv1 == csv5
+def _run_twice(tmp_path, argv):
+    """Run one command into two fresh directories; return its experiment id
+    after checking that both runs wrote the same report and CSV bytes."""
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        out.mkdir()
+        assert main(argv + ["--out", str(out)]) == 0
+        (report,) = _reports(out)
+        report.pop("timestamp")
+        csvs = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        runs.append((report, csvs))
+    assert runs[0] == runs[1]
+    return runs[0][0]["experiment_id"]
+
+
+@pytest.mark.parametrize("command,suite", sorted(_PINNED, key=str))
+def test_pinned_config_report(tmp_path, command, suite):
+    cfg, experiment_id = _PINNED[command, suite]
+    argv = [command, "--config", _config(tmp_path, cfg)]
+    assert _run_twice(tmp_path, argv) == experiment_id
+
+
+@pytest.mark.parametrize("command", sorted(_FLAG_RUNS))
+def test_pinned_flag_report(tmp_path, command):
+    flags, experiment_id = _FLAG_RUNS[command]
+    assert _run_twice(tmp_path, [command] + flags) == experiment_id
+
+
+def test_every_table_entry_is_pinned():
+    # a (command, suite) added to the command table needs a pinned config
+    entries = {(command, suite) for command, (_, suites, _) in cli._COMMANDS.items()
+               for suite in suites}
+    assert entries == set(_PINNED)
+    flag_commands = {command for command, (_, _, flags) in cli._COMMANDS.items() if flags}
+    assert flag_commands == set(_FLAG_RUNS)
+
+
+def test_orthogonality_refuses_oversized_grid(tmp_path, capsys):
+    # 31 basis-state arrays of 0.11 GB each would be alive at once
+    cfg = _config(tmp_path, {"suite": "orthogonality", "two_s": [30]})
+    tracemalloc.start()
+    try:
+        rc = main(["verify-resolution", "--config", cfg, "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert peak < 50e6
+    (report,) = _reports(tmp_path)
+    assert report["outputs"]["error_type"] == "AmplitudesTooLarge"
+    assert "31 fiducials" in capsys.readouterr().err
+
+
+def test_missing_out_directory_is_created(tmp_path):
+    out = tmp_path / "missing" / "deeper"
+    rc = main(["wigner", "--two-s", "1", "--theta", "0.3", "--out", str(out)])
+    assert rc == 0
+    (report,) = _reports(out)
+    assert report["passed"] is True
+
+
+def test_out_directory_error_is_config_error(tmp_path, capsys, monkeypatch):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    monkeypatch.setattr(cli, "little_d", lambda *a: pytest.fail("ran the command"))
+    rc = main(["wigner", "--two-s", "1", "--theta", "0.3", "--out", str(not_a_dir)])
+    assert rc == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
+def test_threads_option_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["wigner", "--two-s", "1", "--theta", "0.3", "--threads", "1",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_seed_changes_inputs_hash(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
+import spincs.semiclassical
 from spincs import (HamiltonianSpec, InconsistentSystem, MonomialTerm, Spin,
                     build_system, h_expectation, h_gradient, integrate_trajectory,
                     make_fiducial, solve_velocities, two_form)
@@ -135,6 +136,39 @@ def test_precession_benchmark():
     # energy is conserved along the flow
     assert np.abs(traj.energies - traj.energies[0]).max() < 1e-10
     assert traj.error_estimate < 1e-10
+
+
+def test_rk4_reuses_recorded_solution_as_first_stage(monkeypatch):
+    # classic RK4 with its own first-stage solve, as the reference
+    spin = Spin(3)
+    fv = random_fv(spin, rng_for(41))
+    spec = _field_spec(spin, bz=0.8, bx=0.6)
+    om0, dt, n = np.array([0.3, 1.0, 0.5]), 0.05, 10
+
+    def velocity(y, t):
+        return solve_velocities(build_system(fv, spec, y, t))[0]
+
+    y = om0.copy()
+    for j in range(n):
+        t = j * dt
+        k1 = velocity(y, t)
+        k2 = velocity(y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = velocity(y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = velocity(y + dt * k3, t + dt)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    calls = []
+
+    def counting(sys):
+        calls.append(1)
+        return solve_velocities(sys)
+
+    monkeypatch.setattr(spincs.semiclassical, "solve_velocities", counting)
+    traj = integrate_trajectory(fv, spec, om0, (0.0, n * dt), dt)
+    # 11 recorded samples whose solutions serve as k1, 3 more solves per
+    # step, and 4 per step of the 20-step half-step rerun
+    assert len(calls) == 11 + 3 * 10 + 4 * 20
+    assert np.array_equal(traj.path[-1, 1:], y)
 
 
 def test_precession_scales_with_hbar():
