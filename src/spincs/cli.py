@@ -28,9 +28,8 @@ import time
 
 import numpy as np
 
-from .coherent import (FiducialVector, build_grid, coherent_state, grid_amplitudes,
-                       make_fiducial, overlap, random_fiducial, resolution_residual,
-                       structure_pair, _check_amplitude_budget)
+from .coherent import (FiducialVector, build_grid, coherent_state, make_fiducial, overlap,
+                       random_fiducial, resolution_residual, structure_pair, _grid_gram)
 from .contraction import (annihilation_degree_residual, canonical_cs,
                           ccs_kinetic_term, ccs_resolution_residual,
                           displacement_matrix, dns_amplitudes, dns_number_check,
@@ -101,6 +100,26 @@ def _as_path_rows(v, key, width=4):
 
 def _identity(v, key):
     return v
+
+
+def _lower_bound(parse, low, strict=False):
+    """``parse`` followed by a check that the value (every element of a
+    list) is >= low, or > low when strict, so an out-of-range value is a
+    config error before anything runs."""
+    relation = ">" if strict else ">="
+
+    def check(v, key):
+        parsed = parse(v, key)
+        for x in parsed if isinstance(parsed, list) else [parsed]:
+            if x < low or (strict and x == low):
+                raise ConfigInvalid(f"'{key}' must be {relation} {low}, got {x!r}")
+        return parsed
+    return check
+
+
+_TWO_S = _lower_bound(_as_int, 0)
+_COUNT = _lower_bound(_as_int, 1)
+_OVERSAMPLE = _lower_bound(_as_float, 1.0)
 
 
 _GLOBAL_KEYS = {"seed": _as_int, "hbar": _as_float}
@@ -339,19 +358,12 @@ def _run_orthogonality(cfg, seed, tol, hbar):
     for two_s in cfg["two_s"]:
         spin = Spin(two_s)
         grid = build_grid(spin, cfg.get("oversample", 1.2))
-        # the Gram sums keep one amplitude array per basis state alive
-        _check_amplitude_budget(grid, spin.dim, n_arrays=spin.dim)
-        w = grid.measure_weights(spin)
-        cols = []
+        basis = np.eye(spin.dim)
         for k in range(spin.dim):
-            c = np.zeros(spin.dim)
-            c[k] = 1.0
-            cols.append(grid_amplitudes(FiducialVector(spin, c), grid))
-        for k in range(spin.dim):
-            for l in range(spin.dim):
-                gram = cols[k].conj().T @ (w[:, None] * cols[l])
-                target = np.eye(spin.dim) if k == l else 0.0
-                worst = max(worst, float(np.max(np.abs(gram - target))))
+            # the Gram blocks of bra |k> against every ket |l>, stacked over l
+            grams = _grid_gram(grid, spin, basis[k], basis)
+            grams[k] -= basis
+            worst = max(worst, float(np.max(np.abs(grams))))
     return {"max_residual": worst}, worst <= tol, None, None
 
 
@@ -399,6 +411,8 @@ def _run_propagate(cfg, seed, tol, hbar):
     ns = cfg.get("n_slices", [8, 16, 32, 64])
     om_i, om_f = EulerAngles(*cfg["omega_i"]), EulerAngles(*cfg["omega_f"])
     t_i, t_f = cfg.get("t_i", 0.0), cfg["t_f"]
+    if t_f < t_i:
+        raise ConfigInvalid(f"'t_f' must be >= 't_i' ({t_i}), got {t_f}")
     grid = build_grid(spin, cfg.get("oversample", 1.2))
     oracle = exact_propagator(spec, t_i, t_f, hbar=hbar)
     amps_i = coherent_state(fv, om_i).amplitudes
@@ -565,6 +579,9 @@ def _contract_one(two_s, alpha, fock_fv):
 def _run_contract(cfg, seed, tol, hbar):
     fock_fv = _build_fock(cfg.get("fv"))
     two_s_list = cfg.get("two_s_list", [100, 200, 400])
+    if min(two_s_list) + 1 < fock_fv.coeffs.size:
+        raise ConfigInvalid(f"every 'two_s_list' entry must be >= {fock_fv.coeffs.size - 1},"
+                            f" the Fock fiducial's highest level, got {min(two_s_list)}")
     results = [_contract_one(ts, cfg["alpha"], fock_fv) for ts in two_s_list]
     rows = [(0.5 * ts, d, m, k) for ts, (d, m, k) in zip(two_s_list, results)]
     devs = [d for d, _, _ in results]
@@ -609,49 +626,51 @@ _INT, _FLOAT = {"type": int}, {"type": float}
 #             direct flags: {config key: argparse keywords})
 _COMMANDS = {
     "wigner": (
-        {"two_s": _as_int, "theta": _as_float, "phi": _as_float, "psi": _as_float,
-         "suite": _as_str, "count": _as_int, "max_two_s": _as_int},
+        {"two_s": _TWO_S, "theta": _as_float, "phi": _as_float, "psi": _as_float,
+         "suite": _as_str, "count": _COUNT, "max_two_s": _TWO_S},
         {None: (_run_wigner, 1e-10, ("two_s", "theta")),
          "algebra": (_run_algebra, 1e-10, ())},
         {"two_s": _INT, "theta": _FLOAT, "phi": _FLOAT, "psi": _FLOAT}),
     "verify-resolution": (
-        {"two_s": _as_int_list, "count": _as_int, "oversample": _as_float,
+        {"two_s": _lower_bound(_as_int_list, 0), "count": _COUNT, "oversample": _OVERSAMPLE,
          "suite": _as_str},
         {None: (_run_verify_resolution, 1e-10, ("two_s",)),
          "orthogonality": (_run_orthogonality, 1e-10, ("two_s",))},
         {"two_s": {"type": int, "action": "append"}, "count": _INT}),
     "overlap": (
-        {"two_s": _as_int, "fv": _identity, "omega1": _as_omega, "omega2": _as_omega,
-         "suite": _as_str, "count": _as_int},
+        {"two_s": _TWO_S, "fv": _identity, "omega1": _as_omega, "omega2": _as_omega,
+         "suite": _as_str, "count": _COUNT},
         {None: (_run_overlap, 1e-12, ("two_s", "fv", "omega1", "omega2")),
          "infinitesimal": (_run_infinitesimal, 0.1, ())},
         {}),
     "propagate": (
-        {"two_s": _as_int, "fv": _identity, "hamiltonian": _identity,
+        {"two_s": _TWO_S, "fv": _identity, "hamiltonian": _identity,
          "omega_i": _as_omega, "omega_f": _as_omega, "t_i": _as_float, "t_f": _as_float,
-         "n_slices": _as_int_list, "modes": _identity, "oversample": _as_float},
+         "n_slices": _lower_bound(_as_int_list, 1), "modes": _identity,
+         "oversample": _OVERSAMPLE},
         {None: (_run_propagate, 0.02, ("two_s", "fv", "omega_i", "omega_f", "t_f"))},
         {}),
     "action": (
-        {"two_s": _as_int, "fv": _identity, "hamiltonian": _identity,
-         "path": _as_path_rows, "suite": _as_str, "count": _as_int},
+        {"two_s": _TWO_S, "fv": _identity, "hamiltonian": _identity,
+         "path": _as_path_rows, "suite": _as_str, "count": _COUNT},
         {None: (_run_action, 1e-12, ("two_s", "fv", "path")),
          "kinetic_fd": (_run_kinetic_fd, 1e-6, ())},
         {}),
     "geometry": (
-        {"two_s": _as_int, "fv": _identity, "omega": _as_omega, "loop": _as_path_rows,
-         "suite": _as_str, "count": _as_int},
+        {"two_s": _TWO_S, "fv": _identity, "omega": _as_omega, "loop": _as_path_rows,
+         "suite": _as_str, "count": _COUNT},
         {None: (_run_geometry, 1e-6, ("two_s", "fv", "omega")),
          "charts": (_run_charts, 1e-8, ())},
         {}),
     "semiclassical": (
-        {"two_s": _as_int, "fv": _identity, "hamiltonian": _identity,
-         "omega0": _as_omega, "t_span": _identity, "dt": _as_float},
+        {"two_s": _TWO_S, "fv": _identity, "hamiltonian": _identity,
+         "omega0": _as_omega, "t_span": _identity,
+         "dt": _lower_bound(_as_float, 0.0, strict=True)},
         {None: (_run_semiclassical, 1e-8,
                 ("two_s", "fv", "hamiltonian", "omega0", "t_span", "dt"))},
         {}),
     "contract": (
-        {"alpha": _as_complex, "two_s_list": _as_int_list, "fv": _identity,
+        {"alpha": _as_complex, "two_s_list": _lower_bound(_as_int_list, 0), "fv": _identity,
          "suite": _as_str},
         {None: (_run_contract, 0.01, ("alpha",)),
          "ccs": (_run_ccs, 1e-6, ())},

@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotNormalized,
                      ZeroVector)
 from .spin_core import (EulerAngles, Spin, big_r, ladder_factor, spin_operators, _angles_of,
-                        _little_d_spectral)
+                        _little_d_spectral, _s2_eigensystem)
 
 __all__ = [
     "FiducialVector",
@@ -242,26 +242,13 @@ def build_grid(spin_max: Spin, oversample: float = 1.2) -> QuadratureGrid:
     return QuadratureGrid(n_theta, n_ang, n_ang, theta, w, phi, phi.copy())
 
 
-# Budget for the (n_points, dim) complex amplitude arrays one computation
-# keeps alive: one for grid_amplitudes, one per basis state for the CLI
-# orthogonality suite.  It lets through every grid this package's tests and
-# benchmark use (the largest, two_s = 36 on an oversample-1 grid, is
+# Budget for the (n_points, dim) complex array of grid_amplitudes, which
+# only M3 and explicit amplitude maps build (grid sums of two states go
+# through _grid_gram).  It lets through every grid this package's tests and
+# benchmark map (the largest, two_s = 36 on an oversample-1 grid, is
 # 0.13 GB) and stops two_s = 60 on the default grid (1.6 GB) before numpy
-# runs out of memory.  resolution_residual keeps two such arrays alive at
-# once.
+# runs out of memory.
 _AMPLITUDE_BYTES_MAX = 2 ** 30
-
-
-def _check_amplitude_budget(grid: QuadratureGrid, dim: int, n_arrays: int = 1):
-    """Raise AmplitudesTooLarge when ``n_arrays`` (n_points, dim) complex
-    amplitude arrays on ``grid``, alive together, would exceed
-    ``_AMPLITUDE_BYTES_MAX`` bytes."""
-    n_bytes = n_arrays * grid.n_points * dim * np.dtype(complex).itemsize
-    if n_bytes > _AMPLITUDE_BYTES_MAX:
-        arrays = "" if n_arrays == 1 else f" for {n_arrays} fiducials"
-        raise AmplitudesTooLarge(
-            f"amplitudes of {grid.n_points} grid points x {dim} states{arrays} need "
-            f"{n_bytes / 1e9:.2f} GB, above the {_AMPLITUDE_BYTES_MAX / 1e9:.2f} GB budget")
 
 
 def grid_amplitudes(fv: FiducialVector, grid: QuadratureGrid) -> np.ndarray:
@@ -277,7 +264,11 @@ def grid_amplitudes(fv: FiducialVector, grid: QuadratureGrid) -> np.ndarray:
     """
     spin = fv.spin
     dim = spin.dim
-    _check_amplitude_budget(grid, dim)
+    n_bytes = grid.n_points * dim * np.dtype(complex).itemsize
+    if n_bytes > _AMPLITUDE_BYTES_MAX:
+        raise AmplitudesTooLarge(
+            f"amplitudes of {grid.n_points} grid points x {dim} states need "
+            f"{n_bytes / 1e9:.2f} GB, above the {_AMPLITUDE_BYTES_MAX / 1e9:.2f} GB budget")
     m = 0.5 * spin.two_m_values()
     psi_phase = np.exp(-1j * np.outer(grid.psi, m)) * fv.coeffs[None, :]   # (n_psi, dim)
     phi_phase = np.exp(-1j * np.outer(grid.phi, m))                        # (n_phi, dim)
@@ -288,20 +279,61 @@ def grid_amplitudes(fv: FiducialVector, grid: QuadratureGrid) -> np.ndarray:
     return out.reshape(grid.n_points, dim)
 
 
+def _node_sums(x: np.ndarray, weights: np.ndarray, dim: int) -> np.ndarray:
+    """sum_n weights_n exp(-i x_n d) for the integer frequencies
+    d = -(dim - 1), ..., dim - 1, at index d + dim - 1.  The weights are
+    real, so the negative frequencies are the conjugates of the positive."""
+    half = weights @ np.exp(-1j * np.multiply.outer(x, np.arange(dim)))
+    return np.concatenate((half[:0:-1].conj(), half))
+
+
+def _grid_gram(grid: QuadratureGrid, spin: Spin, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """The quadrature Gram matrix sum_g dmu_g conj(R_g bra)_i (R_g ket)_j,
+    exact to roundoff for any grid, aliased or not, without visiting grid
+    points: O(dim^3 + (n_theta + n_phi + n_psi) dim) time, O(dim^2) memory.
+
+    With R_g = e^{-i phi S3} r(theta) e^{-i psi S3} the phi and psi sums are
+    discrete Fourier sums s(d) = sum_x e^{-i x d} / n at the frequencies
+    d = m_i - m_j.  The theta sum separates in the S2 eigenbasis (Kostelec &
+    Rockmore, J. Fourier Anal. Appl. 14:145, 2008): with V and the
+    eigenvalues m_n from _s2_eigensystem, U = diag(i^k) V diagonalizes S2,
+    so r(theta) = U E U^H with E = diag(e^{-i theta m_n}), and
+
+        Gram = (dim/2) conj(s_phi[m_i - m_j])
+               * [U ((U^H C conj(U)) * w_theta[m_n + m_n']) U^T]_ij,
+        C_kl = conj(bra_k) ket_l conj(s_psi[m_k - m_l]),
+
+    where w_theta(d) = sum_theta w_theta e^{-i theta d}.  With bra = ket =
+    the fiducial coefficients it is the transpose of the projector
+    P = sum_g dmu_g |Omega_g><Omega_g|.  bra and ket may be stacks of shape
+    (..., dim) that broadcast; the result then has shape (..., dim, dim).
+    """
+    dim = spin.dim
+    k = np.arange(dim)
+    u = np.array([1, 1j, -1, -1j])[k % 4, None] * _s2_eigensystem(spin.two_s)[0]
+    uc = u.conj()
+    diff = k[None, :] - k[:, None] + dim - 1      # m_i - m_j (descending m), as an index
+    total = k[:, None] + k[None, :]               # m_n + m_n' (ascending eigenvalues)
+    s_phi = _node_sums(grid.phi, np.full(grid.n_phi, 1.0 / grid.n_phi), dim)
+    s_psi = _node_sums(grid.psi, np.full(grid.n_psi, 1.0 / grid.n_psi), dim)
+    w_theta = _node_sums(grid.theta, grid.theta_weights, dim)
+    c = np.conj(bra)[..., :, None] * ket[..., None, :] * np.conj(s_psi[diff])
+    inner = (uc.T @ c @ uc) * w_theta[total]
+    return (0.5 * dim) * np.conj(s_phi[diff]) * (u @ inner @ u.T)
+
+
 def resolution_residual(fv: FiducialVector, grid: QuadratureGrid) -> float:
     """Operator-norm defect || sum_g w_g dmu_g |Omega_g><Omega_g| - 1 ||.
 
     For a grid exact at the fiducial spin this is roundoff-level regardless
     of the fiducial vector.  If the grid is too coarse a GridCoarseWarning
-    is emitted and the (large) residual is still returned.
+    is emitted and the (large) residual is still returned.  The grid sum is
+    factorized (see _grid_gram): O(dim^3) whatever the number of grid points.
     """
     if grid.exact_two_s < fv.spin.two_s:
         warnings.warn(
             f"grid exact to two_s={grid.exact_two_s} but fiducial spin has "
             f"two_s={fv.spin.two_s}; residual will not be at roundoff level",
             GridCoarseWarning, stacklevel=2)
-    amps = grid_amplitudes(fv, grid)
-    weighted = amps.conj()
-    weighted *= grid.measure_weights(fv.spin)[:, None]
-    p = weighted.T @ amps
-    return float(np.linalg.norm(p - np.eye(fv.spin.dim), 2))
+    p = _grid_gram(grid, fv.spin, fv.coeffs, fv.coeffs)
+    return float(np.linalg.svd(p - np.eye(fv.spin.dim), compute_uv=False)[0])

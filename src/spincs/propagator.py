@@ -17,25 +17,26 @@ time-ordered propagator at first order in eps.
 M1 and M2 contract through (2s+1)-dimensional transfer matrices: the M2
 kernel in its product form o - i*eps*h is exactly <O''|(1 - i eps H)|O'>,
 so both grid sums between kernels collapse into the quadrature projector
-P = sum_g w_g |O_g><O_g|, built once per call, and the chain is
-v -> P (1 - i eps H_j) v.  M2 never divides by the overlap.  The M3 kernel
-does not factorize through the spin space, so its chain runs over
-grid-indexed vectors.  M3 falls back to the product form wherever
-|eps*h/o| is not small (see _kernel_entries).  For a time-independent H
-whose G x G kernel fits in one row block it is built once per call and
-reused at every slice; otherwise it is rebuilt per slice in row blocks to
-bound memory.
+P = sum_g w_g |O_g><O_g|, and the chain is v -> P (1 - i eps H_j) v.  P is
+summed factorized, once per call (coherent._grid_gram): O(dim^3) however
+many points the grid has, with no per-point amplitudes.  M2 never divides
+by the overlap.  The M3 kernel does not factorize through the spin space,
+so its chain runs over grid-indexed vectors.  M3 falls back to the product
+form wherever |eps*h/o| is not small (see _kernel_entries).  For a
+time-independent H whose G x G kernel fits in one row block it is built
+once per call and reused at every slice; otherwise it is rebuilt per slice
+in row blocks to bound memory.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.linalg import matrix_power
 from scipy.linalg import expm
 
 from .coherent import (FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes,
-                       overlap, structure_pair)
+                       overlap, structure_pair, _grid_gram)
 from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotHermitian, NotNormalized,
                      NumericalFailure, OrthogonalPair)
 from .geometry import kinetic_term, path_velocities
@@ -129,6 +130,10 @@ class PropagatorResult:
     number of kernel entries evaluated with the linearized fallback instead
     of the exponentiated ratio, summed over slices; 0 in M1 and M2, whose
     chains run through the spin-space projector and never meet a grid pair.
+    projector is the quadrature projector P = sum_g w_g |O_g><O_g| that an
+    M1 or M2 chain applied, None in M3, whose chain does not contract
+    through P.  grid_residual is ||P - 1||_2 of that P (roundoff on an exact
+    grid), computed on first read; None in M3.
     """
 
     amplitude: complex
@@ -137,6 +142,14 @@ class PropagatorResult:
     grid: QuadratureGrid
     error_estimate: float = None
     n_zeroed: int = 0
+    projector: np.ndarray = field(default=None, repr=False)
+
+    @cached_property
+    def grid_residual(self) -> float:
+        if self.projector is None:
+            return None
+        eye = np.eye(len(self.projector))
+        return float(np.linalg.svd(self.projector - eye, compute_uv=False)[0])
 
 
 @lru_cache(maxsize=None)
@@ -281,11 +294,6 @@ def _m3_chain(a: np.ndarray, w: np.ndarray, hs, c: np.ndarray, eps_over_hbar: fl
     return c, zeroed
 
 
-def _projector(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Quadrature projector P = sum_g w_g |O_g><O_g|, dim x dim."""
-    return a.conj().T @ (w[:, None] * a)
-
-
 def _slice_hamiltonians(spec: HamiltonianSpec, t_i: float, eps: float, n_slices: int):
     if not spec.time_dependent:
         return [hamiltonian_matrix(spec)] * (n_slices + 1)
@@ -325,12 +333,13 @@ def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
     eps = (t_f - t_i) / (n_slices + 1)
     amps_i = coherent_state(fv, omega_i).amplitudes
     amps_f = coherent_state(fv, omega_f).amplitudes
-    a = grid_amplitudes(fv, grid)
-    w = grid.measure_weights(fv.spin)
     hs = _slice_hamiltonians(spec, t_i, eps, n_slices)
     n_zeroed = 0
+    p = None
 
     if mode == "M3":
+        a = grid_amplitudes(fv, grid)
+        w = grid.measure_weights(fv.spin)
         ac = a.conj()
         c, z = _kernel_entries(ac @ amps_i, ac @ (hs[0] @ amps_i), eps / hbar)
         n_zeroed += z
@@ -341,7 +350,8 @@ def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
         n_zeroed += z
         amplitude = complex(k_f @ (w * c))
     else:
-        p = _projector(a, w)
+        # the projector sum_g w_g |O_g><O_g| is the transposed fiducial Gram
+        p = _grid_gram(grid, fv.spin, fv.coeffs, fv.coeffs).T
         v = amps_i
         for j in range(n_slices + 1):
             v = v - (1j * eps / hbar) * (hs[j] @ v)
@@ -356,7 +366,7 @@ def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
     error = None
     if oracle is not None:
         error = float(abs(amplitude - np.vdot(amps_f, oracle @ amps_i)))
-    return PropagatorResult(amplitude, n_slices, mode, grid, error, n_zeroed)
+    return PropagatorResult(amplitude, n_slices, mode, grid, error, n_zeroed, p)
 
 
 def transition_amplitude(fv: FiducialVector, spec: HamiltonianSpec, ket_i, ket_f,
@@ -377,15 +387,15 @@ def transition_amplitude(fv: FiducialVector, spec: HamiltonianSpec, ket_i, ket_f
         if abs(np.linalg.norm(ket) - 1.0) > 1e-10:
             raise NotNormalized(f"{name} has norm {np.linalg.norm(ket):.12f}")
     eps = (t_f - t_i) / (n_slices + 1)
-    a = grid_amplitudes(fv, grid)
-    w = grid.measure_weights(fv.spin)
     hs = _slice_hamiltonians(spec, t_i, eps, n_slices)
 
     if mode == "M3":
+        a = grid_amplitudes(fv, grid)
+        w = grid.measure_weights(fv.spin)
         c, _ = _m3_chain(a, w, hs, a.conj() @ ket_i, eps / hbar, not spec.time_dependent)
         amplitude = complex((a @ ket_f.conj()) @ (w * c))
     else:
-        p = _projector(a, w)
+        p = _grid_gram(grid, fv.spin, fv.coeffs, fv.coeffs).T
         v = p @ ket_i
         for j in range(n_slices + 1):
             v = p @ (v - (1j * eps / hbar) * (hs[j] @ v))

@@ -4,9 +4,12 @@ Every test named ``test_criterion_*`` in test_acceptance.py gets one
 PASS/FAIL line in a dedicated terminal section after the run.
 """
 
+import math
+
 import numpy as np
 
-from spincs import EulerAngles, Spin, make_fiducial, random_fiducial
+from spincs import (EulerAngles, QuadratureGrid, Spin, build_grid, grid_amplitudes,
+                    make_fiducial, random_fiducial)
 
 _ACCEPTANCE = {}
 
@@ -54,3 +57,25 @@ def lowest_fv(spin: Spin):
 
 def random_fv(spin: Spin, rng):
     return random_fiducial(spin, rng)
+
+
+def dense_gram(grid, bra_fv, ket_fv=None):
+    """The quadrature Gram matrix sum_g w_g conj(a_g)^T a_g summed over every
+    grid point from the (G, dim) amplitude arrays: the oracle for the
+    factorized grid sums of the library."""
+    weighted = grid_amplitudes(bra_fv, grid)
+    np.conjugate(weighted, out=weighted)
+    weighted *= grid.measure_weights(bra_fv.spin)[:, None]
+    return weighted.T @ grid_amplitudes(bra_fv if ket_fv is None else ket_fv, grid)
+
+
+def jittered_grid(spin: Spin, rng):
+    """A QuadratureGrid with the node counts of build_grid(spin) but
+    non-uniform theta, phi and psi nodes and perturbed theta weights, so
+    that it is not an exact product rule."""
+    g = build_grid(spin)
+    theta = np.sort(np.clip(g.theta + rng.uniform(-0.05, 0.05, g.n_theta), 0.0, math.pi))
+    weights = g.theta_weights * rng.uniform(0.9, 1.1, g.n_theta)
+    phi = np.sort(g.phi + rng.uniform(0.0, 0.2, g.n_phi))
+    psi = np.sort(g.psi + rng.uniform(0.0, 0.2, g.n_psi))
+    return QuadratureGrid(g.n_theta, g.n_phi, g.n_psi, theta, weights, phi, psi)

@@ -8,13 +8,13 @@ import math
 
 import numpy as np
 
-from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
+from conftest import basis_fv, dense_gram, lowest_fv, random_fv, random_omega, rng_for
 from spincs import (EulerAngles, HamiltonianSpec, MonomialTerm, Spin,
                     annihilation_degree_residual, big_r, build_grid, canonical_cs,
                     ccs_resolution_residual, coherent_state, compose_euler,
                     discrete_cspi, displacement_matrix, dns_amplitudes,
                     dns_number_check, exact_propagator, gauge_potential,
-                    grid_amplitudes, hp_contract_state, hp_measure_ratio,
+                    hp_contract_state, hp_measure_ratio,
                     infinitesimal_overlap, integrate_trajectory, invert_euler,
                     kinetic_term, kinetic_term_a, kinetic_term_z, ladder_factor,
                     make_fiducial, make_fock, omega_to_a, omega_to_z, one_form,
@@ -58,12 +58,11 @@ def test_criterion_03_orthogonality_relation():
     for two_s in (1, 2, 3, 4):
         spin = Spin(two_s)
         grid = build_grid(spin)
-        w = grid.measure_weights(spin)
-        amps = np.stack([grid_amplitudes(basis_fv(spin, a), grid)
-                         for a in range(spin.dim)])
-        gram = np.einsum("agk,g,bgl->akbl", amps.conj(), w, amps)
-        target = np.einsum("ab,kl->akbl", np.eye(spin.dim), np.eye(spin.dim))
-        assert np.abs(gram - target).max() <= 1e-10
+        for a in range(spin.dim):
+            for b in range(spin.dim):
+                gram = dense_gram(grid, basis_fv(spin, a), basis_fv(spin, b))
+                target = np.eye(spin.dim) if a == b else 0.0
+                assert np.abs(gram - target).max() <= 1e-10
 
 
 def test_criterion_04_infinitesimal_overlap_slope():

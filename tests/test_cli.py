@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spincs import EulerAngles, Spin, little_d, make_fiducial, overlap
+from conftest import basis_fv, dense_gram
+from spincs import EulerAngles, Spin, build_grid, little_d, make_fiducial, overlap
 from spincs import cli
 from spincs.cli import main
 
@@ -223,6 +224,25 @@ def test_suite_orthogonality(tmp_path):
     assert report["outputs"]["max_residual"] <= 1e-10
 
 
+def test_suite_orthogonality_matches_dense_sum_on_coarse_grid(tmp_path, monkeypatch):
+    # on a grid too coarse for two_s=4 the Gram blocks are far from the
+    # identity; the reported worst entry must be the densely summed one
+    coarse = build_grid(Spin(0))
+    monkeypatch.setattr(cli, "build_grid", lambda spin, oversample: coarse)
+    cfg = _config(tmp_path, {"suite": "orthogonality", "two_s": [4]})
+    rc = main(["verify-resolution", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 0
+    (report,) = _reports(tmp_path)
+    spin = Spin(4)
+    expected = max(
+        np.abs(dense_gram(coarse, basis_fv(spin, k), basis_fv(spin, l))
+               - (np.eye(spin.dim) if k == l else 0.0)).max()
+        for k in range(spin.dim) for l in range(spin.dim))
+    assert expected > 1e-3
+    assert report["passed"] is False
+    assert abs(report["outputs"]["max_residual"] - expected) <= 1e-13
+
+
 def test_suite_infinitesimal_small(tmp_path):
     cfg = _config(tmp_path, {"suite": "infinitesimal", "count": 3})
     rc = main(["overlap", "--config", cfg, "--out", str(tmp_path)])
@@ -267,13 +287,25 @@ def test_verify_resolution_flags(tmp_path):
     assert report["outputs"]["max_residual"] <= 1e-10
 
 
-def test_verify_resolution_refuses_oversized_grid(tmp_path, capsys):
-    rc = main(["verify-resolution", "--two-s", "100", "--out", str(tmp_path)])
+def test_propagate_m3_refuses_oversized_grid(tmp_path, capsys):
+    # M3 needs the (G, dim) amplitudes, 11.8 GB at two_s=100
+    cfg = _config(tmp_path, {"two_s": 100, "fv": "lowest", "omega_i": [0.1, 0.2, 0.3],
+                             "omega_f": [0.4, 0.5, 0.6], "t_f": 1.0, "n_slices": [2],
+                             "modes": ["M3"]})
+    rc = main(["propagate", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 3
     (report,) = _reports(tmp_path)
     assert report["passed"] is False
     assert report["outputs"]["error_type"] == "AmplitudesTooLarge"
     assert "AmplitudesTooLarge" in capsys.readouterr().err
+
+
+def test_verify_resolution_at_two_s_100(tmp_path):
+    rc = main(["verify-resolution", "--two-s", "100", "--out", str(tmp_path)])
+    assert rc == 0
+    (report,) = _reports(tmp_path)
+    assert report["passed"] is True
+    assert report["outputs"]["max_residual"] <= 1e-12
 
 
 # One config per (command, suite) of the command table, and the two
@@ -364,8 +396,8 @@ def test_every_table_entry_is_pinned():
     assert flag_commands == set(_FLAG_RUNS)
 
 
-def test_orthogonality_refuses_oversized_grid(tmp_path, capsys):
-    # 31 basis-state arrays of 0.11 GB each would be alive at once
+def test_orthogonality_at_two_s_30_within_memory(tmp_path):
+    # summed densely this would keep 31 basis-state arrays of 0.11 GB alive
     cfg = _config(tmp_path, {"suite": "orthogonality", "two_s": [30]})
     tracemalloc.start()
     try:
@@ -373,11 +405,38 @@ def test_orthogonality_refuses_oversized_grid(tmp_path, capsys):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rc == 3
+    assert rc == 0
     assert peak < 50e6
     (report,) = _reports(tmp_path)
-    assert report["outputs"]["error_type"] == "AmplitudesTooLarge"
-    assert "31 fiducials" in capsys.readouterr().err
+    assert report["passed"] is True
+    assert report["outputs"]["max_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("command,payload,flags,body", [
+    ("verify-resolution", {"two_s": [2], "oversample": 0.5}, [], "build_grid"),
+    ("verify-resolution", {"two_s": [2], "count": 0}, [], "build_grid"),
+    ("verify-resolution", None, ["--two-s", "-1"], "build_grid"),
+    ("semiclassical", {"two_s": 2, "fv": "lowest", "hamiltonian": {"terms": []},
+                       "omega0": [0.0, 1.0, 0.0], "t_span": [0.0, 0.2], "dt": -0.1},
+     [], "integrate_trajectory"),
+    ("propagate", {"two_s": 1, "fv": "lowest", "omega_i": [0.1, 0.2, 0.3],
+                   "omega_f": [0.4, 0.5, 0.6], "t_f": 1.0, "n_slices": [0]},
+     [], "build_grid"),
+    ("propagate", {"two_s": 1, "fv": "lowest", "omega_i": [0.1, 0.2, 0.3],
+                   "omega_f": [0.4, 0.5, 0.6], "t_f": -1.0},
+     [], "build_grid"),
+    ("contract", {"alpha": 0.5, "two_s_list": [1], "fv": [[0.6, 0.0], [0.0, 0.0], [0.8, 0.0]]},
+     [], "_contract_one"),
+], ids=["oversample", "count", "two_s", "dt", "n_slices", "t_f", "fock_length"])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, monkeypatch,
+                                            command, payload, flags, body):
+    monkeypatch.setattr(cli, body, lambda *a, **k: pytest.fail("ran the command"))
+    argv = [command] + flags + ["--out", str(tmp_path)]
+    if payload is not None:
+        argv += ["--config", _config(tmp_path, payload)]
+    assert main(argv) == 2
+    assert "must be" in capsys.readouterr().err
+    assert _reports(tmp_path) == []
 
 
 def test_missing_out_directory_is_created(tmp_path):

@@ -6,12 +6,14 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
+from conftest import (basis_fv, dense_gram, jittered_grid, lowest_fv, random_fv,
+                      random_omega, rng_for)
 from spincs import (AmplitudesTooLarge, EulerAngles, GridCoarseWarning, LengthMismatch,
                     NotNormalized, Spin, ZeroVector, big_r, build_grid, coherent_state,
                     generating_function, grid_amplitudes, make_fiducial,
                     euler_from_su2, matrix_elements, overlap, resolution_residual,
                     spin_operators, structure_pair, su2_matrix)
+from spincs.coherent import _grid_gram
 
 
 def test_make_fiducial_normalizes_and_fixes_phase():
@@ -175,12 +177,9 @@ def test_grid_amplitudes_orthogonality():
     # delta_ab delta_kl: the Gram matrix of two basis fiducials is diagonal
     spin = Spin(2)
     grid = build_grid(spin)
-    wmu = grid.measure_weights(spin)
-    amps0 = grid_amplitudes(basis_fv(spin, 0), grid)
-    amps2 = grid_amplitudes(basis_fv(spin, 2), grid)
-    gram = (amps0.conj() * wmu[:, None]).T @ amps2
+    gram = dense_gram(grid, basis_fv(spin, 0), basis_fv(spin, 2))
     assert_allclose(gram, np.zeros((spin.dim, spin.dim)), atol=1e-12)
-    gram_self = (amps0.conj() * wmu[:, None]).T @ amps0
+    gram_self = dense_gram(grid, basis_fv(spin, 0))
     assert_allclose(gram_self, np.eye(spin.dim), atol=1e-12)
 
 
@@ -225,16 +224,78 @@ def test_resolution_residual_above_two_s_30():
 
 
 def test_grid_amplitudes_size_guard():
-    # 11.8 GB per amplitude array: refused before numpy allocates it
+    # 11.8 GB per amplitude array: refused before numpy allocates it, while
+    # the factorized residual on the same grid needs no such array
     fv = random_fv(Spin(100), rng_for(31))
     grid = build_grid(Spin(100))
     tracemalloc.start()
     try:
         with pytest.raises(AmplitudesTooLarge, match="GB"):
-            resolution_residual(fv, grid)
+            grid_amplitudes(fv, grid)
+        residual = resolution_residual(fv, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 50e6
+    assert residual <= 1e-12
+
+
+@pytest.mark.parametrize("two_s", range(31))
+def test_grid_gram_matches_dense_sum(two_s):
+    rng = rng_for(32, two_s)
+    spin = Spin(two_s)
+    grid = build_grid(spin)
+    bra, ket = random_fv(spin, rng), random_fv(spin, rng)
+    for b, k in ((bra, ket), (bra, bra)):
+        assert_allclose(_grid_gram(grid, spin, b.coeffs, k.coeffs), dense_gram(grid, b, k),
+                        rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("two_s,grid_two_s,fv_kind", [(6, 1, "random"), (6, 2, "lowest")])
+def test_grid_gram_matches_dense_sum_on_coarse_grids(two_s, grid_two_s, fv_kind):
+    # the grids of the two GridCoarseWarning tests, aliased and not
+    rng = rng_for(33, two_s, grid_two_s)
+    spin = Spin(two_s)
+    grid = build_grid(Spin(grid_two_s))
+    bra = random_fv(spin, rng) if fv_kind == "random" else lowest_fv(spin)
+    ket = random_fv(spin, rng)
+    for b, k in ((bra, ket), (bra, bra)):
+        assert_allclose(_grid_gram(grid, spin, b.coeffs, k.coeffs), dense_gram(grid, b, k),
+                        rtol=0, atol=1e-13)
+    dense_residual = np.linalg.norm(dense_gram(grid, bra) - np.eye(spin.dim), 2)
+    with pytest.warns(GridCoarseWarning):
+        assert abs(resolution_residual(bra, grid) - dense_residual) <= 1e-13
+
+
+@pytest.mark.parametrize("two_s", [1, 4, 9])
+def test_grid_gram_matches_dense_sum_on_nonuniform_grid(two_s):
+    rng = rng_for(34, two_s)
+    spin = Spin(two_s)
+    grid = jittered_grid(spin, rng)
+    bra, ket = random_fv(spin, rng), random_fv(spin, rng)
+    gram = _grid_gram(grid, spin, bra.coeffs, ket.coeffs)
+    assert_allclose(gram, dense_gram(grid, bra, ket), rtol=0, atol=1e-13)
+    # a stack of kets gives one Gram block per ket
+    basis = np.eye(spin.dim)
+    stacked = _grid_gram(grid, spin, bra.coeffs, basis)
+    for l in range(spin.dim):
+        assert_allclose(stacked[l], _grid_gram(grid, spin, bra.coeffs, basis[l]),
+                        rtol=0, atol=1e-15)
+    assert np.linalg.norm(_grid_gram(grid, spin, bra.coeffs, bra.coeffs)
+                          - np.eye(spin.dim), 2) > 1e-3
+
+
+@pytest.mark.parametrize("two_s", [100, 400])
+def test_resolution_residual_at_large_spin(two_s):
+    fv = random_fv(Spin(two_s), rng_for(35, two_s))
+    grid = build_grid(Spin(two_s))
+    tracemalloc.start()
+    try:
+        residual = resolution_residual(fv, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
     assert peak < 50e6
 
 

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
+from conftest import (basis_fv, dense_gram, jittered_grid, lowest_fv, random_fv,
+                      random_omega, rng_for)
 from spincs import (EulerAngles, GridTooCoarse, HamiltonianSpec, LengthMismatch,
                     MonomialTerm, NotHermitian, NotNormalized, OrthogonalPair,
                     Spin, action_along_path, build_grid, coherent_state,
@@ -208,6 +209,52 @@ def test_m2_equals_m1_for_driven_degree2_h(two_s):
               for mode in ("M1", "M2"))
     assert abs(t1 - t2) < 1e-12
     assert abs(t2 - np.vdot(ket_f, chain @ ket_i)) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["M1", "M2"])
+def test_grid_residual_of_exact_grid(mode):
+    rng = rng_for(59)
+    spin = Spin(3)
+    fv = random_fv(spin, rng)
+    kw = dict(t_i=0.0, t_f=1.0, n_slices=4, grid=build_grid(spin))
+    res = discrete_cspi(fv, _precession_spec(spin), random_omega(rng), random_omega(rng),
+                        mode=mode, **kw)
+    assert res.grid_residual <= 1e-13
+    m3 = discrete_cspi(fv, _precession_spec(spin), random_omega(rng), random_omega(rng),
+                       mode="M3", **kw)
+    assert m3.projector is None and m3.grid_residual is None
+
+
+@pytest.mark.parametrize("two_s", [1, 3])
+def test_m1_m2_chain_applies_the_grid_projector(two_s):
+    # a grid with build_grid's node counts passes the exactness check, but
+    # with non-uniform nodes its projector is not the identity: the chain
+    # must apply that projector, here summed densely
+    rng = rng_for(60, two_s)
+    spin = Spin(two_s)
+    fv = random_fv(spin, rng)
+    grid = jittered_grid(spin, rng)
+    spec = _precession_spec(spin)
+    om_i, om_f = random_omega(rng), random_omega(rng)
+    ket_i, ket_f = random_fv(spin, rng).coeffs, random_fv(spin, rng).coeffs
+    n, t_f = 4, 1.0
+    eps = t_f / (n + 1)
+    h = hamiltonian_matrix(spec)
+    p = dense_gram(grid, fv).T
+    step = np.eye(spin.dim) - 1j * eps * h
+    amps_i = coherent_state(fv, om_i).amplitudes
+    amps_f = coherent_state(fv, om_f).amplitudes
+    expected = np.vdot(amps_f, step @ np.linalg.matrix_power(p @ step, n) @ amps_i)
+    expected_t = np.vdot(ket_f, np.linalg.matrix_power(p @ step, n + 1) @ p @ ket_i)
+    residual = np.linalg.norm(p - np.eye(spin.dim), 2)
+    assert residual > 1e-3
+    for mode in ("M1", "M2"):
+        res = discrete_cspi(fv, spec, om_i, om_f, 0.0, t_f, n, grid, mode)
+        assert abs(res.amplitude - expected) < 1e-12
+        assert_allclose(res.projector, p, rtol=0, atol=1e-13)
+        assert abs(res.grid_residual - residual) < 1e-13
+        t = transition_amplitude(fv, spec, ket_i, ket_f, 0.0, t_f, grid, n, mode)
+        assert abs(t - expected_t) < 1e-12
 
 
 @pytest.mark.parametrize("two_s", [1, 4])
