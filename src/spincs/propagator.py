@@ -14,18 +14,18 @@ with H(O'', O') = <O''|H|O'>/<O''|O'>.  M1 and M2 are algebraically equal
 wherever the overlap is nonzero; all three converge to the exact
 time-ordered propagator at first order in eps.
 
-M1 and M2 contract through (2s+1)-dimensional transfer matrices: the M2
-kernel in its product form o - i*eps*h is exactly <O''|(1 - i eps H)|O'>,
-so both grid sums between kernels collapse into the quadrature projector
-P = sum_g w_g |O_g><O_g|, and the chain is v -> P (1 - i eps H_j) v.  P is
-summed factorized, once per call (coherent._grid_gram): O(dim^3) however
-many points the grid has, with no per-point amplitudes.  M2 never divides
-by the overlap.  The M3 kernel does not factorize through the spin space,
-so its chain runs over grid-indexed vectors.  M3 falls back to the product
-form wherever |eps*h/o| is not small (see _kernel_entries).  For a
-time-independent H whose G x G kernel fits in one row block it is built
-once per call and reused at every slice; otherwise it is rebuilt per slice
-in row blocks to bound memory.
+Both entry points run one chain (_path_sum); transition_amplitude is the
+discrete_cspi chain with grid-summed endpoints.  M1 and M2 contract through
+dim x dim transfer matrices: the M2 kernel in its product form o - i*eps*h
+is exactly <O''|(1 - i eps H)|O'>, so every grid sum between kernels is the
+quadrature projector P = sum_g w_g |O_g><O_g|, and the chain is
+v -> P (1 - i eps H_j) v.  P is summed factorized, once per call
+(coherent._grid_gram): O(dim^3) for any grid size.  M2 never divides by the
+overlap.  The M3 kernel does not factorize through the spin space, so its
+chain runs over grid-indexed vectors; it falls back to the product form
+wherever |eps*h/o| is not small (see _kernel_entries).  Its G x G kernel is
+built in row blocks at every slice, or once per call for a time-independent
+H when it fits in one row block (see _m3_chain).
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +36,7 @@ from numpy.linalg import matrix_power
 from scipy.linalg import expm
 
 from .coherent import (FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes,
-                       overlap, structure_pair, _grid_gram)
+                       structure_pair, _grid_gram)
 from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotHermitian, NotNormalized,
                      NumericalFailure, OrthogonalPair)
 from .geometry import kinetic_term, path_velocities
@@ -180,12 +180,11 @@ def h_ratio(fv: FiducialVector, spec: HamiltonianSpec, omega2, omega1, t: float 
 
     Raises OrthogonalPair when the overlap magnitude is at or below 1e-12.
     """
-    omega2, omega1 = _as_angles(omega2), _as_angles(omega1)
-    o = overlap(fv, omega2, omega1)
+    v2 = coherent_state(fv, _as_angles(omega2)).amplitudes
+    v1 = coherent_state(fv, _as_angles(omega1)).amplitudes
+    o = complex(np.vdot(v2, v1))
     if abs(o) <= _ZERO_OVERLAP:
         raise OrthogonalPair(f"|<Omega2|Omega1>| = {abs(o):.3e} is too small to divide by")
-    v2 = coherent_state(fv, omega2).amplitudes
-    v1 = coherent_state(fv, omega1).amplitudes
     return complex(np.vdot(v2, hamiltonian_matrix(spec, t) @ v1)) / o
 
 
@@ -254,42 +253,45 @@ def _kernel_entries(o: np.ndarray, h: np.ndarray, eps_over_hbar: float):
     return k, int(o.size - np.count_nonzero(safe))
 
 
-def _apply_grid_kernel(a: np.ndarray, h_mat: np.ndarray, wc: np.ndarray,
-                       eps_over_hbar: float):
-    """One chain step c -> K @ wc with K[g, g'] the M3 kernel between grid
-    points, built in row blocks to bound memory at large grids."""
-    g_total = a.shape[0]
-    at = a.T
-    ha = h_mat @ at
-    out = np.empty(g_total, dtype=complex)
+def _kernel_step(dst: np.ndarray, src: np.ndarray, h: np.ndarray, c: np.ndarray,
+                 eps_over_hbar: float, keep: bool):
+    """One chain step c -> K @ c, with K[g, g'] the M3 kernel of h from the
+    state src[g'] to the state dst[g] (rows of amplitudes), built in row
+    blocks of at most _KERNEL_BLOCK_ENTRIES entries to bound memory.
+    Returns K @ c, the fallback count, and K itself when keep is set and K
+    fit in one block (else None)."""
+    h_src = h @ src.T
+    out = np.empty(len(dst), dtype=complex)
     zeroed = 0
-    block = max(1, _KERNEL_BLOCK_ENTRIES // g_total)
-    for start in range(0, g_total, block):
-        rows = a[start:start + block].conj()
-        k_b, z = _kernel_entries(rows @ at, rows @ ha, eps_over_hbar)
+    block = max(1, _KERNEL_BLOCK_ENTRIES // len(src))
+    for start in range(0, len(dst), block):
+        bra = dst[start:start + block].conj()
+        k, z = _kernel_entries(bra @ src.T, bra @ h_src, eps_over_hbar)
         zeroed += z
-        out[start:start + block] = k_b @ wc
-    return out, zeroed
+        out[start:start + block] = k @ c
+    return out, zeroed, (k if keep and block >= len(dst) else None)
 
 
-def _m3_chain(a: np.ndarray, w: np.ndarray, hs, c: np.ndarray, eps_over_hbar: float,
-              static: bool):
-    """Apply the M3 grid kernels of the slice Hamiltonians hs in turn,
-    c -> K_j @ (w * c), and return c with the summed fallback count.
+def _m3_chain(nodes, hs, c: np.ndarray, eps_over_hbar: float):
+    """Apply c -> K_j @ (w_j * c) for each slice Hamiltonian hs[j], with K_j
+    its M3 kernel from the node set nodes[j] = (amplitudes, weights) to
+    nodes[j + 1]; return c on the last node set and the summed fallback
+    count.
 
-    A static H has the same kernel at every slice; when it is used more than
-    once and fits in one row block it is built once and reused, which gives
-    the same entries as the per-slice build.
+    A kernel depends only on its two node sets and H.  When every slice
+    carries the same H object (a static spec, see _slice_hamiltonians), the
+    grid-to-grid kernel is built at the first grid-to-grid step and reused,
+    with its fallback count, at the rest, provided it fits in one row
+    block; otherwise every step builds its own kernel in row blocks.
     """
-    if static and len(hs) > 1 and a.shape[0] ** 2 <= _KERNEL_BLOCK_ENTRIES:
-        ac = a.conj()
-        k, z = _kernel_entries(ac @ a.T, ac @ (hs[0] @ a.T), eps_over_hbar)
-        for _ in hs:
-            c = k @ (w * c)
-        return c, z * len(hs)
-    zeroed = 0
-    for h in hs:
-        c, z = _apply_grid_kernel(a, h, w * c, eps_over_hbar)
+    static = all(h is hs[0] for h in hs)
+    zeroed, kept = 0, None
+    for (src, w), (dst, _), h in zip(nodes, nodes[1:], hs):
+        if kept is not None and src is dst:
+            c = kept @ (w * c)  # z is still the count of the kept kernel
+        else:
+            c, z, kept = _kernel_step(dst, src, h, w * c, eps_over_hbar,
+                                      static and src is dst)
         zeroed += z
     return c, zeroed
 
@@ -313,6 +315,45 @@ def _check_grid(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid,
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
+def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, ket_i, ket_f,
+              t_i: float, t_f: float, n_slices: int, mode: str, hbar: float, grid_ends: bool):
+    """<f|(1 - i eps H_n) P ... P (1 - i eps H_0)|i> in M1/M2, or its M3 grid
+    chain, from ket_i to ket_f; grid_ends inserts the resolution at both ends
+    too.  Returns the amplitude, the M3 fallback count and the M1/M2 P."""
+    _check_grid(fv, spec, grid, n_slices, mode)
+    eps = (t_f - t_i) / (n_slices + 1)
+    hs = _slice_hamiltonians(spec, t_i, eps, n_slices)
+    n_zeroed, p = 0, None
+
+    if mode == "M3":
+        a = grid_amplitudes(fv, grid)
+        on_grid = (a, grid.measure_weights(fv.spin))
+        if grid_ends:
+            start, end, c, readout = on_grid, on_grid, a.conj() @ ket_i, a @ ket_f.conj()
+        else:
+            one = np.ones(1)
+            start, end, c, readout = (ket_i[None], one), (ket_f[None], one), one, one
+        c, n_zeroed = _m3_chain([start] + [on_grid] * n_slices + [end], hs, c, eps / hbar)
+        amplitude = complex(readout @ (end[1] * c))
+    else:
+        # the projector sum_g w_g |O_g><O_g| is the transposed fiducial Gram
+        p = _grid_gram(grid, fv.spin, fv.coeffs, fv.coeffs).T
+        if grid_ends:
+            ket_i, ket_f = p @ ket_i, p @ ket_f
+        v = ket_i
+        for j, h in enumerate(hs):
+            if j:
+                v = p @ v
+            v = v - (1j * eps / hbar) * (h @ v)
+        amplitude = complex(np.vdot(ket_f, v))
+
+    if not np.isfinite(amplitude.real) or not np.isfinite(amplitude.imag):
+        raise NumericalFailure(
+            f"mode {mode} amplitude is not finite (kernel overflow on a "
+            "near-orthogonal pair); refine the grid or slice count")
+    return amplitude, n_zeroed, p
+
+
 def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
                   t_i: float, t_f: float, n_slices: int, grid: QuadratureGrid,
                   mode: str = "M1", hbar: float = 1.0, oracle: np.ndarray = None
@@ -328,44 +369,11 @@ def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
     omega_i) up to roundoff for any slice count, since each grid sum is an
     exact resolution of unity.
     """
-    _check_grid(fv, spec, grid, n_slices, mode)
-    omega_i, omega_f = _as_angles(omega_i), _as_angles(omega_f)
-    eps = (t_f - t_i) / (n_slices + 1)
-    amps_i = coherent_state(fv, omega_i).amplitudes
-    amps_f = coherent_state(fv, omega_f).amplitudes
-    hs = _slice_hamiltonians(spec, t_i, eps, n_slices)
-    n_zeroed = 0
-    p = None
-
-    if mode == "M3":
-        a = grid_amplitudes(fv, grid)
-        w = grid.measure_weights(fv.spin)
-        ac = a.conj()
-        c, z = _kernel_entries(ac @ amps_i, ac @ (hs[0] @ amps_i), eps / hbar)
-        n_zeroed += z
-        c, z = _m3_chain(a, w, hs[1:n_slices], c, eps / hbar, not spec.time_dependent)
-        n_zeroed += z
-        k_f, z = _kernel_entries(np.conj(ac @ amps_f),
-                                 np.conj(ac @ (hs[n_slices] @ amps_f)), eps / hbar)
-        n_zeroed += z
-        amplitude = complex(k_f @ (w * c))
-    else:
-        # the projector sum_g w_g |O_g><O_g| is the transposed fiducial Gram
-        p = _grid_gram(grid, fv.spin, fv.coeffs, fv.coeffs).T
-        v = amps_i
-        for j in range(n_slices + 1):
-            v = v - (1j * eps / hbar) * (hs[j] @ v)
-            if j < n_slices:
-                v = p @ v
-        amplitude = complex(np.vdot(amps_f, v))
-
-    if not np.isfinite(amplitude.real) or not np.isfinite(amplitude.imag):
-        raise NumericalFailure(
-            f"mode {mode} amplitude is not finite (kernel overflow on a "
-            "near-orthogonal pair); refine the grid or slice count")
-    error = None
-    if oracle is not None:
-        error = float(abs(amplitude - np.vdot(amps_f, oracle @ amps_i)))
+    amps_i = coherent_state(fv, _as_angles(omega_i)).amplitudes
+    amps_f = coherent_state(fv, _as_angles(omega_f)).amplitudes
+    amplitude, n_zeroed, p = _path_sum(fv, spec, grid, amps_i, amps_f, t_i, t_f,
+                                       n_slices, mode, hbar, grid_ends=False)
+    error = None if oracle is None else float(abs(amplitude - np.vdot(amps_f, oracle @ amps_i)))
     return PropagatorResult(amplitude, n_slices, mode, grid, error, n_zeroed, p)
 
 
@@ -378,7 +386,6 @@ def transition_amplitude(fv: FiducialVector, spec: HamiltonianSpec, ket_i, ket_f
     With the zero Hamiltonian this returns <f|i> exactly (the two endpoint
     grid sums are exact resolutions of unity).
     """
-    _check_grid(fv, spec, grid, n_slices, mode)
     ket_i = np.asarray(ket_i, dtype=complex)
     ket_f = np.asarray(ket_f, dtype=complex)
     for name, ket in (("ket_i", ket_i), ("ket_f", ket_f)):
@@ -386,24 +393,8 @@ def transition_amplitude(fv: FiducialVector, spec: HamiltonianSpec, ket_i, ket_f
             raise LengthMismatch(f"{name} has shape {ket.shape}, expected ({fv.spin.dim},)")
         if abs(np.linalg.norm(ket) - 1.0) > 1e-10:
             raise NotNormalized(f"{name} has norm {np.linalg.norm(ket):.12f}")
-    eps = (t_f - t_i) / (n_slices + 1)
-    hs = _slice_hamiltonians(spec, t_i, eps, n_slices)
-
-    if mode == "M3":
-        a = grid_amplitudes(fv, grid)
-        w = grid.measure_weights(fv.spin)
-        c, _ = _m3_chain(a, w, hs, a.conj() @ ket_i, eps / hbar, not spec.time_dependent)
-        amplitude = complex((a @ ket_f.conj()) @ (w * c))
-    else:
-        p = _grid_gram(grid, fv.spin, fv.coeffs, fv.coeffs).T
-        v = p @ ket_i
-        for j in range(n_slices + 1):
-            v = p @ (v - (1j * eps / hbar) * (hs[j] @ v))
-        amplitude = complex(np.vdot(ket_f, v))
-
-    if not np.isfinite(amplitude.real) or not np.isfinite(amplitude.imag):
-        raise NumericalFailure(f"mode {mode} transition amplitude is not finite")
-    return amplitude
+    return _path_sum(fv, spec, grid, ket_i, ket_f, t_i, t_f, n_slices, mode, hbar,
+                     grid_ends=True)[0]
 
 
 def infinitesimal_overlap(fv: FiducialVector, omega, delta_omega) -> complex:

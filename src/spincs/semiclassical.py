@@ -198,14 +198,15 @@ def integrate_trajectory(fv: FiducialVector, spec: HamiltonianSpec, omega0,
                          t_span, dt: float, hbar: float = 1.0) -> Trajectory:
     """Fixed-step RK4 integration of the velocity system over t_span.
 
-    Angles evolve as raw unwrapped floats.  The error estimate is the
+    A reversed span (t1 < t0) integrates backward, with steps no longer
+    than dt either way.  Angles evolve as raw unwrapped floats.  The error estimate is the
     maximum endpoint angle deviation against an integration with half the
     step.  InconsistentSystem aborts with the failure time in the message.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
+    n_steps = max(1, int(np.ceil(abs(t1 - t0) / dt - 1e-12)))
     path, energies, ranks, residuals, y_end = _rk4_path(
         fv, spec, omega0, t0, t1, n_steps, hbar)
     *_, y_half = _rk4_path(fv, spec, omega0, t0, t1, 2 * n_steps, hbar, record=False)

@@ -194,6 +194,20 @@ def test_semiclassical_precession(tmp_path):
         "t,phi,theta,psi,energy,rank,residual"
 
 
+def test_semiclassical_reversed_span_rows(tmp_path):
+    cfg = _config(tmp_path, {
+        "two_s": 1, "fv": "lowest", "hamiltonian": {"terms": []},
+        "omega0": [0.0, 1.0, 0.0], "t_span": [0.2, 0.0], "dt": 0.1,
+    })
+    rc = main(["semiclassical", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 0
+    (csv,) = tmp_path.glob("*.csv")
+    rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert_allclose([float(row.split(",")[0]) for row in rows], [0.2, 0.1, 0.0],
+                    atol=1e-12)
+
+
 def test_contract_command(tmp_path):
     cfg = _config(tmp_path, {"alpha": [1.3, 0.4], "two_s_list": [100, 200],
                              "fv": [[0.8, 0.0], [0.0, 0.0], [0.6, 0.0]]})

@@ -7,10 +7,11 @@ from scipy.linalg import expm
 
 from conftest import (basis_fv, dense_gram, jittered_grid, lowest_fv, random_fv,
                       random_omega, rng_for)
+from spincs import coherent, propagator
 from spincs import (EulerAngles, GridTooCoarse, HamiltonianSpec, LengthMismatch,
                     MonomialTerm, NotHermitian, NotNormalized, OrthogonalPair,
                     Spin, action_along_path, build_grid, coherent_state,
-                    discrete_cspi, exact_propagator, geometric_phase,
+                    discrete_cspi, exact_propagator, geometric_phase, grid_amplitudes,
                     h_expectation, h_ratio, hamiltonian_matrix,
                     infinitesimal_overlap, kinetic_term, midpoint_product,
                     overlap, spin_operators, transition_amplitude)
@@ -90,6 +91,22 @@ def test_h_expectation_and_ratio():
                     atol=1e-13)
     assert_allclose(h_ratio(fv, spec, om2, om1),
                     np.vdot(v2, h @ v1) / np.vdot(v2, v1), atol=1e-12)
+
+
+def test_h_ratio_builds_each_state_once(monkeypatch):
+    rng = rng_for(63)
+    spin = Spin(2)
+    fv = random_fv(spin, rng)
+    calls = []
+    big_r = coherent.big_r
+
+    def counting(*args):
+        calls.append(args)
+        return big_r(*args)
+
+    monkeypatch.setattr(coherent, "big_r", counting)
+    h_ratio(fv, _precession_spec(spin), random_omega(rng), random_omega(rng))
+    assert len(calls) == 2
 
 
 def test_h_ratio_orthogonal_pair():
@@ -283,6 +300,71 @@ def test_static_m3_kernel_reuse_matches_per_slice_build(two_s):
             transition_amplitude(fv, spec, ket_i, ket_f, 0.0, 2.0, grid, n, "M3")
             for spec in (static, driven))
         assert abs(t_reused - t_rebuilt) < 1e-13
+
+
+def _driven_spec(spin):
+    """The precession Hamiltonian with a cosine-driven transverse pair."""
+    return HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0),
+                                  MonomialTerm(1, 0, 0, 0.3, ("cosine", 1.7, 0.2)),
+                                  MonomialTerm(0, 0, 1, 0.3, ("cosine", 1.7, 0.2))))
+
+
+@pytest.mark.parametrize("two_s", [1, 2])
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+def test_transition_m3_matches_dense_grid_chain(two_s, driven):
+    # explicit G x G kernels from the grid amplitudes, with the same
+    # |eps h / o| < 1/2 guard, chained c <- K_j w c from the grid overlaps of
+    # ket_i and read out against those of ket_f
+    rng = rng_for(61, two_s, driven)
+    spin = Spin(two_s)
+    fv = random_fv(spin, rng)
+    spec = _driven_spec(spin) if driven else _precession_spec(spin)
+    grid = build_grid(spin)
+    ket_i, ket_f = random_fv(spin, rng).coeffs, random_fv(spin, rng).coeffs
+    n, t_f = 3, 1.5
+    eps = t_f / (n + 1)
+    a = grid_amplitudes(fv, grid)
+    w = grid.measure_weights(spin)
+    o = a.conj() @ a.T
+    c = a.conj() @ ket_i
+    for j in range(n + 1):
+        h = a.conj() @ hamiltonian_matrix(spec, j * eps) @ a.T
+        kernel = o - 1j * eps * h
+        safe = np.abs(eps * h) < 0.5 * np.abs(o)
+        kernel[safe] = o[safe] * np.exp(-1j * eps * h[safe] / o[safe])
+        c = kernel @ (w * c)
+    expected = (a @ ket_f.conj()) @ (w * c)
+    amp = transition_amplitude(fv, spec, ket_i, ket_f, 0.0, t_f, grid, n, "M3")
+    assert abs(amp - expected) < 1e-13
+
+
+def test_grid_kernel_builds_per_call(monkeypatch):
+    # a static spec builds its G x G M3 kernel once per call through either
+    # entry point; a driven spec builds one per grid-to-grid step
+    rng = rng_for(62)
+    spin = Spin(1)
+    fv = random_fv(spin, rng)
+    grid = build_grid(spin)
+    g = grid.n_points
+    ket_i, ket_f = random_fv(spin, rng).coeffs, random_fv(spin, rng).coeffs
+    om_i, om_f = random_omega(rng), random_omega(rng)
+    builds = []
+    kernel_entries = propagator._kernel_entries
+
+    def counting(o, h, eps_over_hbar):
+        builds.append(o.shape == (g, g))
+        return kernel_entries(o, h, eps_over_hbar)
+
+    monkeypatch.setattr(propagator, "_kernel_entries", counting)
+    n = 6
+    for spec, via_cspi, via_transition in ((_precession_spec(spin), 1, 1),
+                                           (_driven_spec(spin), 5, 7)):
+        builds.clear()
+        discrete_cspi(fv, spec, om_i, om_f, 0.0, 2.0, n, grid, "M3")
+        assert sum(builds) == via_cspi
+        builds.clear()
+        transition_amplitude(fv, spec, ket_i, ket_f, 0.0, 2.0, grid, n, "M3")
+        assert sum(builds) == via_transition
 
 
 @pytest.mark.parametrize("mode", ["M1", "M3"])

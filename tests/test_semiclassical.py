@@ -180,6 +180,20 @@ def test_precession_scales_with_hbar():
     assert_allclose(traj.path[-1, 1], 1.0, atol=1e-8)
 
 
+def test_reversed_span_keeps_the_step():
+    # H = S3 + 0.4 (S+ + S-): integrating forward over (0, 2) and back over
+    # (2, 0) with the same dt takes 20 steps each way and returns to the start
+    spin = Spin(2)
+    fv = lowest_fv(spin)
+    spec = _field_spec(spin, bz=1.0, bx=0.8)
+    om0 = np.array([0.3, 1.0, 0.5])
+    forward = integrate_trajectory(fv, spec, om0, (0.0, 2.0), 0.1)
+    back = integrate_trajectory(fv, spec, forward.path[-1, 1:], (2.0, 0.0), 0.1)
+    assert len(forward.path) == len(back.path) == 21
+    assert_allclose(back.path[:, 0], np.linspace(2.0, 0.0, 21), atol=1e-12)
+    assert np.abs(back.path[-1, 1:] - om0).max() < 1e-5
+
+
 def test_quadratic_single_m_trajectory():
     # single-m fiducial vectors keep dH/dpsi = 0, so even quadratic
     # Hamiltonians stay consistent.  For |m> and H = S3^2 the energy is
