@@ -40,7 +40,7 @@ from .geometry import (gauge_potential, geometric_phase, kinetic_term, one_form,
 from .parametrizations import (ZCoords, kinetic_term_a, kinetic_term_z, omega_to_a,
                                omega_to_z)
 from .propagator import (HamiltonianSpec, MonomialTerm, action_along_path,
-                         discrete_cspi, exact_propagator, infinitesimal_overlap)
+                         discrete_cspi, exact_propagator, infinitesimal_overlap, _MODES)
 from .semiclassical import integrate_trajectory
 from .spin_core import (EulerAngles, Spin, big_r, compose_euler, invert_euler,
                         little_d)
@@ -75,6 +75,18 @@ def _as_omega(v, key):
     if not isinstance(v, list) or len(v) != 3:
         raise ConfigInvalid(f"'{key}' must be [phi, theta, psi], got {v!r}")
     return tuple(_as_float(x, key) for x in v)
+
+
+def _as_span(v, key):
+    if not isinstance(v, list) or len(v) != 2:
+        raise ConfigInvalid(f"'{key}' must be [t0, t1], got {v!r}")
+    return [_as_float(x, key) for x in v]
+
+
+def _as_modes(v, key):
+    if not isinstance(v, list) or not v or not all(m in _MODES for m in v):
+        raise ConfigInvalid(f"'{key}' must be a non-empty sublist of [M1, M2, M3], got {v!r}")
+    return v
 
 
 def _as_int_list(v, key):
@@ -405,9 +417,7 @@ def _run_propagate(cfg, seed, tol, hbar):
     spin = Spin(cfg["two_s"])
     fv = _build_fv(spin, cfg["fv"])
     spec = _build_hamiltonian(spin, cfg.get("hamiltonian"))
-    modes = cfg.get("modes", ["M1", "M2", "M3"])
-    if not isinstance(modes, list) or not all(m in ("M1", "M2", "M3") for m in modes):
-        raise ConfigInvalid(f"'modes' must be a sublist of [M1, M2, M3], got {modes!r}")
+    modes = cfg.get("modes", list(_MODES))
     ns = cfg.get("n_slices", [8, 16, 32, 64])
     om_i, om_f = EulerAngles(*cfg["omega_i"]), EulerAngles(*cfg["omega_f"])
     t_i, t_f = cfg.get("t_i", 0.0), cfg["t_f"]
@@ -530,14 +540,10 @@ def _run_charts(cfg, seed, tol, hbar):
 
 
 def _run_semiclassical(cfg, seed, tol, hbar):
-    span = cfg["t_span"]
-    if not isinstance(span, list) or len(span) != 2:
-        raise ConfigInvalid(f"'t_span' must be [t0, t1], got {span!r}")
     spin = Spin(cfg["two_s"])
     fv = _build_fv(spin, cfg["fv"])
     spec = _build_hamiltonian(spin, cfg["hamiltonian"])
-    traj = integrate_trajectory(fv, spec, cfg["omega0"],
-                                (float(span[0]), float(span[1])), cfg["dt"], hbar=hbar)
+    traj = integrate_trajectory(fv, spec, cfg["omega0"], cfg["t_span"], cfg["dt"], hbar=hbar)
     drift = float(np.max(np.abs(traj.energies - traj.energies[0])))
     rows = [(t, p, th, ps, e, r, res) for (t, p, th, ps), e, r, res
             in zip(traj.path, traj.energies, traj.ranks, traj.residuals)]
@@ -646,7 +652,7 @@ _COMMANDS = {
     "propagate": (
         {"two_s": _TWO_S, "fv": _identity, "hamiltonian": _identity,
          "omega_i": _as_omega, "omega_f": _as_omega, "t_i": _as_float, "t_f": _as_float,
-         "n_slices": _lower_bound(_as_int_list, 1), "modes": _identity,
+         "n_slices": _lower_bound(_as_int_list, 1), "modes": _as_modes,
          "oversample": _OVERSAMPLE},
         {None: (_run_propagate, 0.02, ("two_s", "fv", "omega_i", "omega_f", "t_f"))},
         {}),
@@ -664,7 +670,7 @@ _COMMANDS = {
         {}),
     "semiclassical": (
         {"two_s": _TWO_S, "fv": _identity, "hamiltonian": _identity,
-         "omega0": _as_omega, "t_span": _identity,
+         "omega0": _as_omega, "t_span": _as_span,
          "dt": _lower_bound(_as_float, 0.0, strict=True)},
         {None: (_run_semiclassical, 1e-8,
                 ("two_s", "fv", "hamiltonian", "omega0", "t_span", "dt"))},

@@ -39,7 +39,7 @@ from .coherent import (FiducialVector, QuadratureGrid, coherent_state, grid_ampl
                        structure_pair, _grid_gram)
 from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotHermitian, NotNormalized,
                      NumericalFailure, OrthogonalPair)
-from .geometry import kinetic_term, path_velocities
+from .geometry import geometric_phase
 from .spin_core import EulerAngles, Spin, spin_operators
 
 _ZERO_OVERLAP = 1e-12
@@ -413,11 +413,10 @@ def infinitesimal_overlap(fv: FiducialVector, omega, delta_omega) -> complex:
 
 def action_along_path(fv: FiducialVector, spec: HamiltonianSpec, path,
                       hbar: float = 1.0) -> float:
-    """Trapezoid integral of hbar*kinetic_term - <H> along a sampled path
-    of rows (t, phi, theta, psi).  Raises PathTooShort below 2 samples."""
+    """hbar * geometric_phase(fv, path) - the trapezoid integral of <H>
+    along a sampled path of rows (t, phi, theta, psi).  Raises PathTooShort
+    below 2 samples."""
     path = np.asarray(path, dtype=float)
-    vel = path_velocities(path)
-    vals = np.array([
-        hbar * kinetic_term(fv, row[1:], v) - h_expectation(fv, spec, row[1:], row[0])
-        for row, v in zip(path, vel)])
-    return float(np.trapezoid(vals, path[:, 0]))
+    kinetic = geometric_phase(fv, path)
+    energies = [h_expectation(fv, spec, row[1:], row[0]) for row in path]
+    return float(hbar * kinetic - np.trapezoid(energies, path[:, 0]))

@@ -8,22 +8,22 @@ linear system for the angular velocities,
             [a4 sin(theta), a1, 0        ]]     [dpsi  ]]     [ dH/dpsi  ]]
 
 with C = a0 sin(theta) + a1 cos(theta) and a1, a4 evaluated at (fv, Omega).
-The coefficient matrix is the contraction of the closed two-form of the
-kinetic one-form, so after reordering rows to (phi, theta, psi) and
-flipping the theta row it is antisymmetric (see VelocitySystem.
-antisymmetric).  An odd-dimensional antisymmetric matrix is always
-singular: the generic rank is 2, with kernel direction
-(-a1, a4 sin(theta), C).  The system is therefore solvable only when the
-gradient of H annihilates that kernel.  This holds identically for
-single-m fiducial vectors (psi shifts are pure phases, so dH/dpsi = 0)
-and for every Hamiltonian of monomial degree <= 1 (linear generators move
-coherent states rigidly along group orbits, so the variational flow always
-exists); a multi-component fiducial vector with degree >= 2 terms
-generically admits no velocity, which solve_velocities reports as
-InconsistentSystem.  Solutions, when they exist, are unique only up to the
-kernel flow; the minimum-norm representative is returned.  Least-squares
-with rank/residual diagnostics is the right solver here, never direct
-inversion.
+The gradient is exact for every Hamiltonian (h_gradient): dH/dk =
+2 Re <d_k Omega|H(t)|Omega>, where d_phi = -i S3 and d_theta =
+-i e^{-i phi S3} S2 e^{i phi S3} act on |Omega>, and d_psi |Omega> =
+-i R(Omega) S3 |Psi0>.  The coefficient matrix is the contraction of the
+closed two-form of the kinetic one-form, so after reordering rows to
+(phi, theta, psi) and flipping the theta row it is antisymmetric
+(VelocitySystem.antisymmetric).  An odd-dimensional antisymmetric matrix is
+always singular: the generic rank is 2, with kernel direction
+(-a1, a4 sin(theta), C), so the system is solvable only when the gradient
+of H annihilates that kernel.  It does for single-m fiducial vectors (psi
+shifts are pure phases, so dH/dpsi = 0) and for every H of monomial degree
+<= 1 (linear generators move coherent states rigidly along group orbits);
+a multi-component fiducial vector with degree >= 2 terms generically admits
+no velocity, which solve_velocities reports as InconsistentSystem.
+Solutions are unique only up to the kernel flow; the minimum-norm
+least-squares representative is returned, never a direct inverse.
 """
 
 from dataclasses import dataclass
@@ -32,10 +32,9 @@ import numpy as np
 
 from .coherent import FiducialVector, matrix_elements
 from .errors import InconsistentSystem
-from .propagator import HamiltonianSpec, h_expectation
-from .spin_core import EulerAngles
+from .propagator import HamiltonianSpec, h_expectation, hamiltonian_matrix, _monomial_matrix
+from .spin_core import EulerAngles, big_r, _angles_of
 
-_FD_STEP = 1e-6
 _CONSISTENCY_REL = 1e-8
 _RANK_TOL = 1e-10
 
@@ -66,62 +65,35 @@ class SolveDiagnostics:
     consistent: bool
 
 
-def _analytic_gradient(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float):
-    """(dH/dphi, dH/dtheta, dH/dpsi) for specs whose terms all have degree
-    p+q+r <= 1, from the closed-form angle dependence of <S3> and <S+>."""
-    phi, theta, psi = float(omega[0]), float(omega[1]), float(omega[2])
-    s3, s_plus, mes = matrix_elements(fv, (phi, theta, psi))
-    big_b = mes.a1 + 1j * mes.a4
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    phase = np.exp(1j * phi)
-    d_s3 = np.array([0.0,
-                     -mes.a0 * sin_t - mes.a1 * cos_t,
-                     mes.a4 * sin_t], dtype=complex)
-    d_sp = np.array([1j * s_plus,
-                     phase * (mes.a0 * cos_t - mes.a1 * sin_t),
-                     0.5j * phase * ((1 + cos_t) * big_b + (1 - cos_t) * np.conj(big_b))])
-    grad = np.zeros(3)
-    for term in spec.terms:
-        c = term.coeff * term.factor(t)
-        if (term.p, term.q, term.r) == (0, 1, 0):
-            grad += np.real(c * d_s3)
-        elif (term.p, term.q, term.r) == (1, 0, 0):
-            grad += np.real(c * d_sp)
-        elif (term.p, term.q, term.r) == (0, 0, 1):
-            grad += np.real(c * np.conj(d_sp))
-    return grad
-
-
-def _fd_gradient(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float):
-    omega = np.asarray(omega, dtype=float)
-    grad = np.zeros(3)
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = _FD_STEP
-        grad[k] = (h_expectation(fv, spec, omega + e, t)
-                   - h_expectation(fv, spec, omega - e, t)) / (2 * _FD_STEP)
-    return grad
-
-
 def h_gradient(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.0):
-    """Gradient of H(Omega, t) = <Omega|H(t)|Omega> with respect to
-    (phi, theta, psi): analytic for specs of monomial degree <= 1, central
-    finite differences (step 1e-6) otherwise."""
-    if all(term.p + term.q + term.r <= 1 for term in spec.terms):
-        return _analytic_gradient(fv, spec, omega, t)
-    return _fd_gradient(fv, spec, omega, t)
+    """Gradient of H(Omega, t) = <Omega|H(t)|Omega> in (phi, theta, psi),
+    exact for every spec: dH/dk = 2 Re <d_k Omega|H(t)|Omega> with
+
+        d_phi |Omega>   = -i S3 |Omega>,
+        d_theta |Omega> = -(e^{-i phi} S+ - e^{i phi} S-)/2 |Omega>,
+        d_psi |Omega>   = -i R(Omega) S3 |Psi0>.
+
+    Raw angles are fine: the folded R differs from the raw one by at most a
+    sign, which cancels in the quadratic form; d_theta takes the raw phi.
+    """
+    phi, theta, psi = _angles_of(omega)
+    r = big_r(fv.spin, EulerAngles(phi, theta, psi)).entries
+    v = r @ fv.coeffs
+    m = 0.5 * fv.spin.two_m_values()
+    sp_phi = np.exp(-1j * phi) * _monomial_matrix(fv.spin.two_s, 1, 0, 0)
+    derivs = np.array([-1j * m * v, -0.5 * ((sp_phi - sp_phi.conj().T) @ v),
+                       -1j * (r @ (m * fv.coeffs))])
+    return 2.0 * np.real(derivs.conj() @ (hamiltonian_matrix(spec, t) @ v))
 
 
 def build_system(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.0,
                  hbar: float = 1.0) -> VelocitySystem:
     """Velocity system at (omega, t); omega may be raw angles (continuous
     paths are kept unwrapped, the coefficients are 2pi-periodic anyway)."""
-    if isinstance(omega, EulerAngles):
-        omega = omega.as_array()
-    omega = np.asarray(omega, dtype=float)
+    theta = _angles_of(omega)[1]
     _, _, mes = matrix_elements(fv, omega)
-    sin_t = np.sin(omega[1])
-    c = mes.a0 * sin_t + mes.a1 * np.cos(omega[1])
+    sin_t = np.sin(theta)
+    c = mes.a0 * sin_t + mes.a1 * np.cos(theta)
     m = hbar * np.array([[c, 0.0, mes.a1],
                          [0.0, c, -mes.a4 * sin_t],
                          [mes.a4 * sin_t, mes.a1, 0.0]])
@@ -143,12 +115,11 @@ def solve_velocities(sys: VelocitySystem):
     omega_dot = np.linalg.lstsq(sys.m, sys.b, rcond=None)[0]
     residual = float(np.linalg.norm(sys.m @ omega_dot - sys.b))
     sys.residual = residual
-    consistent = residual <= _CONSISTENCY_REL * np.linalg.norm(sys.b)
-    if not consistent:
-        raise InconsistentSystem(
-            f"velocity system residual {residual:.3e} exceeds "
-            f"{_CONSISTENCY_REL:g} * ||b|| = {_CONSISTENCY_REL * np.linalg.norm(sys.b):.3e}")
-    return omega_dot, SolveDiagnostics(sys.rank, residual, consistent)
+    bound = _CONSISTENCY_REL * np.linalg.norm(sys.b)
+    if not residual <= bound:
+        raise InconsistentSystem(f"velocity system residual {residual:.3e} exceeds "
+                                 f"{_CONSISTENCY_REL:g} * ||b|| = {bound:.3e}")
+    return omega_dot, SolveDiagnostics(sys.rank, residual, True)
 
 
 @dataclass
@@ -175,10 +146,8 @@ def _rk4_path(fv, spec, omega0, t0, t1, n_steps, hbar, record=True):
     dt = (t1 - t0) / n_steps
     y = np.asarray(omega0, dtype=float).copy()
     rows, energies, ranks, residuals = [], [], [], []
-    for j in range(n_steps + 1):
+    for j in range(n_steps + 1 if record else n_steps):
         t = t0 + j * dt
-        if j == n_steps and not record:
-            break
         k1, diag = _solve_at(fv, spec, y, t, hbar)
         if record:
             rows.append((t, y[0], y[1], y[2]))

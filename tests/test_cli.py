@@ -441,7 +441,23 @@ def test_orthogonality_at_two_s_30_within_memory(tmp_path):
      [], "build_grid"),
     ("contract", {"alpha": 0.5, "two_s_list": [1], "fv": [[0.6, 0.0], [0.0, 0.0], [0.8, 0.0]]},
      [], "_contract_one"),
-], ids=["oversample", "count", "two_s", "dt", "n_slices", "t_f", "fock_length"])
+    ("semiclassical", {"two_s": 2, "fv": "lowest", "hamiltonian": {"terms": []},
+                       "omega0": [0.0, 1.0, 0.0], "t_span": ["x", 1.0], "dt": 0.1},
+     [], "integrate_trajectory"),
+    ("semiclassical", {"two_s": 2, "fv": "lowest", "hamiltonian": {"terms": []},
+                       "omega0": [0.0, 1.0, 0.0], "t_span": [True, 1.0], "dt": 0.1},
+     [], "integrate_trajectory"),
+    ("semiclassical", {"two_s": 2, "fv": "lowest", "hamiltonian": {"terms": []},
+                       "omega0": [0.0, 1.0, 0.0], "t_span": [0.0, 0.1, 0.2], "dt": 0.1},
+     [], "integrate_trajectory"),
+    ("propagate", {"two_s": 1, "fv": "lowest", "omega_i": [0.1, 0.2, 0.3],
+                   "omega_f": [0.4, 0.5, 0.6], "t_f": 1.0, "modes": ["M4"]},
+     [], "build_grid"),
+    ("propagate", {"two_s": 1, "fv": "lowest", "omega_i": [0.1, 0.2, 0.3],
+                   "omega_f": [0.4, 0.5, 0.6], "t_f": 1.0, "modes": []},
+     [], "build_grid"),
+], ids=["oversample", "count", "two_s", "dt", "n_slices", "t_f", "fock_length",
+        "t_span_string", "t_span_bool", "t_span_length", "modes_unknown", "modes_empty"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, monkeypatch,
                                             command, payload, flags, body):
     monkeypatch.setattr(cli, body, lambda *a, **k: pytest.fail("ran the command"))

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
 import spincs.semiclassical
 from spincs import (HamiltonianSpec, InconsistentSystem, MonomialTerm, Spin,
-                    build_system, h_expectation, h_gradient, integrate_trajectory,
-                    make_fiducial, solve_velocities, two_form)
+                    build_system, h_expectation, h_gradient, hamiltonian_matrix,
+                    integrate_trajectory, make_fiducial, solve_velocities, spin_operators,
+                    two_form)
 
 
 def _field_spec(spin, bz=1.0, bx=0.0):
@@ -48,6 +50,83 @@ def test_gradient_of_quadratic_uses_finite_differences():
     om = random_omega(rng, theta_margin=0.05, wrap_margin=0.05)
     assert_allclose(h_gradient(fv, spec, om.as_array()),
                     _fd_gradient(fv, spec, om.as_array()), atol=1e-5)
+
+
+def _degree_specs(spin):
+    """Hermitian specs of monomial degree 1, 2 and 3; the degree-2 one is
+    driven."""
+    return (
+        _field_spec(spin, bz=0.8, bx=0.6),
+        HamiltonianSpec(spin, (MonomialTerm(0, 2, 0, 0.7),
+                               MonomialTerm(2, 0, 0, 0.2 + 0.1j, profile=("cosine", 1.3, 0.4)),
+                               MonomialTerm(0, 0, 2, 0.2 - 0.1j, profile=("cosine", 1.3, 0.4)),
+                               MonomialTerm(1, 0, 0, 0.3), MonomialTerm(0, 0, 1, 0.3))),
+        HamiltonianSpec(spin, (MonomialTerm(0, 3, 0, 0.1), MonomialTerm(1, 1, 1, 0.2),
+                               MonomialTerm(2, 1, 0, 0.05j), MonomialTerm(0, 1, 2, -0.05j),
+                               MonomialTerm(0, 1, 0, 0.4))),
+    )
+
+
+def _commutator_gradient(fv, spec, omega, t):
+    """(dH/dphi, dH/dtheta, dH/dpsi) as commutator expectations on a state
+    built from matrix exponentials at the raw angles:
+    i<O|[S3, H]|O>, i<O|[G, H]|O> with G = e^{-i phi S3} S2 e^{i phi S3},
+    and i<fv|[S3, R^dag H R]|fv>."""
+    ops = spin_operators(fv.spin)
+    phi, theta, psi = omega
+    turn = expm(-1j * phi * ops.s3)
+    r = turn @ expm(-1j * theta * ops.s2) @ expm(-1j * psi * ops.s3)
+    state = r @ fv.coeffs
+    h = hamiltonian_matrix(spec, t)
+    g = turn @ ops.s2 @ turn.conj().T
+    h_body = r.conj().T @ h @ r
+
+    def expect(a, b, v):
+        return float(np.real(1j * np.vdot(v, (a @ b - b @ a) @ v)))
+
+    return np.array([expect(ops.s3, h, state), expect(g, h, state),
+                     expect(ops.s3, h_body, fv.coeffs)])
+
+
+def test_gradient_matches_commutator_oracle():
+    # raw angles outside the canonical ranges: theta < 0, theta > pi, phi > 2 pi
+    rng = rng_for(67)
+    angles = [(0.4, -0.7, 1.9), (2.2, 4.1, -0.8), (7.5, 1.2, 6.9), (9.9, -2.5, 13.0)]
+    worst = 0.0
+    for two_s in range(1, 9):
+        spin = Spin(two_s)
+        fv = random_fv(spin, rng)
+        for spec in _degree_specs(spin):
+            for omega in angles:
+                expected = _commutator_gradient(fv, spec, omega, 0.37)
+                got = h_gradient(fv, spec, omega, 0.37)
+                worst = max(worst, np.abs(got - expected).max())
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_single_m_psi_gradient_is_zero(degree):
+    # a psi shift only rephases a single-m state, so dH/dpsi vanishes for
+    # every H, to roundoff and not to a difference quotient's ~1e-10
+    rng = rng_for(68, degree)
+    for two_s in (2, 3, 4):
+        spin = Spin(two_s)
+        spec = _degree_specs(spin)[degree - 1]
+        for index in range(spin.dim):
+            om = random_omega(rng, theta_margin=0.05).as_array()
+            assert abs(h_gradient(basis_fv(spin, index), spec, om, 0.37)[2]) <= 1e-14
+
+
+def test_single_m_trajectory_near_stationary_latitude():
+    # |m=+2> under S3^2 just off theta = pi/2, where dH/dtheta nearly
+    # vanishes: an error of 1e-10 in dH/dpsi would exceed the 1e-8 ||b||
+    # consistency bound by t = 0.05
+    spin = Spin(4)
+    spec = HamiltonianSpec(spin, (MonomialTerm(0, 2, 0, 1.0),))
+    traj = integrate_trajectory(basis_fv(spin, 0), spec, (0.3, math.pi / 2 + 1e-3, 0.7),
+                                (0.0, 1.0), 0.1)
+    assert len(traj.path) == 11
+    assert traj.residuals.max() <= 1e-14
 
 
 def test_system_matrix_is_reordered_two_form():
