@@ -22,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -58,14 +59,21 @@ def _as_int(v, key):
 
 
 def _as_float(v, key):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigInvalid(f"'{key}' must be a number, got {v!r}")
-    return float(v)
+    # json.loads also parses NaN, Infinity and integers past the float range
+    x = None
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:
+            pass
+    if x is None or not math.isfinite(x):
+        raise ConfigInvalid(f"'{key}' must be a finite number, got {v!r}")
+    return x
 
 
 def _as_complex(v, key):
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
+        return complex(_as_float(v, key))
     if isinstance(v, list) and len(v) == 2:
         return complex(_as_float(v[0], key), _as_float(v[1], key))
     raise ConfigInvalid(f"'{key}' must be a number or [re, im] pair, got {v!r}")

@@ -23,9 +23,12 @@ v -> P (1 - i eps H_j) v.  P is summed factorized, once per call
 (coherent._grid_gram): O(dim^3) for any grid size.  M2 never divides by the
 overlap.  The M3 kernel does not factorize through the spin space, so its
 chain runs over grid-indexed vectors; it falls back to the product form
-wherever |eps*h/o| is not small (see _kernel_entries).  Its G x G kernel is
-built in row blocks at every slice, or once per call for a time-independent
-H when it fits in one row block (see _m3_chain).
+wherever |eps*h/o| is not small (see _kernel_entries).  When its G x G
+kernel fits in one row block, what H does not touch (the overlaps, the
+guard bound |o|/2 and 1/o) is computed once per call, and each slice costs
+one matmul for the H elements and one masked exp per entry; a
+time-independent H builds the kernel itself once per call.  Larger kernels
+are built in row blocks at every slice, overlaps included (see _m3_chain).
 """
 
 from dataclasses import dataclass, field
@@ -133,7 +136,10 @@ class PropagatorResult:
     projector is the quadrature projector P = sum_g w_g |O_g><O_g| that an
     M1 or M2 chain applied, None in M3, whose chain does not contract
     through P.  grid_residual is ||P - 1||_2 of that P (roundoff on an exact
-    grid), computed on first read; None in M3.
+    grid), computed on first read; None in M3.  fallback_fraction is M3's
+    n_zeroed over the kernel entries applied (G^2 per grid-to-grid step, G
+    per endpoint step, a reused kernel counted once per use); None in M1
+    and M2.
     """
 
     amplitude: complex
@@ -143,6 +149,7 @@ class PropagatorResult:
     error_estimate: float = None
     n_zeroed: int = 0
     projector: np.ndarray = field(default=None, repr=False)
+    fallback_fraction: float = None
 
     @cached_property
     def grid_residual(self) -> float:
@@ -232,68 +239,95 @@ def _as_angles(omega) -> EulerAngles:
     return omega if isinstance(omega, EulerAngles) else EulerAngles(*omega)
 
 
-def _kernel_entries(o: np.ndarray, h: np.ndarray, eps_over_hbar: float):
-    """Elementwise M3 short-time kernel from overlaps o and elements
-    h = <''|H|'>.
+def _pair_terms(dst: np.ndarray, src: np.ndarray):
+    """The parts of the M3 kernel from the states src to the states dst
+    (rows of amplitudes) that H does not touch: the overlaps o[g, g'] =
+    <dst[g]|src[g']>, the guard bound |o|/2 and 1/o (0 where o = 0)."""
+    o = dst.conj() @ src.T
+    inv = np.zeros_like(o)
+    np.divide(1.0, o, out=inv, where=o != 0)
+    return o, np.abs(o) * _M3_GUARD, inv
 
-    The exponentiated ratio o*exp(-i*eps*h/o) is used only where
-    |eps*h/o| < 1/2 (the regime where it approximates the product form
-    o - i*eps*h to O(eps^2) per entry) and the linearized form elsewhere,
-    which keeps near-orthogonal pairs from blowing up exp; the returned
-    counter reports the linearized entries.  Symmetric grids do hit exact
-    overlap zeros on a non-negligible pair fraction for low spin, so
-    dropping such entries outright would leave a slice-count-independent
-    bias in the chain.
+
+def _kernel_entries(pair, x: np.ndarray):
+    """Elementwise M3 short-time kernel from the pair terms of _pair_terms
+    and the scaled elements x = -i (eps/hbar) <''|H|'>, which it overwrites.
+
+    The exponentiated ratio o*exp(x/o) is used only where |x| < |o|/2 (the
+    regime where it approximates the product form o + x to O(eps^2) per
+    entry) and the linearized form elsewhere, which keeps near-orthogonal
+    pairs from blowing up exp; the returned counter reports the linearized
+    entries.  Symmetric grids do hit exact overlap zeros on a
+    non-negligible pair fraction for low spin, so dropping such entries
+    outright would leave a slice-count-independent bias in the chain.  One
+    pass each for the guard, the linear form, the ratio x*(1/o), the
+    masked exp and the masked product with o.
     """
-    linear = o - 1j * eps_over_hbar * h
-    safe = np.abs(o) * _M3_GUARD > abs(eps_over_hbar) * np.abs(h)
-    ratio = np.zeros_like(o)
-    np.divide(h, o, out=ratio, where=safe)
-    k = np.where(safe, o * np.exp(-1j * eps_over_hbar * ratio), linear)
-    return k, int(o.size - np.count_nonzero(safe))
+    o, bound, inv = pair
+    safe = np.abs(x) < bound
+    k = o + x
+    np.multiply(x, inv, out=x)
+    np.exp(x, out=x, where=safe)
+    np.multiply(o, x, out=k, where=safe)
+    return k, int(x.size - np.count_nonzero(safe))
 
 
 def _kernel_step(dst: np.ndarray, src: np.ndarray, h: np.ndarray, c: np.ndarray,
-                 eps_over_hbar: float, keep: bool):
+                 eps_over_hbar: float, pair=None):
     """One chain step c -> K @ c, with K[g, g'] the M3 kernel of h from the
     state src[g'] to the state dst[g] (rows of amplitudes), built in row
-    blocks of at most _KERNEL_BLOCK_ENTRIES entries to bound memory.
-    Returns K @ c, the fallback count, and K itself when keep is set and K
-    fit in one block (else None)."""
-    h_src = h @ src.T
+    blocks of at most _KERNEL_BLOCK_ENTRIES entries to bound memory.  pair
+    is the _pair_terms of (dst, src) computed by the caller, given only when
+    K fits in one block; without it each block computes its own.  Returns
+    K @ c, the fallback count and the last row block of K (all of K when it
+    fit in one block)."""
+    h_src = ((-1j * eps_over_hbar) * h) @ src.T
     out = np.empty(len(dst), dtype=complex)
     zeroed = 0
     block = max(1, _KERNEL_BLOCK_ENTRIES // len(src))
     for start in range(0, len(dst), block):
-        bra = dst[start:start + block].conj()
-        k, z = _kernel_entries(bra @ src.T, bra @ h_src, eps_over_hbar)
+        rows = dst[start:start + block]
+        k, z = _kernel_entries(pair if pair is not None else _pair_terms(rows, src),
+                               rows.conj() @ h_src)
         zeroed += z
         out[start:start + block] = k @ c
-    return out, zeroed, (k if keep and block >= len(dst) else None)
+    return out, zeroed, k
 
 
 def _m3_chain(nodes, hs, c: np.ndarray, eps_over_hbar: float):
     """Apply c -> K_j @ (w_j * c) for each slice Hamiltonian hs[j], with K_j
     its M3 kernel from the node set nodes[j] = (amplitudes, weights) to
-    nodes[j + 1]; return c on the last node set and the summed fallback
-    count.
+    nodes[j + 1]; return c on the last node set, the summed fallback count
+    and the number of kernel entries applied.
 
-    A kernel depends only on its two node sets and H.  When every slice
-    carries the same H object (a static spec, see _slice_hamiltonians), the
-    grid-to-grid kernel is built at the first grid-to-grid step and reused,
-    with its fallback count, at the rest, provided it fits in one row
-    block; otherwise every step builds its own kernel in row blocks.
+    What H does not touch is computed once per call: when the grid-to-grid
+    kernel fits in one row block, the pair terms (overlaps, guard bound,
+    1/o) of the grid with itself are built at the first grid-to-grid step
+    and serve every later one.  Per slice there remain one matmul for the
+    scaled H elements and one masked exp (see _kernel_entries).  When every
+    slice carries the same H object (a static spec, see _slice_hamiltonians)
+    a one-block grid-to-grid kernel is itself reused, with its fallback
+    count, at the rest of the steps.  Above one row block every step builds
+    its kernel, pair terms included, block by block.  A reused kernel
+    counts its entries and fallbacks once per use.
     """
     static = all(h is hs[0] for h in hs)
-    zeroed, kept = 0, None
+    zeroed, entries, pair, kept = 0, 0, None, None
     for (src, w), (dst, _), h in zip(nodes, nodes[1:], hs):
-        if kept is not None and src is dst:
-            c = kept @ (w * c)  # z is still the count of the kept kernel
+        if src is not dst:  # an endpoint step: one row or column of entries
+            c, z, _ = _kernel_step(dst, src, h, w * c, eps_over_hbar)
+        elif kept is not None:
+            k, z = kept
+            c = k @ (w * c)
         else:
-            c, z, kept = _kernel_step(dst, src, h, w * c, eps_over_hbar,
-                                      static and src is dst)
+            if pair is None and len(src) ** 2 <= _KERNEL_BLOCK_ENTRIES:
+                pair = _pair_terms(src, src)
+            c, z, k = _kernel_step(dst, src, h, w * c, eps_over_hbar, pair)
+            if static and pair is not None:
+                kept = k, z
         zeroed += z
-    return c, zeroed
+        entries += len(src) * len(dst)
+    return c, zeroed, entries
 
 
 def _slice_hamiltonians(spec: HamiltonianSpec, t_i: float, eps: float, n_slices: int):
@@ -319,11 +353,12 @@ def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, k
               t_i: float, t_f: float, n_slices: int, mode: str, hbar: float, grid_ends: bool):
     """<f|(1 - i eps H_n) P ... P (1 - i eps H_0)|i> in M1/M2, or its M3 grid
     chain, from ket_i to ket_f; grid_ends inserts the resolution at both ends
-    too.  Returns the amplitude, the M3 fallback count and the M1/M2 P."""
+    too.  Returns the amplitude, the M3 fallback count and fraction, and the
+    M1/M2 P."""
     _check_grid(fv, spec, grid, n_slices, mode)
     eps = (t_f - t_i) / (n_slices + 1)
     hs = _slice_hamiltonians(spec, t_i, eps, n_slices)
-    n_zeroed, p = 0, None
+    n_zeroed, fallback, p = 0, None, None
 
     if mode == "M3":
         a = grid_amplitudes(fv, grid)
@@ -333,7 +368,9 @@ def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, k
         else:
             one = np.ones(1)
             start, end, c, readout = (ket_i[None], one), (ket_f[None], one), one, one
-        c, n_zeroed = _m3_chain([start] + [on_grid] * n_slices + [end], hs, c, eps / hbar)
+        c, n_zeroed, entries = _m3_chain([start] + [on_grid] * n_slices + [end], hs, c,
+                                         eps / hbar)
+        fallback = n_zeroed / entries
         amplitude = complex(readout @ (end[1] * c))
     else:
         # the projector sum_g w_g |O_g><O_g| is the transposed fiducial Gram
@@ -351,7 +388,7 @@ def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, k
         raise NumericalFailure(
             f"mode {mode} amplitude is not finite (kernel overflow on a "
             "near-orthogonal pair); refine the grid or slice count")
-    return amplitude, n_zeroed, p
+    return amplitude, n_zeroed, fallback, p
 
 
 def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
@@ -371,10 +408,10 @@ def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
     """
     amps_i = coherent_state(fv, _as_angles(omega_i)).amplitudes
     amps_f = coherent_state(fv, _as_angles(omega_f)).amplitudes
-    amplitude, n_zeroed, p = _path_sum(fv, spec, grid, amps_i, amps_f, t_i, t_f,
-                                       n_slices, mode, hbar, grid_ends=False)
+    amplitude, n_zeroed, fallback, p = _path_sum(fv, spec, grid, amps_i, amps_f, t_i, t_f,
+                                                 n_slices, mode, hbar, grid_ends=False)
     error = None if oracle is None else float(abs(amplitude - np.vdot(amps_f, oracle @ amps_i)))
-    return PropagatorResult(amplitude, n_slices, mode, grid, error, n_zeroed, p)
+    return PropagatorResult(amplitude, n_slices, mode, grid, error, n_zeroed, p, fallback)
 
 
 def transition_amplitude(fv: FiducialVector, spec: HamiltonianSpec, ket_i, ket_f,

@@ -456,8 +456,22 @@ def test_orthogonality_at_two_s_30_within_memory(tmp_path):
     ("propagate", {"two_s": 1, "fv": "lowest", "omega_i": [0.1, 0.2, 0.3],
                    "omega_f": [0.4, 0.5, 0.6], "t_f": 1.0, "modes": []},
      [], "build_grid"),
+    # json.dumps writes float("nan") and float("inf") as NaN and Infinity
+    ("semiclassical", {"two_s": 2, "fv": "lowest", "hamiltonian": {"terms": []},
+                       "omega0": [0.0, 1.0, 0.0], "t_span": [0.0, 0.2], "dt": float("nan")},
+     [], "integrate_trajectory"),
+    ("semiclassical", {"two_s": 2, "fv": "lowest", "hamiltonian": {"terms": []},
+                       "omega0": [0.0, 1.0, 0.0], "t_span": [0.0, float("inf")], "dt": 0.1},
+     [], "integrate_trajectory"),
+    ("overlap", {"two_s": 2, "fv": "lowest", "omega1": [float("nan"), 1.0, 0.0],
+                 "omega2": [0.1, 0.2, 0.3]},
+     [], "overlap"),
+    ("overlap", {"two_s": 2, "fv": "lowest", "omega1": [10 ** 400, 1.0, 0.0],
+                 "omega2": [0.1, 0.2, 0.3]},
+     [], "overlap"),
 ], ids=["oversample", "count", "two_s", "dt", "n_slices", "t_f", "fock_length",
-        "t_span_string", "t_span_bool", "t_span_length", "modes_unknown", "modes_empty"])
+        "t_span_string", "t_span_bool", "t_span_length", "modes_unknown", "modes_empty",
+        "dt_nan", "t_span_infinity", "omega1_nan", "omega1_past_float_range"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, monkeypatch,
                                             command, payload, flags, body):
     monkeypatch.setattr(cli, body, lambda *a, **k: pytest.fail("ran the command"))

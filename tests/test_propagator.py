@@ -192,7 +192,8 @@ def test_m1_and_m2_agree_to_roundoff():
     r1 = discrete_cspi(fv, spec, om_i, om_f, mode="M1", **kw)
     r2 = discrete_cspi(fv, spec, om_i, om_f, mode="M2", **kw)
     assert abs(r1.amplitude - r2.amplitude) < 1e-12
-    assert r1.n_zeroed == 0
+    assert r1.n_zeroed == r2.n_zeroed == 0
+    assert r1.fallback_fraction is None and r2.fallback_fraction is None
 
 
 @pytest.mark.parametrize("two_s", [1, 2, 3])
@@ -338,6 +339,60 @@ def test_transition_m3_matches_dense_grid_chain(two_s, driven):
     assert abs(amp - expected) < 1e-13
 
 
+def _dense_fallback_count(nodes, hs, eps):
+    """Kernel entries with |eps h| >= |o|/2, the guard of
+    test_transition_m3_matches_dense_grid_chain, over a chain of node sets
+    (rows of amplitudes) with one step per slice Hamiltonian."""
+    count = 0
+    for src, dst, h in zip(nodes, nodes[1:], hs):
+        o = dst.conj() @ src.T
+        safe = np.abs(eps * (dst.conj() @ h @ src.T)) < 0.5 * np.abs(o)
+        count += safe.size - np.count_nonzero(safe)
+    return count
+
+
+@pytest.mark.parametrize("two_s", [1, 4])
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+def test_m3_fallback_count_matches_dense_count(two_s, driven, monkeypatch):
+    # at two_s=1 the lowest-weight fiducial gives antipodal grid pairs whose
+    # overlap is zero up to roundoff while h is not, so those entries must
+    # take the linear form; at two_s=4 (G=1568) every kernel is built in two
+    # row blocks.  A reused static kernel counts once per use.
+    rng = rng_for(63, two_s, driven)
+    spin = Spin(two_s)
+    fv = lowest_fv(spin) if two_s == 1 else random_fv(spin, rng)
+    spec = _driven_spec(spin) if driven else _precession_spec(spin)
+    grid = build_grid(spin)
+    om_i, om_f = random_omega(rng), random_omega(rng)
+    ket_i, ket_f = random_fv(spin, rng).coeffs, random_fv(spin, rng).coeffs
+    n, t_f = (6 if two_s == 1 else 2), 2.0
+    eps = t_f / (n + 1)
+    hs = [hamiltonian_matrix(spec, j * eps) for j in range(n + 1)]
+    a = grid_amplitudes(fv, grid)
+    g = len(a)
+    if two_s == 1:
+        o, h = a.conj() @ a.T, a.conj() @ hs[1] @ a.T
+        assert np.any((np.abs(o) < 1e-14) & (np.abs(h) > 1e-2))
+
+    amps_i, amps_f = (coherent_state(fv, om).amplitudes for om in (om_i, om_f))
+    expected = _dense_fallback_count([amps_i[None]] + [a] * n + [amps_f[None]], hs, eps)
+    res = discrete_cspi(fv, spec, om_i, om_f, 0.0, t_f, n, grid, "M3")
+    assert res.n_zeroed == expected > 0
+    assert res.fallback_fraction == expected / (g * g * (n - 1) + 2 * g)
+
+    counts = []
+    m3_chain = propagator._m3_chain
+
+    def recording(*args):
+        out = m3_chain(*args)
+        counts.append(out[1:])
+        return out
+
+    monkeypatch.setattr(propagator, "_m3_chain", recording)
+    transition_amplitude(fv, spec, ket_i, ket_f, 0.0, t_f, grid, n, "M3")
+    assert counts == [(_dense_fallback_count([a] * (n + 2), hs, eps), g * g * (n + 1))]
+
+
 def test_grid_kernel_builds_per_call(monkeypatch):
     # a static spec builds its G x G M3 kernel once per call through either
     # entry point; a driven spec builds one per grid-to-grid step
@@ -351,9 +406,9 @@ def test_grid_kernel_builds_per_call(monkeypatch):
     builds = []
     kernel_entries = propagator._kernel_entries
 
-    def counting(o, h, eps_over_hbar):
-        builds.append(o.shape == (g, g))
-        return kernel_entries(o, h, eps_over_hbar)
+    def counting(pair, x):
+        builds.append(x.shape == (g, g))
+        return kernel_entries(pair, x)
 
     monkeypatch.setattr(propagator, "_kernel_entries", counting)
     n = 6
