@@ -20,7 +20,8 @@ from .errors import (AmplitudesTooLarge, ConfigInvalid, DecompositionPole, GridC
                      GridTooCoarse, InconsistentSystem, LengthMismatch,
                      NoConvergence, NotHermitian, NotNormalized, NotUnitary,
                      NumericalFailure, OrthogonalPair, PathTooShort, PoleMargin,
-                     SpincsError, SubsidiaryViolation, ZOriginSingular, ZeroVector)
+                     SpincsError, SubsidiaryViolation, TimesNotMonotone, ZOriginSingular,
+                     ZeroVector)
 from .geometry import (GaugePotential, OneForm, TwoForm, gauge_potential,
                        geometric_phase, kinetic_term, one_form, path_velocities,
                        two_form)

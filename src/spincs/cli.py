@@ -115,7 +115,11 @@ def _as_path_rows(v, key, width=4):
     if not isinstance(v, list) or len(v) < 2 \
             or not all(isinstance(r, list) and len(r) == width for r in v):
         raise ConfigInvalid(f"'{key}' must be a list of >= 2 rows of {width} numbers")
-    return np.array([[_as_float(x, key) for x in row] for row in v])
+    rows = np.array([[_as_float(x, key) for x in row] for row in v])
+    dt = np.diff(rows[:, 0])
+    if not (np.all(dt > 0) or np.all(dt < 0)):
+        raise ConfigInvalid(f"'{key}' times must strictly increase or strictly decrease")
+    return rows
 
 
 def _identity(v, key):

@@ -23,8 +23,8 @@ from scipy.linalg import expm
 
 from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotNormalized,
                      ZeroVector)
-from .spin_core import (EulerAngles, Spin, big_r, ladder_factor, spin_operators, _angles_of,
-                        _little_d_spectral, _s2_eigensystem)
+from .spin_core import (EulerAngles, Spin, ladder_factor, spin_operators, _angles_of, _rotate,
+                        _s2_eigensystem)
 
 __all__ = [
     "FiducialVector",
@@ -130,8 +130,9 @@ def random_fiducial(spin: Spin, rng: np.random.Generator) -> FiducialVector:
 
 
 def coherent_state(fv: FiducialVector, omega: EulerAngles) -> CoherentState:
-    """|Omega> = R(Omega)|Psi0>, amplitudes R(Omega) @ c."""
-    amps = big_r(fv.spin, omega).entries @ fv.coeffs
+    """|Omega> = R(Omega)|Psi0>: the fiducial coefficients c rotated in the
+    cached S2 eigenbasis, O(dim^2), with no rotation matrix built."""
+    amps = _rotate(fv.spin.two_s, omega.phi, omega.theta, omega.psi, fv.coeffs)
     return CoherentState(fv, omega, amps)
 
 
@@ -255,9 +256,9 @@ def grid_amplitudes(fv: FiducialVector, grid: QuadratureGrid) -> np.ndarray:
     """Coherent-state amplitudes at every grid node, shape (n_points, dim),
     in the same flattened order as ``grid.weights()``.
 
-    Built factorized: the r(theta) matrices of all theta nodes come from one
-    batched product on the cached S2 eigensystem, then diagonal psi/phi
-    phases are applied, so no rotation matrix is built per grid node.
+    Built factorized: the fiducial vector is rotated once per (theta, psi)
+    node pair, batched over the theta nodes in the cached S2 eigenbasis,
+    and the phi phases are applied last, so no rotation matrix is built.
 
     Raises AmplitudesTooLarge, before allocating, when the result would
     exceed ``_AMPLITUDE_BYTES_MAX`` bytes.
@@ -269,14 +270,11 @@ def grid_amplitudes(fv: FiducialVector, grid: QuadratureGrid) -> np.ndarray:
         raise AmplitudesTooLarge(
             f"amplitudes of {grid.n_points} grid points x {dim} states need "
             f"{n_bytes / 1e9:.2f} GB, above the {_AMPLITUDE_BYTES_MAX / 1e9:.2f} GB budget")
-    m = 0.5 * spin.two_m_values()
-    psi_phase = np.exp(-1j * np.outer(grid.psi, m)) * fv.coeffs[None, :]   # (n_psi, dim)
-    phi_phase = np.exp(-1j * np.outer(grid.phi, m))                        # (n_phi, dim)
-    r = _little_d_spectral(spin.two_s, grid.theta)                         # (n_theta, dim, dim)
-    rot = psi_phase @ r.swapaxes(1, 2)                                     # (n_theta, n_psi, dim)
-    out = np.empty((grid.n_theta, grid.n_phi, grid.n_psi, dim), dtype=complex)
-    np.multiply(phi_phase[None, :, None, :], rot[:, None, :, :], out=out)
-    return out.reshape(grid.n_points, dim)
+    # phases of shape (n_phi, 1, dim), (n_theta, 1, 1, dim) and (n_psi, dim)
+    # broadcast to (n_theta, n_phi, n_psi, dim)
+    amps = _rotate(spin.two_s, grid.phi[:, None], grid.theta[:, None, None], grid.psi,
+                   fv.coeffs)
+    return amps.reshape(grid.n_points, dim)
 
 
 def _node_sums(x: np.ndarray, weights: np.ndarray, dim: int) -> np.ndarray:
@@ -295,9 +293,9 @@ def _grid_gram(grid: QuadratureGrid, spin: Spin, bra: np.ndarray, ket: np.ndarra
     With R_g = e^{-i phi S3} r(theta) e^{-i psi S3} the phi and psi sums are
     discrete Fourier sums s(d) = sum_x e^{-i x d} / n at the frequencies
     d = m_i - m_j.  The theta sum separates in the S2 eigenbasis (Kostelec &
-    Rockmore, J. Fourier Anal. Appl. 14:145, 2008): with V and the
-    eigenvalues m_n from _s2_eigensystem, U = diag(i^k) V diagonalizes S2,
-    so r(theta) = U E U^H with E = diag(e^{-i theta m_n}), and
+    Rockmore, J. Fourier Anal. Appl. 14:145, 2008): with the cached basis U
+    and eigenvalues m_n of _s2_eigensystem, r(theta) = U E U^H with
+    E = diag(e^{-i theta m_n}), and
 
         Gram = (dim/2) conj(s_phi[m_i - m_j])
                * [U ((U^H C conj(U)) * w_theta[m_n + m_n']) U^T]_ij,
@@ -310,7 +308,7 @@ def _grid_gram(grid: QuadratureGrid, spin: Spin, bra: np.ndarray, ket: np.ndarra
     """
     dim = spin.dim
     k = np.arange(dim)
-    u = np.array([1, 1j, -1, -1j])[k % 4, None] * _s2_eigensystem(spin.two_s)[0]
+    u = _s2_eigensystem(spin.two_s)[0]
     uc = u.conj()
     diff = k[None, :] - k[:, None] + dim - 1      # m_i - m_j (descending m), as an index
     total = k[:, None] + k[None, :]               # m_n + m_n' (ascending eigenvalues)

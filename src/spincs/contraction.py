@@ -25,7 +25,7 @@ from .coherent import FiducialVector
 from .errors import (GridCoarseWarning, LengthMismatch, NotHermitian,
                      NotNormalized, PoleMargin, ZeroVector)
 from .parametrizations import ZCoords, z_to_omega
-from .spin_core import Spin, _big_r_columns
+from .spin_core import Spin, _rotate
 
 _NORM_TOL = 1e-12
 
@@ -183,14 +183,10 @@ def hp_contract_state(fv_spin: FiducialVector, alpha: complex,
     if abs(alpha) >= root:
         raise PoleMargin(f"|alpha| = {abs(alpha):.3f} >= sqrt(2s) = {root:.3f}")
     if alpha == 0:
-        omega = None
+        amps = fv_spin.coeffs
     else:
         omega = z_to_omega(ZCoords(alpha / root, -np.conj(alpha) / root))
-    cols = np.flatnonzero(np.abs(fv_spin.coeffs) > 0)
-    if omega is None:
-        amps = fv_spin.coeffs.copy()
-    else:
-        amps = _big_r_columns(spin, omega, cols) @ fv_spin.coeffs[cols]
+        amps = _rotate(spin.two_s, omega.phi, omega.theta, omega.psi, fv_spin.coeffs)
     return FockVector(amps[::-1].copy())
 
 

@@ -71,6 +71,10 @@ class PathTooShort(SpincsError):
     """A sampled path has fewer than two points."""
 
 
+class TimesNotMonotone(SpincsError):
+    """The sample times of a path are not strictly increasing or decreasing."""
+
+
 class PoleMargin(SpincsError):
     """Contraction map evaluated outside its small-|alpha|/sqrt(2s) domain."""
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .coherent import FiducialVector, structure_pair
-from .errors import PathTooShort
+from .errors import PathTooShort, TimesNotMonotone
 from .spin_core import _angles_of
 
 __all__ = [
@@ -130,12 +130,17 @@ def path_velocities(path: np.ndarray) -> np.ndarray:
     path of rows (t, phi, theta, psi): second-order central differences in
     the interior and second-order one-sided differences at the ends.
 
-    Angles must be sampled as continuous (unwrapped) floats.
+    Angles must be sampled as continuous (unwrapped) floats.  Raises
+    TimesNotMonotone unless the times strictly increase or strictly
+    decrease: a repeated time would be a zero step.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 4 or path.shape[0] < 2:
         raise PathTooShort(f"need at least 2 samples of (t, phi, theta, psi), got {path.shape}")
     t = path[:, 0]
+    dt = np.diff(t)
+    if not (np.all(dt > 0) or np.all(dt < 0)):
+        raise TimesNotMonotone(f"sample times must be strictly monotone, got {t.tolist()}")
     edge = 2 if path.shape[0] > 2 else 1
     return np.column_stack([np.gradient(path[:, k], t, edge_order=edge)
                             for k in (1, 2, 3)])
@@ -149,7 +154,8 @@ def geometric_phase(fv: FiducialVector, path: np.ndarray) -> float:
     latitude loop at fixed theta it converges to the enclosed-flux value,
     e.g. 2 pi m cos(theta) for a single-m fiducial vector.
 
-    Raises PathTooShort for fewer than two samples.
+    Raises PathTooShort for fewer than two samples and TimesNotMonotone
+    unless the times are strictly monotone.
     """
     path = np.asarray(path, dtype=float)
     vel = path_velocities(path)

@@ -452,7 +452,8 @@ def action_along_path(fv: FiducialVector, spec: HamiltonianSpec, path,
                       hbar: float = 1.0) -> float:
     """hbar * geometric_phase(fv, path) - the trapezoid integral of <H>
     along a sampled path of rows (t, phi, theta, psi).  Raises PathTooShort
-    below 2 samples."""
+    below 2 samples and TimesNotMonotone unless the times are strictly
+    monotone."""
     path = np.asarray(path, dtype=float)
     kinetic = geometric_phase(fv, path)
     energies = [h_expectation(fv, spec, row[1:], row[0]) for row in path]

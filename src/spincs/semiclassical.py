@@ -26,14 +26,14 @@ Solutions are unique only up to the kernel flow; the minimum-norm
 least-squares representative is returned, never a direct inverse.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coherent import FiducialVector, matrix_elements
 from .errors import InconsistentSystem
-from .propagator import HamiltonianSpec, h_expectation, hamiltonian_matrix, _monomial_matrix
-from .spin_core import EulerAngles, big_r, _angles_of
+from .propagator import HamiltonianSpec, hamiltonian_matrix, _monomial_matrix
+from .spin_core import _angles_of, _rotate
 
 _CONSISTENCY_REL = 1e-8
 _RANK_TOL = 1e-10
@@ -45,12 +45,15 @@ class VelocitySystem:
 
     rank is the numerical rank of m; residual is filled in by
     solve_velocities with ||m @ omega_dot - b|| for the returned solution.
+    energy is <Omega|H(t)|Omega>, filled in by build_system from the state
+    and H(t) that give b.
     """
 
     m: np.ndarray
     b: np.ndarray
     rank: int
     residual: float = None
+    energy: float = field(default=None, init=False)
 
     def antisymmetric(self) -> np.ndarray:
         """Rows reordered to (phi, theta, psi) with the theta row negated;
@@ -73,17 +76,21 @@ def h_gradient(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.0)
         d_theta |Omega> = -(e^{-i phi} S+ - e^{i phi} S-)/2 |Omega>,
         d_psi |Omega>   = -i R(Omega) S3 |Psi0>.
 
-    Raw angles are fine: the folded R differs from the raw one by at most a
-    sign, which cancels in the quadratic form; d_theta takes the raw phi.
+    Raw angles are fine: the state and R(Omega) S3 |Psi0> are rotated at
+    the raw angles, in one call on the stacked rows [c, m c].
     """
+    return _gradient_and_energy(fv, spec, omega, t)[0]
+
+
+def _gradient_and_energy(fv, spec, omega, t):
+    """(h_gradient, <Omega|H(t)|Omega>) from one state and one H(t)."""
     phi, theta, psi = _angles_of(omega)
-    r = big_r(fv.spin, EulerAngles(phi, theta, psi)).entries
-    v = r @ fv.coeffs
     m = 0.5 * fv.spin.two_m_values()
+    v, r_mc = _rotate(fv.spin.two_s, phi, theta, psi, np.stack([fv.coeffs, m * fv.coeffs]))
     sp_phi = np.exp(-1j * phi) * _monomial_matrix(fv.spin.two_s, 1, 0, 0)
-    derivs = np.array([-1j * m * v, -0.5 * ((sp_phi - sp_phi.conj().T) @ v),
-                       -1j * (r @ (m * fv.coeffs))])
-    return 2.0 * np.real(derivs.conj() @ (hamiltonian_matrix(spec, t) @ v))
+    derivs = np.array([-1j * m * v, -0.5 * ((sp_phi - sp_phi.conj().T) @ v), -1j * r_mc])
+    hv = hamiltonian_matrix(spec, t) @ v
+    return 2.0 * np.real(derivs.conj() @ hv), float(np.vdot(v, hv).real)
 
 
 def build_system(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.0,
@@ -97,10 +104,12 @@ def build_system(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.
     m = hbar * np.array([[c, 0.0, mes.a1],
                          [0.0, c, -mes.a4 * sin_t],
                          [mes.a4 * sin_t, mes.a1, 0.0]])
-    grad = h_gradient(fv, spec, omega, t)
+    grad, energy = _gradient_and_energy(fv, spec, omega, t)
     b = np.array([-grad[1], grad[0], grad[2]])
     rank = int(np.linalg.matrix_rank(m, tol=_RANK_TOL * max(1.0, np.abs(m).max())))
-    return VelocitySystem(m=m, b=b, rank=rank)
+    sys = VelocitySystem(m=m, b=b, rank=rank)
+    sys.energy = energy
+    return sys
 
 
 def solve_velocities(sys: VelocitySystem):
@@ -136,8 +145,10 @@ class Trajectory:
 
 
 def _solve_at(fv, spec, omega, t, hbar):
+    """(omega_dot, diagnostics, energy) at (omega, t)."""
     try:
-        return solve_velocities(build_system(fv, spec, omega, t, hbar))
+        sys = build_system(fv, spec, omega, t, hbar)
+        return (*solve_velocities(sys), sys.energy)
     except InconsistentSystem as exc:
         raise InconsistentSystem(f"at t={t:.6g}: {exc}") from None
 
@@ -148,10 +159,10 @@ def _rk4_path(fv, spec, omega0, t0, t1, n_steps, hbar, record=True):
     rows, energies, ranks, residuals = [], [], [], []
     for j in range(n_steps + 1 if record else n_steps):
         t = t0 + j * dt
-        k1, diag = _solve_at(fv, spec, y, t, hbar)
+        k1, diag, energy = _solve_at(fv, spec, y, t, hbar)
         if record:
             rows.append((t, y[0], y[1], y[2]))
-            energies.append(h_expectation(fv, spec, y, t))
+            energies.append(energy)
             ranks.append(diag.rank)
             residuals.append(diag.residual)
         if j == n_steps:

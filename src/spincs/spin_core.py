@@ -15,6 +15,10 @@ Conventions used throughout the package:
   SU(2), so functions that extract angles from a 2x2 special-unitary matrix
   also return a sign flag: ``u = sign * R^(1/2)(angles)``.  At spin s the
   flag enters as ``sign**two_s``.
+* Every rotation comes from one S2 eigenbasis per spin, cached and checked
+  orthogonal once.  States are rotated vectors, R(Omega) applied at
+  O(dim^2) a vector with no matrix built; ``little_d`` and ``big_r`` build
+  the dense matrix only for callers that ask for it.
 """
 
 from dataclasses import dataclass
@@ -152,57 +156,60 @@ def ladder_factor(spin: Spin, two_m: int) -> float:
     return math.sqrt(a * b)
 
 
-# Bounded because the eigenvectors grow as dim^2: 20 MB at two_s = 1600.
+# Bounded because the basis grows as dim^2: 41 MB at two_s = 1600.
 @lru_cache(maxsize=32)
 def _s2_eigensystem(two_s: int) -> tuple:
-    """Real eigenvectors of S2, the eigenvalues, and the phase signs.
+    """The complex eigenbasis U of S2 and its exact eigenvalues m.
 
     The phase similarity P = diag(i^k) turns S2 into the real symmetric
-    tridiagonal T = P^dag S2 P with off-diagonal f/2, so S2 = P V diag(m) V^T
-    P^dag with V real and the exact eigenvalues m = -s, ..., s in place of
-    the computed ones.  Then r_jk(theta) = Re(i^(j-k) sum_l V_jl V_kl
-    e^(-i theta m_l)).  The eigenvectors of +m and -m differ by the parity
-    diag((-1)^k), so the cosine part of that sum vanishes for odd j - k and
-    the sine part for even j - k, which leaves
-
-        r(theta) = sign * (V diag(cos(theta m) + sin(theta m)) V^T),
-        sign_jk = Re(i^(j-k)) + Im(i^(j-k)).
-
-    The eigensystem does not depend on theta; the arrays are read-only
-    because every caller shares them.
+    tridiagonal T = P^dag S2 P with off-diagonal f/2, so U = P V with V the
+    real eigenvectors of T, and S2 = U diag(m) U^H with m = -s, ..., s in
+    place of the computed eigenvalues; then r(theta) = U diag(e^{-i theta m})
+    U^H at every spin and angle (Feng, Wang, Yang, Jin, PRE 92, 043307,
+    2015).  V is checked here, once per two_s, for the tolerance of
+    RotationMatrix: NotUnitary unless ||V^T V - 1||_F <= 1e-12 dim, so every
+    rotation built on the basis is checked with it.  The arrays are
+    read-only because every caller shares them.
     """
+    dim = two_s + 1
     n = np.arange(two_s)
-    _, v = eigh_tridiagonal(np.zeros(two_s + 1), 0.5 * np.sqrt((two_s - n) * (n + 1.0)))
-    m = np.arange(two_s + 1) - 0.5 * two_s
-    k = np.arange(two_s + 1)
-    sign = np.where((k[:, None] - k[None, :]) % 4 < 2, 1.0, -1.0)
-    for a in (v, m, sign):
+    _, v = eigh_tridiagonal(np.zeros(dim), 0.5 * np.sqrt((two_s - n) * (n + 1.0)))
+    dev = np.linalg.norm(v.T @ v - np.eye(dim))
+    if dev > 1e-12 * dim:
+        raise NotUnitary(f"S2 eigenbasis orthogonality defect {dev:.3e} at two_s={two_s}")
+    u = np.array([1, 1j, -1, -1j])[np.arange(dim) % 4, None] * v
+    m = np.arange(dim) - 0.5 * two_s
+    for a in (u, m):
         a.flags.writeable = False
-    return v, m, sign
+    return u, m
 
 
-def _little_d_spectral(two_s: int, theta, cols=slice(None)) -> np.ndarray:
-    """Columns ``cols`` of r(theta) from the cached S2 eigensystem.
+def _rotate(two_s: int, phi, theta, psi, x) -> np.ndarray:
+    """R(phi, theta, psi) applied to every row of ``x`` (shape (..., dim)).
 
-    A scalar theta gives a (dim, n_cols) matrix; an array of angles gives
-    one such matrix per angle, stacked along a leading axis, from one
-    batched product.
+    R x = e^{-i phi S3} U diag(e^{-i theta m}) U^H e^{-i psi S3} x costs two
+    products with the cached basis U and three diagonal phases, O(dim^2) a
+    row, and builds no matrix.  The angles are taken raw, unfolded.  Each
+    may be an array: its phases, of shape angle.shape + (dim,), broadcast
+    against the rows where they act (psi first, then theta, then phi), so
+    angle arrays of different shapes make a product grid.
     """
-    v, m, sign = _s2_eigensystem(two_s)
-    x = np.multiply.outer(theta, m)
-    return sign[:, cols] * ((v * (np.cos(x) + np.sin(x))[..., None, :]) @ v[cols].T)
+    u, m = _s2_eigensystem(two_s)
+    s3 = m[::-1]
+    x = np.exp(-1j * np.multiply.outer(psi, s3)) * x
+    # x @ conj(U) as conj(conj(x) @ U), without a conjugated copy of U
+    x = np.conj(np.conj(x) @ u) * np.exp(-1j * np.multiply.outer(theta, m))
+    return np.exp(-1j * np.multiply.outer(phi, s3)) * (x @ u.T)
 
 
 def little_d(spin: Spin, theta: float) -> np.ndarray:
     """Real rotation matrix r(theta) = exp(-i theta S2) in the descending-m
-    basis.
-
-    Built at every spin from the eigensystem of S2, cached per two_s (Feng,
-    Wang, Yang, Jin, PRE 92, 043307, 2015), so a warm call costs one real
-    matrix product and the result is orthogonal to roundoff at any angle.
-    theta may be any real number.
+    basis, U diag(e^{-i theta m}) U^H on the cached S2 eigenbasis: one
+    matrix product when warm, orthogonal to roundoff at any real theta.
+    Built only for callers that need the matrix: states never build it.
     """
-    return _little_d_spectral(spin.two_s, float(theta))
+    u, m = _s2_eigensystem(spin.two_s)
+    return ((u * np.exp(-1j * float(theta) * m)) @ u.conj().T).real
 
 
 def big_r(spin: Spin, omega: EulerAngles) -> RotationMatrix:
@@ -212,20 +219,6 @@ def big_r(spin: Spin, omega: EulerAngles) -> RotationMatrix:
     r = little_d(spin, omega.theta)
     entries = np.exp(-1j * omega.phi * m)[:, None] * r * np.exp(-1j * omega.psi * m)[None, :]
     return RotationMatrix(spin, entries)
-
-
-def _big_r_columns(spin: Spin, omega, col_idx: np.ndarray) -> np.ndarray:
-    """Selected columns of R(omega) without the unitarity-validated wrapper.
-
-    Used where only a few columns of a large-spin matrix are needed: the
-    columns of r(theta) come from the cached S2 eigensystem, at a cost of
-    dim^2 per column once the eigensystem is built.  ``omega`` may be an
-    EulerAngles or a raw (phi, theta, psi) triple.
-    """
-    phi, theta, psi = _angles_of(omega)
-    m = 0.5 * spin.two_m_values()
-    r_cols = _little_d_spectral(spin.two_s, theta, col_idx)
-    return np.exp(-1j * phi * m)[:, None] * r_cols * np.exp(-1j * psi * m[col_idx])[None, :]
 
 
 def _angles_of(omega) -> tuple:

@@ -177,6 +177,24 @@ def test_geometry_point_and_loop(tmp_path):
                     -2.0 * math.pi * math.cos(0.9), atol=1e-4)
 
 
+_REPEATED_TIME = [[0.0, 0.0, 0.9, 0.0], [0.5, 1.0, 0.9, 0.0], [0.5, 2.0, 0.9, 0.0],
+                  [1.0, 3.0, 0.9, 0.0]]
+
+
+@pytest.mark.parametrize("command, payload, body", [
+    ("action", {"path": _REPEATED_TIME}, "action_along_path"),
+    ("geometry", {"omega": [0.4, 0.9, 1.2], "loop": _REPEATED_TIME}, "geometric_phase"),
+])
+def test_repeated_path_time_is_config_error(tmp_path, capsys, monkeypatch, command, payload,
+                                            body):
+    # a repeated time used to pass with a NaN written into the report
+    monkeypatch.setattr(cli, body, lambda *a, **k: pytest.fail("ran the command"))
+    cfg = _config(tmp_path, {"two_s": 2, "fv": "lowest", **payload})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "strictly" in capsys.readouterr().err
+    assert _reports(tmp_path) == []
+
+
 def test_semiclassical_precession(tmp_path):
     cfg = _config(tmp_path, {
         "two_s": 2, "fv": "lowest",

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import basis_fv, random_fv, random_omega, rng_for
-from spincs import (PathTooShort, Spin, coherent_state, gauge_potential,
-                    geometric_phase, kinetic_term, make_fiducial, one_form,
-                    path_velocities, structure_pair, two_form)
+from spincs import (HamiltonianSpec, MonomialTerm, PathTooShort, Spin, TimesNotMonotone,
+                    action_along_path, coherent_state, gauge_potential, geometric_phase,
+                    kinetic_term, make_fiducial, one_form, path_velocities, structure_pair,
+                    two_form)
 
 
 def _fd_kinetic(fv, omega, omega_dot, h=1e-6):
@@ -124,6 +125,30 @@ def test_path_velocities():
         path_velocities(path[:1])
     with pytest.raises(PathTooShort):
         path_velocities(np.zeros((4, 3)))
+
+
+def test_repeated_or_unordered_times_raise():
+    # a repeated time was a zero step: NaN velocities, phase and action
+    fv = random_fv(Spin(2), rng_for(36))
+    spec = HamiltonianSpec(Spin(2), (MonomialTerm(0, 1, 0, 1.0),))
+    repeated = np.array([[0.0, 0.0, 0.9, 0.0], [0.5, 1.0, 0.9, 0.1],
+                         [0.5, 2.0, 0.9, 0.2], [1.0, 3.0, 0.9, 0.3]])
+    unordered = repeated[[0, 1, 3, 2]]
+    for path in (repeated, unordered):
+        with pytest.raises(TimesNotMonotone):
+            path_velocities(path)
+        with pytest.raises(TimesNotMonotone):
+            geometric_phase(fv, path)
+        with pytest.raises(TimesNotMonotone):
+            action_along_path(fv, spec, path)
+
+
+def test_reversed_path_negates_phase():
+    fv = random_fv(Spin(2), rng_for(37))
+    t = np.linspace(0.0, 1.0, 400)
+    path = np.column_stack([t, 2.0 * np.pi * t, 0.9 + 0.2 * t, np.sin(t)])
+    assert_allclose(path_velocities(path[::-1]), path_velocities(path)[::-1], atol=1e-12)
+    assert_allclose(geometric_phase(fv, path[::-1]), -geometric_phase(fv, path), atol=1e-12)
 
 
 def test_geometric_phase_latitude_loop():

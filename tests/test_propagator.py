@@ -98,13 +98,13 @@ def test_h_ratio_builds_each_state_once(monkeypatch):
     spin = Spin(2)
     fv = random_fv(spin, rng)
     calls = []
-    big_r = coherent.big_r
+    rotate = coherent._rotate
 
     def counting(*args):
         calls.append(args)
-        return big_r(*args)
+        return rotate(*args)
 
-    monkeypatch.setattr(coherent, "big_r", counting)
+    monkeypatch.setattr(coherent, "_rotate", counting)
     h_ratio(fv, _precession_spec(spin), random_omega(rng), random_omega(rng))
     assert len(calls) == 2
 

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
+import spincs.propagator
 import spincs.semiclassical
 from spincs import (HamiltonianSpec, InconsistentSystem, MonomialTerm, Spin,
                     build_system, h_expectation, h_gradient, hamiltonian_matrix,
@@ -42,7 +43,7 @@ def test_analytic_gradient_matches_finite_differences():
                             _fd_gradient(fv, spec, om.as_array()), atol=1e-7)
 
 
-def test_gradient_of_quadratic_uses_finite_differences():
+def test_gradient_of_quadratic_matches_central_differences():
     rng = rng_for(61)
     spin = Spin(2)
     fv = random_fv(spin, rng)
@@ -151,9 +152,6 @@ def test_system_rank_is_two_and_kernel():
         sys = build_system(fv, _field_spec(Spin(2)), om)
         assert sys.rank <= 2
         # odd antisymmetric matrices are singular; the kernel is annihilated
-        kernel = np.array([-sys.m[0, 2],
-                           sys.m[2, 0] * np.sign(1.0),
-                           0.0])
         # build the kernel from the documented direction (-a1, a4 sin t, C)
         a1 = sys.m[0, 2]
         a4_sin = sys.m[2, 0]
@@ -248,6 +246,28 @@ def test_rk4_reuses_recorded_solution_as_first_stage(monkeypatch):
     # step, and 4 per step of the 20-step half-step rerun
     assert len(calls) == 11 + 3 * 10 + 4 * 20
     assert np.array_equal(traj.path[-1, 1:], y)
+
+
+def test_rk4_energies_come_from_the_velocity_solve(monkeypatch):
+    spin = Spin(3)
+    fv = random_fv(spin, rng_for(42))
+    # driven, so every recorded sample has its own H(t)
+    spec = HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 0.8, ("cosine", 3.0, 0.2)),
+                                  MonomialTerm(1, 0, 0, 0.3), MonomialTerm(0, 0, 1, 0.3)))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return h_expectation(*args)
+
+    for module in (spincs.propagator, spincs.semiclassical):
+        monkeypatch.setattr(module, "h_expectation", counting, raising=False)
+    traj = integrate_trajectory(fv, spec, (0.3, 1.0, 0.5), (0.0, 0.5), 0.05)
+    monkeypatch.undo()
+    assert calls == []
+    for (t, *om), energy in zip(traj.path, traj.energies):
+        h_norm = np.linalg.norm(hamiltonian_matrix(spec, t), 2)
+        assert abs(energy - h_expectation(fv, spec, om, t)) <= 1e-12 * h_norm
 
 
 def test_precession_scales_with_hbar():
