@@ -167,18 +167,14 @@ def annihilation_degree_residual(fv: FockVector, alpha: complex, n_max: int = No
     return float(np.linalg.norm(v))
 
 
-def hp_contract_state(fv_spin: FiducialVector, alpha: complex,
-                      spin: Spin = None) -> FockVector:
+def hp_contract_state(fv_spin: FiducialVector, alpha: complex) -> FockVector:
     """Spin coherent state at z_+ = alpha/sqrt(2s), z_- = -z_+^*, reindexed
     to Fock amplitudes by n = m + s (so the m-descending amplitude vector is
     reversed).  Raises PoleMargin when |alpha| >= sqrt(2s), where the polar
     angle theta = 2*atan|z_+| leaves the chart.
     """
     alpha = complex(alpha)
-    if spin is None:
-        spin = fv_spin.spin
-    elif spin != fv_spin.spin:
-        raise LengthMismatch(f"spin {spin} does not match the fiducial vector's {fv_spin.spin}")
+    spin = fv_spin.spin
     root = np.sqrt(spin.two_s)
     if abs(alpha) >= root:
         raise PoleMargin(f"|alpha| = {abs(alpha):.3f} >= sqrt(2s) = {root:.3f}")
@@ -268,31 +264,31 @@ def normal_ordered_matrix(terms, n_max: int) -> np.ndarray:
 
 
 def ccs_canonical_rhs(h_terms, alpha: complex, fv: FockVector = None,
-                      hbar: float = 1.0, n_max: int = None,
-                      step: float = 1e-6) -> complex:
+                      hbar: float = 1.0) -> complex:
     """d(alpha)/dt = -(i/hbar) dH/d(alpha^*) for H(alpha) = <alpha|H|alpha>.
 
-    h_terms is either a sequence of normal-ordered (p, q, coeff) triples
-    meaning coeff (a^+)^p a^q, evaluated in the displaced fv (vacuum by
-    default), or a real-valued callable H(alpha).  The Wirtinger derivative
-    is assembled from central finite differences in Re and Im alpha.
+    h_terms is a sequence of normal-ordered (p, q, coeff) triples meaning
+    coeff (a^+)^p a^q, evaluated in D(alpha)|fv> (vacuum by default).  From
+    D(alpha)^+ a D(alpha) = a + alpha,
+
+        H(alpha)        = sum coeff <(a + alpha)^p fv | (a + alpha)^q fv>,
+        dH/d(alpha^*)   = sum coeff p <(a + alpha)^(p-1) fv | (a + alpha)^q fv>,
+
+    and a + alpha maps the fiducial's levels 0..n_max into themselves, so
+    the derivative is exact: no Fock truncation, no displaced state and no
+    step are involved.  Raises NotHermitian when the terms do not sum to a
+    Hermitian operator.
     """
     alpha = complex(alpha)
-    if callable(h_terms):
-        h_func = h_terms
-    else:
-        if fv is None:
-            fv = FockVector(np.array([1.0 + 0j]))
-        deg = max((int(p) for p, q, c in h_terms), default=0)
-        if n_max is None:
-            n_max = int(abs(alpha) ** 2 + 10 * np.sqrt(abs(alpha) ** 2 + 1)
-                        + fv.n_max + deg) + 8
-        h_mat = normal_ordered_matrix(h_terms, n_max)
-
-        def h_func(a):
-            v = canonical_cs(fv, a, n_max).amplitudes
-            return float(np.vdot(v, h_mat @ v).real)
-
-    d_re = (h_func(alpha + step) - h_func(alpha - step)) / (2 * step)
-    d_im = (h_func(alpha + 1j * step) - h_func(alpha - 1j * step)) / (2 * step)
-    return complex(-1j / hbar * 0.5 * (d_re + 1j * d_im))
+    if fv is None:
+        fv = FockVector(np.array([1.0 + 0j]))
+    terms = [(int(p), int(q), complex(c)) for p, q, c in h_terms]
+    deg = max((max(p, q) for p, q, _ in terms), default=0)
+    # levels 0..max(p, q) already hold an entry of every non-Hermitian part
+    normal_ordered_matrix(terms, fv.n_max + deg)
+    shifted = fock_annihilation(fv.n_max) + alpha * np.eye(fv.n_max + 1)
+    powers = [fv.coeffs]
+    for _ in range(deg):
+        powers.append(shifted @ powers[-1])
+    grad = sum(c * p * np.vdot(powers[p - 1], powers[q]) for p, q, c in terms if p > 0)
+    return complex(-1j / hbar * grad)

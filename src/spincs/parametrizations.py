@@ -18,8 +18,7 @@ import math
 import numpy as np
 
 from .coherent import FiducialVector, structure_pair
-from .errors import (DecompositionPole, NotUnitary, SubsidiaryViolation,
-                     ZOriginSingular)
+from .errors import NotUnitary, SubsidiaryViolation, ZOriginSingular
 from .spin_core import EulerAngles, Spin, euler_from_su2, gaussian_decompose
 
 __all__ = [

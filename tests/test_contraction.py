@@ -7,8 +7,9 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import factorial
 
-from spincs import (FockVector, GridCoarseWarning, LengthMismatch, NotHermitian,
-                    NotNormalized, PoleMargin, Spin, ZCoords, ZeroVector,
+from conftest import rng_for
+from spincs import (FockVector, GridCoarseWarning, NotHermitian, NotNormalized,
+                    PoleMargin, Spin, ZCoords, ZeroVector,
                     annihilation_degree_residual, canonical_cs, ccs_canonical_rhs,
                     ccs_kinetic_term, ccs_resolution_residual, displacement_matrix,
                     dns_amplitudes, dns_number_check, fock_annihilation,
@@ -96,8 +97,6 @@ def test_hp_contract_state_guards():
     fv = make_fiducial(Spin(100), np.eye(101)[-1])
     with pytest.raises(PoleMargin):
         hp_contract_state(fv, 10.0 + 0.1j)
-    with pytest.raises(LengthMismatch):
-        hp_contract_state(fv, 0.5, spin=Spin(50))
     # alpha = 0 leaves the (reversed) fiducial coefficients untouched
     flat = hp_contract_state(fv, 0.0)
     assert_allclose(flat.coeffs, fv.coeffs[::-1], atol=0)
@@ -222,21 +221,49 @@ def test_normal_ordered_matrix():
         normal_ordered_matrix([(1, 0, 1.0)], 5)
 
 
-def test_ccs_canonical_rhs_harmonic_oscillator():
+@pytest.mark.parametrize("alpha", [0.7 + 0.2j, 0.4 - 0.6j])
+def test_ccs_canonical_rhs_harmonic_oscillator(alpha):
     # H = w a+a drives alpha_dot = -i w alpha
-    alpha = 0.7 + 0.2j
     rhs = ccs_canonical_rhs([(1, 1, 1.5)], alpha)
-    assert_allclose(rhs, -1.5j * alpha, atol=1e-5)
+    assert_allclose(rhs, -1.5j * alpha, rtol=0, atol=1e-12)
     # hbar enters as 1/hbar once H is fixed
     rhs2 = ccs_canonical_rhs([(1, 1, 1.5)], alpha, hbar=2.0)
-    assert_allclose(rhs2, -0.75j * alpha, atol=1e-5)
+    assert_allclose(rhs2, -0.75j * alpha, rtol=0, atol=1e-12)
 
 
-def test_ccs_canonical_rhs_callable():
-    # the same oscillator passed as an expectation-value function
-    alpha = 0.4 - 0.6j
+@pytest.mark.parametrize("degree", [1, 3, 6])
+def test_ccs_canonical_rhs_oscillator_dense_fiducial(degree):
+    # H = w a+a in D(alpha)|fv> gives alpha_dot = -i w (alpha + <fv|a|fv>) / hbar
+    rng = rng_for(40, degree)
+    fock = make_fock(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+    mean_a = np.vdot(fock.coeffs, fock_annihilation(degree) @ fock.coeffs)
+    for alpha in (0.0, 0.8 - 0.5j, 2.5 + 1.0j):
+        rhs = ccs_canonical_rhs([(1, 1, 1.5)], alpha, fock, hbar=0.7)
+        assert_allclose(rhs, -1.5j * (alpha + mean_a) / 0.7, rtol=0,
+                        atol=1e-12 * (1.0 + abs(alpha) ** 2))
+
+
+@pytest.mark.parametrize("terms", [
+    [(3, 1, 0.2j), (1, 3, -0.2j), (2, 2, 0.05), (1, 1, 1.0)],
+    [(4, 0, 0.1), (0, 4, 0.1), (2, 1, 0.3 - 0.1j), (1, 2, 0.3 + 0.1j)],
+])
+def test_ccs_canonical_rhs_degree_four_against_finite_differences(terms):
+    # -(i/hbar) (d_re + i d_im)/2 of <H> on a truncation far past the tail
+    rng = rng_for(41)
+    fock = make_fock(rng.normal(size=4) + 1j * rng.normal(size=4))
+    h_mat = normal_ordered_matrix(terms, 60)
 
     def h_of(a):
-        return 1.5 * abs(a) ** 2
+        v = canonical_cs(fock, a, n_max=60).amplitudes
+        return np.vdot(v, h_mat @ v).real
 
-    assert_allclose(ccs_canonical_rhs(h_of, alpha), -1.5j * alpha, atol=1e-5)
+    alpha, step = 0.8 - 0.5j, 1e-5
+    d_re = (h_of(alpha + step) - h_of(alpha - step)) / (2 * step)
+    d_im = (h_of(alpha + 1j * step) - h_of(alpha - 1j * step)) / (2 * step)
+    assert_allclose(ccs_canonical_rhs(terms, alpha, fock), -0.5j * (d_re + 1j * d_im),
+                    rtol=0, atol=1e-8)
+
+
+def test_ccs_canonical_rhs_rejects_non_hermitian():
+    with pytest.raises(NotHermitian):
+        ccs_canonical_rhs([(1, 0, 1.0)], 0.5)

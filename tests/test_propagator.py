@@ -5,15 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from conftest import (basis_fv, dense_gram, jittered_grid, lowest_fv, random_fv,
-                      random_omega, rng_for)
+from conftest import (dense_gram, jittered_grid, lowest_fv, random_fv, random_omega,
+                      rng_for)
 from spincs import coherent, propagator
 from spincs import (EulerAngles, GridTooCoarse, HamiltonianSpec, LengthMismatch,
                     MonomialTerm, NotHermitian, NotNormalized, OrthogonalPair,
                     Spin, action_along_path, build_grid, coherent_state,
                     discrete_cspi, exact_propagator, geometric_phase, grid_amplitudes,
                     h_expectation, h_ratio, hamiltonian_matrix,
-                    infinitesimal_overlap, kinetic_term, midpoint_product,
+                    infinitesimal_overlap, midpoint_product,
                     overlap, spin_operators, transition_amplitude)
 
 
