@@ -33,9 +33,8 @@ from .propagator import (HamiltonianSpec, MonomialTerm, PropagatorResult,
                          h_expectation, h_ratio, hamiltonian_matrix,
                          infinitesimal_overlap, midpoint_product,
                          transition_amplitude)
-from .semiclassical import (SolveDiagnostics, Trajectory, VelocitySystem,
-                            build_system, h_gradient, integrate_trajectory,
-                            solve_velocities)
+from .semiclassical import (Trajectory, VelocitySystem, build_system, h_gradient,
+                            integrate_trajectory, solve_velocities)
 from .spin_core import (EulerAngles, RotationMatrix, Spin, SpinOperators, big_r,
                         compose_euler, conjugate_spin_ops, euler_from_su2,
                         gaussian_decompose, invert_euler, ladder_factor, little_d,

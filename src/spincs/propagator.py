@@ -95,33 +95,34 @@ class MonomialTerm:
 class HamiltonianSpec:
     """A spin Hamiltonian as a sum of normal-ordered monomials.
 
-    Hermiticity of the assembled matrix is validated at construction on a
-    few sample times (one suffices for constant terms); a spec whose matrix
-    is not Hermitian there raises NotHermitian.  An empty term list is the
-    zero Hamiltonian.
+    Terms that share a time profile must sum to a Hermitian operator, or
+    construction raises NotHermitian; the profiles are real, so H(t) =
+    sum_p f_p(t) H_p is Hermitian at every t.  No terms is H = 0.
     """
 
     spin: Spin
     terms: tuple = ()
+    # (term, H_p) pairs: H_p sums the terms that share term's profile
+    _parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple(self.terms)
+        parts = {}
         for term in terms:
             if not isinstance(term, MonomialTerm):
                 raise ValueError(f"terms must be MonomialTerm, got {type(term).__name__}")
-        object.__setattr__(self, "terms", terms)
-        for t in self._sample_times():
-            h = hamiltonian_matrix(self, t)
+            _, h = parts.setdefault(term.profile, (term, np.zeros((self.spin.dim,) * 2, complex)))
+            h += term.coeff * _monomial_matrix(self.spin.two_s, term.p, term.q, term.r)
+        for term, h in parts.values():
             defect = np.linalg.norm(h - h.conj().T)
             if defect > _HERMITICITY_TOL * max(1.0, np.linalg.norm(h)):
-                raise NotHermitian(f"H(t={t}) deviates from Hermitian by {defect:.3e}")
+                raise NotHermitian(f"profile {term.profile!r}: Hermitian defect {defect:.3e}")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_parts", tuple(parts.values()))
 
     @property
     def time_dependent(self) -> bool:
         return any(term.profile is not None for term in self.terms)
-
-    def _sample_times(self):
-        return (0.0, 0.37, 1.0, 2.6) if self.time_dependent else (0.0,)
 
 
 @dataclass(frozen=True)
@@ -168,11 +169,10 @@ def _monomial_matrix(two_s: int, p: int, q: int, r: int) -> np.ndarray:
 
 
 def hamiltonian_matrix(spec: HamiltonianSpec, t: float = 0.0) -> np.ndarray:
-    """Dense matrix of H(t) in the m-descending basis."""
+    """Dense matrix of H(t) = sum_p f_p(t) H_p in the m-descending basis."""
     h = np.zeros((spec.spin.dim, spec.spin.dim), dtype=complex)
-    for term in spec.terms:
-        h += (term.coeff * term.factor(t)) * _monomial_matrix(
-            spec.spin.two_s, term.p, term.q, term.r)
+    for term, h_p in spec._parts:
+        h += term.factor(t) * h_p
     return h
 
 

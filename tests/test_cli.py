@@ -212,6 +212,21 @@ def test_semiclassical_precession(tmp_path):
         "t,phi,theta,psi,energy,rank,residual"
 
 
+def test_semiclassical_equilibrium_at_pole(tmp_path):
+    # the lowest state at theta = 0 is an S3 eigenstate: n = 0, and the
+    # gradient of <S3> is roundoff that the velocity solve must accept
+    cfg = _config(tmp_path, {
+        "two_s": 2, "fv": "lowest",
+        "hamiltonian": {"terms": [{"q": 1, "coeff": 1.0}]},
+        "omega0": [0.3, 0.0, 0.7], "t_span": [0.0, 1.0], "dt": 0.1,
+    })
+    rc = main(["semiclassical", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 0
+    (report,) = _reports(tmp_path)
+    assert report["outputs"]["ranks"] == [0]
+    assert_allclose(report["outputs"]["final_point"], [0.3, 0.0, 0.7], atol=1e-12)
+
+
 def test_semiclassical_reversed_span_rows(tmp_path):
     cfg = _config(tmp_path, {
         "two_s": 1, "fv": "lowest", "hamiltonian": {"terms": []},

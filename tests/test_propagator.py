@@ -59,6 +59,26 @@ def test_hamiltonian_spec_hermiticity():
     assert_allclose(hamiltonian_matrix(zero), np.zeros((3, 3)), atol=0)
 
 
+def test_hermiticity_is_checked_per_time_profile():
+    # 0.3 cos(100 pi t + pi/2) S+ vanishes at t = 0, 1 and every integer t,
+    # but H(0.005) - H(0.005)^dag has Frobenius norm 0.85
+    spin = Spin(2)
+    with pytest.raises(NotHermitian):
+        HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0),
+                               MonomialTerm(1, 0, 0, 0.3, ("cosine", 100 * math.pi, math.pi / 2))))
+    # H(t) sums one Hermitian matrix per profile
+    ops = spin_operators(spin)
+    pair = (("cosine", 1.5, 0.4), ("ramp",))
+    spec = HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 0.7),
+                                  MonomialTerm(1, 0, 0, 0.2j, pair[0]),
+                                  MonomialTerm(0, 0, 1, -0.2j, pair[0]),
+                                  MonomialTerm(0, 2, 0, 0.3, pair[1])))
+    for t in (0.0, 0.005, 1.3):
+        expected = (0.7 * ops.s3 + math.cos(1.5 * t + 0.4) * 0.2j * (ops.s_plus - ops.s_minus)
+                    + 0.3 * t * ops.s3 @ ops.s3)
+        assert_allclose(hamiltonian_matrix(spec, t), expected, atol=1e-14)
+
+
 def test_hamiltonian_matrix_monomials():
     spin = Spin(3)
     ops = spin_operators(spin)

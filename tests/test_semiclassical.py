@@ -167,9 +167,8 @@ def test_solve_full_consistency_hand_built():
     spec = _field_spec(Spin(2), bz=1.0, bx=0.4)
     om = random_omega(rng, theta_margin=0.2)
     sys = build_system(fv, spec, om)
-    omega_dot, diag = solve_velocities(sys)
-    assert diag.consistent
-    assert diag.residual < 1e-10
+    omega_dot = solve_velocities(sys)
+    assert sys.residual < 1e-10
     assert_allclose(sys.m @ omega_dot, sys.b, atol=1e-10)
 
 
@@ -179,11 +178,61 @@ def test_minimum_norm_solution_has_no_kernel_component():
     spec = _field_spec(Spin(3), bz=0.7, bx=0.2)
     om = random_omega(rng, theta_margin=0.2)
     sys = build_system(fv, spec, om)
-    omega_dot, _ = solve_velocities(sys)
+    omega_dot = solve_velocities(sys)
     # kernel direction of the coefficient matrix
     _, _, vt = np.linalg.svd(sys.m)
     kernel = vt[-1]
     assert abs(np.dot(omega_dot, kernel)) < 1e-10
+
+
+@pytest.mark.parametrize("hbar", [1.0, 2.0])
+@pytest.mark.parametrize("n_norm", [1.0, 1e-3, 1e-9, 0.0])
+def test_closed_form_matches_lstsq(monkeypatch, hbar, n_norm):
+    # structure_pair is replaced so that the kernel vector n = (-a1,
+    # a4 sin(theta), C) points in a random direction with the given length;
+    # b is random, so the system is generically inconsistent
+    rng = rng_for(69, int(hbar))
+    spin = Spin(2)
+    fv = random_fv(spin, rng)
+    for _ in range(50):
+        theta, psi = rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.0, 2 * math.pi)
+        direction = rng.normal(size=3)
+        x, y, z = n_norm * direction / np.linalg.norm(direction)
+        a1, a4 = -x, y / math.sin(theta)
+        a0 = (z - a1 * math.cos(theta)) / math.sin(theta)
+        pair = (a0, complex(np.exp(-1j * psi) * (a1 + 1j * a4)))
+        monkeypatch.setattr(spincs.semiclassical, "structure_pair", lambda fv, pair=pair: pair)
+        sys = build_system(fv, _field_spec(spin, bx=0.4), (0.3, theta, psi), hbar=hbar)
+        tol = 1e-10 * max(1.0, np.abs(sys.m).max())
+        assert sys.rank == np.linalg.matrix_rank(sys.m, tol=tol)
+        sys.b = rng.normal(size=3)
+        expected = np.linalg.lstsq(sys.m, sys.b, rcond=None)[0]
+        with pytest.raises(InconsistentSystem):
+            solve_velocities(sys)
+        assert_allclose(sys.residual, np.linalg.norm(sys.m @ expected - sys.b), rtol=1e-12)
+        # the part of b in the column space of m has the same minimum-norm
+        # solution and is consistent
+        sys.b = sys.m @ expected
+        assert_allclose(solve_velocities(sys), expected, rtol=1e-12, atol=0)
+
+
+def test_equilibrium_state_has_zero_velocity():
+    # |m=0> under S3: n = 0 and grad H is pure roundoff, which the relative
+    # bound 1e-8 ||b|| alone rejected
+    spin = Spin(2)
+    sys = build_system(basis_fv(spin, 1), _field_spec(spin), (0.3, 1.1, 0.7))
+    assert sys.rank == 0
+    assert np.array_equal(solve_velocities(sys), np.zeros(3))
+
+
+def test_single_m_equilibrium_stays_put():
+    # |m=+2> under S3^2 exactly at theta = pi/2, where dH/dtheta vanishes
+    spin = Spin(4)
+    spec = HamiltonianSpec(spin, (MonomialTerm(0, 2, 0, 1.0),))
+    om0 = np.array([0.3, math.pi / 2, 0.7])
+    traj = integrate_trajectory(basis_fv(spin, 0), spec, om0, (0.0, 1.0), 0.1)
+    assert len(traj.path) == 11
+    assert np.abs(traj.path[:, 1:] - om0).max() <= 1e-12
 
 
 def test_inconsistent_system_raises():
@@ -223,7 +272,7 @@ def test_rk4_reuses_recorded_solution_as_first_stage(monkeypatch):
     om0, dt, n = np.array([0.3, 1.0, 0.5]), 0.05, 10
 
     def velocity(y, t):
-        return solve_velocities(build_system(fv, spec, y, t))[0]
+        return solve_velocities(build_system(fv, spec, y, t))
 
     y = om0.copy()
     for j in range(n):
