@@ -15,10 +15,13 @@ Conventions used throughout the package:
   SU(2), so functions that extract angles from a 2x2 special-unitary matrix
   also return a sign flag: ``u = sign * R^(1/2)(angles)``.  At spin s the
   flag enters as ``sign**two_s``.
-* Every rotation comes from one S2 eigenbasis per spin, cached and checked
-  orthogonal once.  States are rotated vectors, R(Omega) applied at
-  O(dim^2) a vector with no matrix built; ``little_d`` and ``big_r`` build
-  the dense matrix only for callers that ask for it.
+* Every rotation of a whole state comes from one S2 eigenbasis per spin,
+  cached and checked orthogonal once.  States are rotated vectors, R(Omega)
+  applied at O(dim^2) a vector with no matrix built; ``little_d`` and
+  ``big_r`` build the dense matrix only for callers that ask for it.  The
+  large-spin contraction reads only the band of columns of r(theta) its
+  fiducial meets, each an eigenvector of a real tridiagonal matrix, at
+  O(dim band) with no basis built (``_r_columns``).
 """
 
 from dataclasses import dataclass
@@ -156,7 +159,8 @@ def ladder_factor(spin: Spin, two_m: int) -> float:
     return math.sqrt(a * b)
 
 
-# Bounded because the basis grows as dim^2: 41 MB at two_s = 1600.
+# Bounded because the basis grows as dim^2: 41 MB at two_s = 1600.  States,
+# grid maps and gradients fill it; the large-spin contraction does not.
 @lru_cache(maxsize=32)
 def _s2_eigensystem(two_s: int) -> tuple:
     """The complex eigenbasis U of S2 and its exact eigenvalues m.
@@ -200,6 +204,50 @@ def _rotate(two_s: int, phi, theta, psi, x) -> np.ndarray:
     # x @ conj(U) as conj(conj(x) @ U), without a conjugated copy of U
     x = np.conj(np.conj(x) @ u) * np.exp(-1j * np.multiply.outer(theta, m))
     return np.exp(-1j * np.multiply.outer(phi, s3)) * (x @ u.T)
+
+
+def _r_columns(two_s: int, theta: float, k_lo: int) -> np.ndarray:
+    """Columns k_lo..2s (descending-m order) of r(theta), shape (dim, dim - k_lo),
+    in O(dim) a column with no S2 basis built.
+
+    Column k is r|m_k>, the eigenvector with eigenvalue m_k = s - k of the
+    real symmetric tridiagonal r S3 r^T = cos(theta) S3 + sin(theta) S1, so
+    one index-selected ``eigh_tridiagonal`` call returns them all (Feng,
+    Wang, Yang, Jin, PRE 92, 043307, 2015).  Signs: the lowest-weight column
+    d_{m,-s} alternates as (-1)^(2s-i), fixed at its largest entry, which
+    never underflows; each higher column then makes
+    <v_k| r S+ r^T |v_{k+1}> = f(s, m_k) > 0, with r S+ r^T = (1 + cos)/2 S+
+    - (1 - cos)/2 S- - sin S3 real.  NotUnitary unless every column has
+    unit norm and eigen-residual within 1e-12 dim, the tolerance of
+    RotationMatrix.
+    """
+    dim = two_s + 1
+    c, s = math.cos(theta), math.sin(theta)
+    m = 0.5 * two_s - np.arange(dim)
+    i = np.arange(two_s)
+    f = np.sqrt((two_s - i) * (i + 1.0))
+    _, v = eigh_tridiagonal(c * m, 0.5 * s * f, select="i", select_range=(0, two_s - k_lo))
+    v = v[:, ::-1]
+
+    def tri(diag, upper, lower, x):
+        """(diag on the diagonal, upper and lower off it) @ x."""
+        y = diag[:, None] * x
+        y[:-1] += upper[:, None] * x[1:]
+        y[1:] += lower[:, None] * x[:-1]
+        return y
+
+    tol = 1e-12 * dim
+    residual = np.linalg.norm(tri(c * m, 0.5 * s * f, 0.5 * s * f, v) - m[k_lo:] * v, axis=0)
+    norm_dev = np.abs(np.linalg.norm(v, axis=0) - 1.0)
+    if residual.max() > tol or norm_dev.max() > tol:
+        raise NotUnitary(f"r(theta) columns: eigen-residual {residual.max():.3e}, norm defect "
+                         f"{norm_dev.max():.3e} at two_s={two_s}, theta={theta}")
+    peak = np.argmax(np.abs(v[:, -1]))
+    anchor = np.sign(v[peak, -1]) * (-1.0) ** (two_s - peak)
+    links = np.sign(np.einsum("ij,ij->j", v[:, :-1],
+                              tri(-s * m, 0.5 * (1 + c) * f, -0.5 * (1 - c) * f, v[:, 1:])))
+    signs = anchor * np.append(np.cumprod(links[::-1])[::-1], 1.0)
+    return v * signs
 
 
 def little_d(spin: Spin, theta: float) -> np.ndarray:

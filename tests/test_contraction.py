@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import factorial
 
-from conftest import rng_for
-from spincs import (FockVector, GridCoarseWarning, NotHermitian, NotNormalized,
-                    PoleMargin, Spin, ZCoords, ZeroVector,
+from conftest import random_fv, rng_for
+from spincs import (AmplitudesTooLarge, FockVector, GridCoarseWarning, NotHermitian,
+                    NotNormalized, PoleMargin, Spin, ZCoords, ZeroVector,
                     annihilation_degree_residual, canonical_cs, ccs_canonical_rhs,
                     ccs_kinetic_term, ccs_resolution_residual, displacement_matrix,
                     dns_amplitudes, dns_number_check, fock_annihilation,
@@ -102,24 +103,47 @@ def test_hp_contract_state_guards():
     assert_allclose(flat.coeffs, fv.coeffs[::-1], atol=0)
 
 
-def test_hp_contract_state_converges_to_canonical():
+def _contraction_ladder(spins):
+    """Deviations of hp_contract_state from the canonical coherent state
+    along a ladder of spins: decreasing, O(1/s), halving per doubling."""
     alpha = 1.3 + 0.4j
     fock = make_fock([0.8, 0.0, 0.6])
     target = canonical_cs(fock, alpha, n_max=60).amplitudes
     devs = []
-    for two_s in (100, 200, 400):
+    for two_s in spins:
         spin = Spin(two_s)
         fv = _spin_fiducial_from_fock(fock, spin)
         hp = hp_contract_state(fv, alpha).coeffs
         devs.append(np.abs(hp[:61] - target).max())
-    assert devs[0] > devs[1] > devs[2]
-    assert devs[2] < 0.01
-    # O(1/s): halving the deviation when the spin doubles
-    assert 1.7 < devs[0] / devs[1] < 2.3
-    assert 1.7 < devs[1] / devs[2] < 2.3
+    assert all(a > b for a, b in zip(devs, devs[1:]))
+    assert devs[-1] < 0.01
+    assert all(1.7 < a / b < 2.3 for a, b in zip(devs, devs[1:]))
 
 
-@pytest.mark.parametrize("two_s", [100, 400, 1600])
+def test_hp_contract_state_converges_to_canonical():
+    _contraction_ladder((100, 200, 400))
+
+
+def test_hp_contract_state_converges_at_large_spin():
+    # three rotation columns a spin, where a full S2 basis would not fit in
+    # memory above two_s of about 12000
+    _contraction_ladder((12500, 25000, 50000, 100000))
+
+
+def test_hp_contract_state_refuses_dense_band_within_memory():
+    # a dense fiducial needs every column of r(theta): 3.2 GB at two_s=20000
+    fv = random_fv(Spin(20000), rng_for(42))
+    tracemalloc.start()
+    try:
+        with pytest.raises(AmplitudesTooLarge, match="GB"):
+            hp_contract_state(fv, 1.3 + 0.4j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+@pytest.mark.parametrize("two_s", [100, 400, 1600, 6400])
 def test_hp_contract_state_matches_sparse_expm(two_s):
     alpha = 1.3 + 0.4j
     spin = Spin(two_s)

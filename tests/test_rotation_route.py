@@ -1,6 +1,8 @@
-"""The one rotation route: states, grid maps and contraction states are
-rotated vectors on the cached S2 eigenbasis, checked against dense
-matrix exponentials, and every route refuses a non-orthogonal basis."""
+"""The rotation routes: states and grid maps are rotated vectors on the
+cached S2 eigenbasis, contraction states are built from the few columns of
+r(theta) their fiducial meets, each an eigenvector of a tridiagonal matrix
+with no basis built; both are checked against dense matrix exponentials and
+little_d, and every route refuses a non-orthogonal eigenvector."""
 
 import math
 
@@ -8,14 +10,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.sparse import diags
+from scipy.sparse.linalg import expm_multiply
 
 from conftest import random_fv, rng_for
 from spincs import (EulerAngles, HamiltonianSpec, MonomialTerm, NotUnitary, QuadratureGrid,
                     Spin, ZCoords, big_r, build_grid, coherent_state, grid_amplitudes,
-                    h_gradient, hp_contract_state, little_d, overlap, resolution_residual,
-                    spin_operators, z_to_omega)
+                    h_gradient, hp_contract_state, ladder_factor, little_d, overlap,
+                    resolution_residual, spin_operators, z_to_omega)
 from spincs import spin_core
-from spincs.spin_core import _rotate, _s2_eigensystem
+from spincs.spin_core import _r_columns, _rotate, _s2_eigensystem
 
 SPINS = [1, 2, 7, 64, 80]
 # theta at 0, pi/2 and pi, then raw angle triples outside the canonical ranges
@@ -73,8 +77,42 @@ def test_contraction_states_match_expm(two_s):
         else:
             om = z_to_omega(ZCoords(alpha / root, -np.conj(alpha) / root))
             expected = _expm_rotation(spin, om.phi, om.theta, om.psi) @ fv.coeffs
+        before = _s2_eigensystem.cache_info()
         assert_allclose(hp_contract_state(fv, alpha).coeffs, expected[::-1],
                         rtol=0, atol=1e-12)
+        # the contraction reads columns of r(theta) and never the S2 basis
+        assert _s2_eigensystem.cache_info() == before
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 7, 64])
+def test_r_columns_match_little_d(two_s):
+    # theta at both poles, one step inside each, and the equator
+    for theta in (0.0, 1e-9, 0.5 * math.pi, math.pi - 1e-9, math.pi):
+        d = little_d(Spin(two_s), theta)
+        for k_lo in range(two_s + 1):
+            assert_allclose(_r_columns(two_s, theta, k_lo), d[:, k_lo:], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1e-3, math.pi - 1e-3, math.pi - 1e-9])
+def test_r_columns_where_the_lowest_column_underflows(theta):
+    # the lowest-weight column is ~ cos(theta/2)^i sin(theta/2)^(2s-i): near
+    # either pole most of its entries underflow, and its sign must be read
+    # from the entries that do not
+    two_s = 1600
+    spin = Spin(two_s)
+    f = np.array([ladder_factor(spin, int(t)) for t in spin.two_m_values()[:-1]])
+    s2 = diags([-0.5j * f, 0.5j * f], [1, -1], format="csr")
+    lowest = np.eye(two_s + 1)[:, -3:]
+    if theta < 1.0:
+        expected = expm_multiply(-1j * theta * s2, lowest).real
+    else:
+        # r(pi - beta) = r(pi) r(-beta), with r(pi)|m> = (-1)^(s-m) |-m>:
+        # reverse the rows and alternate their signs (a short expm_multiply
+        # in place of one across the whole angle)
+        expected = expm_multiply(1j * (math.pi - theta) * s2, lowest).real
+        expected = ((-1.0) ** np.arange(two_s + 1))[:, None] * expected
+        expected = expected[::-1]
+    assert_allclose(_r_columns(two_s, theta, two_s - 2), expected, rtol=0, atol=1e-12)
 
 
 def test_cache_holds_the_basis_and_exact_eigenvalues():
