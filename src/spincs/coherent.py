@@ -14,7 +14,7 @@ fiducial vector.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import math
 import warnings
 
@@ -228,17 +228,31 @@ class QuadratureGrid:
         return (spin.dim / (8.0 * math.pi ** 2)) * self.weights()
 
 
+@lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple:
+    """The n-node Gauss-Legendre rule on [-1, 1]: nodes x, weights w and the
+    angles arccos(x), all read-only.  leggauss costs far more than the rest
+    of a small grid build, and grids of one size, and the radial rule of
+    contraction.ccs_resolution_residual, share the same rule."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    rule = x, w, np.arccos(x)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def build_grid(spin_max: Spin, oversample: float = 1.2) -> QuadratureGrid:
     """Product grid sized for exact integration at spin <= spin_max:
     n_theta = ceil(ov (2 s_max + 2)), n_phi = n_psi = ceil(ov (4 s_max + 3)).
+    The theta nodes and weights are the cached Gauss-Legendre rule of that
+    size, shared read-only by every grid with the same n_theta.
     """
     if oversample < 1.0:
         raise ValueError("oversample must be >= 1")
     two_s = spin_max.two_s
     n_theta = math.ceil(oversample * (two_s + 2))
     n_ang = math.ceil(oversample * (2 * two_s + 3))
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(x)
+    _, w, theta = _gauss_legendre(n_theta)
     phi = 2.0 * math.pi * np.arange(n_ang) / n_ang
     return QuadratureGrid(n_theta, n_ang, n_ang, theta, w, phi, phi.copy())
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
-from .coherent import _AMPLITUDE_BYTES_MAX, FiducialVector
+from .coherent import _AMPLITUDE_BYTES_MAX, FiducialVector, _gauss_legendre
 from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotHermitian,
                      NotNormalized, PoleMargin, ZeroVector)
 from .parametrizations import ZCoords, z_to_omega
@@ -248,7 +248,7 @@ def ccs_resolution_residual(fv: FockVector, radial_max: float = 8.0, n_r: int = 
                       f"first {k} checked levels", GridCoarseWarning, stacklevel=2)
     if n_phi is None:
         n_phi = 2 * n_max + 2 * fv.degree + 3
-    x, w = np.polynomial.legendre.leggauss(n_r)
+    x, w, _ = _gauss_legendre(n_r)
     r = 0.5 * radial_max * (x + 1.0)
     wr = 0.5 * radial_max * w * r          # r dr
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi

@@ -15,11 +15,17 @@ wherever the overlap is nonzero; all three converge to the exact
 time-ordered propagator at first order in eps.
 
 Both entry points run one chain (_path_sum); transition_amplitude is the
-discrete_cspi chain with grid-summed endpoints.  M1 and M2 contract through
-dim x dim transfer matrices: the M2 kernel in its product form o - i*eps*h
-is exactly <O''|(1 - i eps H)|O'>, so every grid sum between kernels is the
-quadrature projector P = sum_g w_g |O_g><O_g|, and the chain is
-v -> P (1 - i eps H_j) v.  P is summed factorized, once per call
+discrete_cspi chain with grid-summed endpoints.  The chain's fixed costs
+are paid once per call: H is evaluated once, at all slice times, by one
+hamiltonian_matrix call on the array of times (a time-independent H is one
+matrix that serves every slice), and the grid's Gauss-Legendre rule comes
+from a cache keyed by node count (coherent.build_grid).  M1 and M2
+contract through dim x dim transfer matrices: the M2 kernel in its product
+form o - i*eps*h is exactly <O''|(1 - i eps H)|O'>, so every grid sum
+between kernels is the quadrature projector P = sum_g w_g |O_g><O_g|, and
+the chain is v -> a_j P v with a_j = 1 - i (eps/hbar) H_j formed once per
+call.  P stays a separate matvec at each slice: folding it into a_j would
+cost a dim x dim product per slice.  P is summed factorized, once per call
 (coherent._grid_gram): O(dim^3) for any grid size.  M2 never divides by the
 overlap.  The M3 kernel does not factorize through the spin space, so its
 chain runs over grid-indexed vectors; it falls back to the product form
@@ -83,12 +89,17 @@ class MonomialTerm:
                 raise ValueError(f"unknown time profile {self.profile!r}")
             object.__setattr__(self, "profile", prof)
 
-    def factor(self, t: float) -> float:
+    def factor(self, t):
+        """The profile value f(t): a float for a scalar t, an array of the
+        same shape for an array of times."""
+        t = np.asarray(t, dtype=float)
         if self.profile is None:
-            return 1.0
+            return 1.0 if t.ndim == 0 else np.ones(t.shape)
         if self.profile[0] == "cosine":
-            return float(np.cos(self.profile[1] * t + self.profile[2]))
-        return float(t)
+            f = np.cos(self.profile[1] * t + self.profile[2])
+        else:
+            f = t
+        return float(f) if t.ndim == 0 else f
 
 
 @dataclass(frozen=True)
@@ -102,8 +113,10 @@ class HamiltonianSpec:
 
     spin: Spin
     terms: tuple = ()
-    # (term, H_p) pairs: H_p sums the terms that share term's profile
-    _parts: tuple = field(init=False, repr=False, compare=False)
+    # one term per profile, and the read-only (n_profiles, dim * dim) rows
+    # of the flattened H_p, each the sum of the terms with that profile
+    _profiles: tuple = field(init=False, repr=False, compare=False)
+    _h_parts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -117,8 +130,12 @@ class HamiltonianSpec:
             defect = np.linalg.norm(h - h.conj().T)
             if defect > _HERMITICITY_TOL * max(1.0, np.linalg.norm(h)):
                 raise NotHermitian(f"profile {term.profile!r}: Hermitian defect {defect:.3e}")
+        h_parts = np.array([h.ravel() for _, h in parts.values()], dtype=complex)
+        h_parts.shape = (len(parts), self.spin.dim ** 2)
+        h_parts.flags.writeable = False
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_parts", tuple(parts.values()))
+        object.__setattr__(self, "_profiles", tuple(term for term, _ in parts.values()))
+        object.__setattr__(self, "_h_parts", h_parts)
 
     @property
     def time_dependent(self) -> bool:
@@ -168,12 +185,17 @@ def _monomial_matrix(two_s: int, p: int, q: int, r: int) -> np.ndarray:
     return m
 
 
-def hamiltonian_matrix(spec: HamiltonianSpec, t: float = 0.0) -> np.ndarray:
-    """Dense matrix of H(t) = sum_p f_p(t) H_p in the m-descending basis."""
-    h = np.zeros((spec.spin.dim, spec.spin.dim), dtype=complex)
-    for term, h_p in spec._parts:
-        h += term.factor(t) * h_p
-    return h
+def hamiltonian_matrix(spec: HamiltonianSpec, t=0.0) -> np.ndarray:
+    """Dense matrix of H(t) = sum_p f_p(t) H_p in the m-descending basis.
+
+    t may also be a 1-D array of times; the result is then the
+    (len(t), dim, dim) stack of H at each time, from one contraction of the
+    profile values f_p(t) with the H_p.
+    """
+    t = np.asarray(t, dtype=float)
+    f = np.array([term.factor(t) for term in spec._profiles], dtype=complex)
+    h = f.reshape(len(f), t.size).T @ spec._h_parts
+    return h.reshape(t.shape + (spec.spin.dim,) * 2)
 
 
 def h_expectation(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.0) -> float:
@@ -294,7 +316,7 @@ def _kernel_step(dst: np.ndarray, src: np.ndarray, h: np.ndarray, c: np.ndarray,
     return out, zeroed, k
 
 
-def _m3_chain(nodes, hs, c: np.ndarray, eps_over_hbar: float):
+def _m3_chain(nodes, hs, c: np.ndarray, eps_over_hbar: float, static: bool):
     """Apply c -> K_j @ (w_j * c) for each slice Hamiltonian hs[j], with K_j
     its M3 kernel from the node set nodes[j] = (amplitudes, weights) to
     nodes[j + 1]; return c on the last node set, the summed fallback count
@@ -304,14 +326,13 @@ def _m3_chain(nodes, hs, c: np.ndarray, eps_over_hbar: float):
     kernel fits in one row block, the pair terms (overlaps, guard bound,
     1/o) of the grid with itself are built at the first grid-to-grid step
     and serve every later one.  Per slice there remain one matmul for the
-    scaled H elements and one masked exp (see _kernel_entries).  When every
-    slice carries the same H object (a static spec, see _slice_hamiltonians)
-    a one-block grid-to-grid kernel is itself reused, with its fallback
-    count, at the rest of the steps.  Above one row block every step builds
-    its kernel, pair terms included, block by block.  A reused kernel
-    counts its entries and fallbacks once per use.
+    scaled H elements and one masked exp (see _kernel_entries).  When
+    static (every hs[j] is the same H) a one-block grid-to-grid kernel is
+    itself reused, with its fallback count, at the rest of the steps.
+    Above one row block every step builds its kernel, pair terms included,
+    block by block.  A reused kernel counts its entries and fallbacks once
+    per use.
     """
-    static = all(h is hs[0] for h in hs)
     zeroed, entries, pair, kept = 0, 0, None, None
     for (src, w), (dst, _), h in zip(nodes, nodes[1:], hs):
         if src is not dst:  # an endpoint step: one row or column of entries
@@ -331,9 +352,12 @@ def _m3_chain(nodes, hs, c: np.ndarray, eps_over_hbar: float):
 
 
 def _slice_hamiltonians(spec: HamiltonianSpec, t_i: float, eps: float, n_slices: int):
+    """H at the slice times t_i + j eps, j = 0..n_slices, from one
+    hamiltonian_matrix call: the (n_slices + 1, dim, dim) stack, or for a
+    static spec the one (dim, dim) matrix that serves every slice."""
     if not spec.time_dependent:
-        return [hamiltonian_matrix(spec)] * (n_slices + 1)
-    return [hamiltonian_matrix(spec, t_i + j * eps) for j in range(n_slices + 1)]
+        return hamiltonian_matrix(spec, t_i)
+    return hamiltonian_matrix(spec, t_i + eps * np.arange(n_slices + 1))
 
 
 def _check_grid(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid,
@@ -357,7 +381,9 @@ def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, k
     M1/M2 P."""
     _check_grid(fv, spec, grid, n_slices, mode)
     eps = (t_f - t_i) / (n_slices + 1)
-    hs = _slice_hamiltonians(spec, t_i, eps, n_slices)
+    h = _slice_hamiltonians(spec, t_i, eps, n_slices)
+    # a static spec's one matrix is broadcast over the slices, not copied
+    stack = (n_slices + 1,) + h.shape[-2:]
     n_zeroed, fallback, p = 0, None, None
 
     if mode == "M3":
@@ -368,8 +394,9 @@ def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, k
         else:
             one = np.ones(1)
             start, end, c, readout = (ket_i[None], one), (ket_f[None], one), one, one
-        c, n_zeroed, entries = _m3_chain([start] + [on_grid] * n_slices + [end], hs, c,
-                                         eps / hbar)
+        c, n_zeroed, entries = _m3_chain([start] + [on_grid] * n_slices + [end],
+                                         np.broadcast_to(h, stack), c, eps / hbar,
+                                         not spec.time_dependent)
         fallback = n_zeroed / entries
         amplitude = complex(readout @ (end[1] * c))
     else:
@@ -377,11 +404,11 @@ def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, k
         p = _grid_gram(grid, fv.spin, fv.coeffs, fv.coeffs).T
         if grid_ends:
             ket_i, ket_f = p @ ket_i, p @ ket_f
-        v = ket_i
-        for j, h in enumerate(hs):
-            if j:
-                v = p @ v
-            v = v - (1j * eps / hbar) * (h @ v)
+        # the slice transfers a_j = 1 - i (eps/hbar) H_j, formed once per call
+        a = np.broadcast_to(np.eye(len(p)) - (1j * eps / hbar) * h, stack)
+        v = a[0] @ ket_i
+        for a_j in a[1:]:
+            v = a_j @ (p @ v)
         amplitude = complex(np.vdot(ket_f, v))
 
     if not np.isfinite(amplitude.real) or not np.isfinite(amplitude.imag):

@@ -144,6 +144,18 @@ def test_grid_weights_and_exactness_window():
         build_grid(Spin(2), oversample=0.5)
 
 
+def test_build_grid_shares_read_only_gauss_legendre_rule():
+    first, second = build_grid(Spin(3)), build_grid(Spin(3))
+    assert first.theta is second.theta
+    assert first.theta_weights is second.theta_weights
+    for arr in (first.theta, first.theta_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    x, w = np.polynomial.legendre.leggauss(first.n_theta)
+    assert_allclose(first.theta, np.arccos(x), atol=0)
+    assert_allclose(first.theta_weights, w, atol=0)
+
+
 @pytest.mark.parametrize("two_s", [1, 2, 3])
 def test_resolution_residual_at_roundoff(two_s):
     rng = rng_for(26, two_s)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ def test_monomial_time_profiles():
     assert const.factor(3.7) == 1.0
     assert_allclose(cos.factor(1.2), math.cos(2.0 * 1.2 + 0.5))
     assert ramp.factor(1.2) == 1.2
+    assert all(type(term.factor(1.2)) is float for term in (const, cos, ramp))
+    times = np.array([0.0, 1.2, 3.7])
+    assert_allclose(const.factor(times), np.ones(3), atol=0)
+    assert_allclose(cos.factor(times), np.cos(2.0 * times + 0.5), atol=0)
+    assert_allclose(ramp.factor(times), times, atol=0)
 
 
 def test_hamiltonian_spec_hermiticity():
@@ -96,6 +102,29 @@ def test_hamiltonian_matrix_time_dependence():
     for t in (0.0, 0.4, 1.7):
         assert_allclose(hamiltonian_matrix(spec, t),
                         math.cos(3.0 * t + 0.2) * ops.s3, atol=1e-14)
+
+
+@pytest.mark.parametrize("profile", [None, ("cosine", 3.0, 0.2), ("ramp",), "mixed", "zero"])
+def test_stacked_hamiltonian_matches_scalar_calls(profile):
+    # an array of times gives the (len(t), dim, dim) stack of H(t)
+    spin = Spin(3)
+    if profile == "mixed":
+        terms = (MonomialTerm(0, 1, 0, 0.7),
+                 MonomialTerm(1, 0, 0, 0.2j, ("cosine", 1.5, 0.4)),
+                 MonomialTerm(0, 0, 1, -0.2j, ("cosine", 1.5, 0.4)),
+                 MonomialTerm(0, 2, 0, 0.3, ("ramp",)))
+    elif profile == "zero":
+        terms = ()
+    else:
+        terms = (MonomialTerm(0, 1, 0, 0.7, profile), MonomialTerm(1, 0, 0, 0.2, profile),
+                 MonomialTerm(0, 0, 1, 0.2, profile))
+    spec = HamiltonianSpec(spin, terms)
+    times = np.linspace(-1.0, 2.5, 8)
+    stack = hamiltonian_matrix(spec, times)
+    assert stack.shape == (len(times), spin.dim, spin.dim)
+    for t, h in zip(times, stack):
+        expected = hamiltonian_matrix(spec, float(t))
+        assert np.linalg.norm(h - expected) <= 1e-15 * np.linalg.norm(expected)
 
 
 def test_h_expectation_and_ratio():
@@ -440,6 +469,25 @@ def test_grid_kernel_builds_per_call(monkeypatch):
         builds.clear()
         transition_amplitude(fv, spec, ket_i, ket_f, 0.0, 2.0, grid, n, "M3")
         assert sum(builds) == via_transition
+
+
+@pytest.mark.parametrize("mode", ["M1", "M2"])
+def test_static_chain_builds_no_per_slice_stack(mode):
+    # 20001 slices of a 9 x 9 H would stack to 26 MB; a static spec's one
+    # matrix serves every slice
+    rng = rng_for(64)
+    spin = Spin(8)
+    fv = random_fv(spin, rng)
+    grid = build_grid(spin)
+    tracemalloc.start()
+    try:
+        res = discrete_cspi(fv, _precession_spec(spin), random_omega(rng), random_omega(rng),
+                            0.0, 1.0, 20000, grid, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert np.isfinite(res.amplitude)
 
 
 @pytest.mark.parametrize("mode", ["M1", "M3"])
