@@ -195,16 +195,32 @@ class QuadratureGrid:
     Total weight is 8 pi^2.  The grid integrates products of two rotation
     matrices of spin <= s_max exactly when n_theta >= 2 s_max + 1 and
     n_phi, n_psi >= 4 s_max + 1; ``exact_two_s`` records the largest doubled
-    spin for which that holds.
+    spin for which that holds.  The node counts are the sizes of the node
+    arrays; LengthMismatch is raised unless theta_weights has one weight
+    per theta node.
     """
 
-    n_theta: int
-    n_phi: int
-    n_psi: int
     theta: np.ndarray
     theta_weights: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
+
+    def __post_init__(self):
+        if self.theta_weights.size != self.theta.size:
+            raise LengthMismatch(f"{self.theta_weights.size} theta weights for "
+                                 f"{self.theta.size} theta nodes")
+
+    @property
+    def n_theta(self) -> int:
+        return self.theta.size
+
+    @property
+    def n_phi(self) -> int:
+        return self.phi.size
+
+    @property
+    def n_psi(self) -> int:
+        return self.psi.size
 
     @property
     def exact_two_s(self) -> int:
@@ -254,7 +270,7 @@ def build_grid(spin_max: Spin, oversample: float = 1.2) -> QuadratureGrid:
     n_ang = math.ceil(oversample * (2 * two_s + 3))
     _, w, theta = _gauss_legendre(n_theta)
     phi = 2.0 * math.pi * np.arange(n_ang) / n_ang
-    return QuadratureGrid(n_theta, n_ang, n_ang, theta, w, phi, phi.copy())
+    return QuadratureGrid(theta, w, phi, phi.copy())
 
 
 # Budget for the (n_points, dim) complex array of grid_amplitudes, which

@@ -16,7 +16,7 @@ class ZeroVector(SpincsError):
 
 
 class LengthMismatch(SpincsError):
-    """A coefficient array does not match the dimension 2s + 1."""
+    """An array has the wrong length: 2s + 1 coefficients, one weight per node."""
 
 
 class NotUnitary(SpincsError):

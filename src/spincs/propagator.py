@@ -45,11 +45,11 @@ from numpy.linalg import matrix_power
 from scipy.linalg import expm
 
 from .coherent import (FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes,
-                       structure_pair, _grid_gram)
+                       _grid_gram)
 from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotHermitian, NotNormalized,
                      NumericalFailure, OrthogonalPair)
-from .geometry import geometric_phase
-from .spin_core import EulerAngles, Spin, spin_operators
+from .geometry import geometric_phase, kinetic_term
+from .spin_core import EulerAngles, Spin, spin_operators, _angles_of
 
 _ZERO_OVERLAP = 1e-12
 _M3_GUARD = 0.5
@@ -462,17 +462,12 @@ def transition_amplitude(fv: FiducialVector, spec: HamiltonianSpec, ket_i, ket_f
 
 
 def infinitesimal_overlap(fv: FiducialVector, omega, delta_omega) -> complex:
-    """First-order overlap <Omega + dOmega|Omega> = 1 + i a0 (dphi cos(theta)
-    + dpsi) - (1/2) sum_m f(s,m) [c_m c_{m-1}^* e^{-i psi}(dtheta + i dphi
-    sin(theta)) - c.c.-partner], with theta and psi taken at the displaced
-    (bra) point.  The deviation from the exact overlap is O(|dOmega|^2)."""
-    omega = _as_angles(omega)
-    dphi, dtheta, dpsi = (float(x) for x in delta_omega)
-    a0, b0 = structure_pair(fv)
-    theta = omega.theta + dtheta
-    psi = omega.psi + dpsi
-    x = np.conj(b0) * np.exp(-1j * psi) * (dtheta + 1j * dphi * np.sin(theta))
-    return complex(1.0 + 1j * a0 * (dphi * np.cos(theta) + dpsi) - 1j * x.imag)
+    """First-order overlap <Omega + dOmega|Omega> = 1 + i kappa(dOmega), with
+    geometry.kinetic_term at the displaced (bra) point.  Raw angles are
+    accepted and not folded, so the deviation from the exact overlap is
+    O(|dOmega|^2) for every theta."""
+    bra = np.add(_angles_of(omega), delta_omega)
+    return complex(1.0, kinetic_term(fv, bra, delta_omega))
 
 
 def action_along_path(fv: FiducialVector, spec: HamiltonianSpec, path,

@@ -1,33 +1,35 @@
 """Variational equations of motion for the coherent-state label Omega(t).
 
 Stationarity of the action integral of hbar*kinetic_term - <H> gives a
-linear system for the angular velocities,
+linear system for the angular velocities whose matrix is hbar d(kappa), the
+kinetic two-form of geometry.two_form:
 
     hbar * [[C,          0,   a1        ],     [[dphi  ],    [[-dH/dtheta],
             [0,          C,   -a4 sin(theta)],  [dtheta],  =  [ dH/dphi  ],
             [a4 sin(theta), a1, 0        ]]     [dpsi  ]]     [ dH/dpsi  ]]
 
-with C = a0 sin(theta) + a1 cos(theta), a1 and a4 evaluated at (fv, Omega),
-and the exact gradient of h_gradient.  The matrix is the contraction of the
-closed kinetic two-form: reordered to rows (phi, theta, psi) with the theta
-row negated (VelocitySystem.antisymmetric), the system is the cross product
-hbar (omega_dot x n) = grad H with the kernel vector n = (-a1, a4 sin(theta),
-C).  Both nonzero singular values are hbar |n|, so the rank is 2 unless
-n = 0, and a velocity exists only when grad H annihilates n.  It does for
-single-m fiducial vectors (psi shifts are pure phases, so dH/dpsi = 0) and
-for every H of monomial degree <= 1 (linear generators move coherent states
-rigidly along group orbits); a multi-component fiducial vector with degree
->= 2 terms generically admits none, which solve_velocities reports as
-InconsistentSystem.  The minimum-norm velocity, (n x grad H) / (hbar |n|^2),
-is returned; the component along n is left undetermined.
+with C = -w_theta_phi, a4 sin(theta) = -w_phi_psi, a1 = w_psi_theta, and the
+exact gradient of h_gradient.  Reordered to rows (phi, theta, psi) with the
+theta row negated (VelocitySystem.antisymmetric), the system is the cross
+product hbar (omega_dot x n) = grad H with the kernel vector n = (-a1,
+a4 sin(theta), C) of VelocitySystem.kernel.  Both nonzero singular values
+are hbar |n|, so the rank is 2 unless n = 0, and a velocity exists only
+when grad H annihilates n.  It does for single-m fiducial vectors (psi
+shifts are pure phases, so dH/dpsi = 0) and for every H of monomial degree
+<= 1 (linear generators move coherent states rigidly along group orbits); a
+multi-component fiducial vector with degree >= 2 terms generically admits
+none, which solve_velocities reports as InconsistentSystem.  The
+minimum-norm velocity, (n x grad H) / (hbar |n|^2), is returned; the
+component along n is left undetermined.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import FiducialVector, structure_pair
+from .coherent import FiducialVector
 from .errors import InconsistentSystem
+from .geometry import two_form
 from .propagator import HamiltonianSpec, hamiltonian_matrix, _monomial_matrix
 from .spin_core import _angles_of, _rotate
 
@@ -93,18 +95,15 @@ def build_system(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.
                  hbar: float = 1.0) -> VelocitySystem:
     """Velocity system at (omega, t); omega may be raw angles (continuous
     paths are kept unwrapped, the coefficients are 2pi-periodic anyway)."""
-    _, theta, psi = _angles_of(omega)
-    a0, b0 = structure_pair(fv)
-    b_psi = np.exp(1j * psi) * b0
-    a1, a4_sin = b_psi.real, b_psi.imag * np.sin(theta)
-    c = a0 * np.sin(theta) + a1 * np.cos(theta)
+    w = two_form(fv, omega)
+    c, a4_sin, a1 = -w.w_theta_phi, -w.w_phi_psi, w.w_psi_theta
     m = hbar * np.array([[c, 0.0, a1],
                          [0.0, c, -a4_sin],
                          [a4_sin, a1, 0.0]])
-    hbar_n = hbar * np.array([-a1, a4_sin, c])
-    rank = 2 if np.linalg.norm(hbar_n) > _RANK_TOL * max(1.0, np.abs(hbar_n).max()) else 0
     grad, energy, h_norm = _gradient_and_energy(fv, spec, omega, t)
-    sys = VelocitySystem(m=m, b=np.array([-grad[1], grad[0], grad[2]]), rank=rank)
+    sys = VelocitySystem(m=m, b=np.array([-grad[1], grad[0], grad[2]]), rank=0)
+    hbar_n = sys.kernel()
+    sys.rank = 2 if np.linalg.norm(hbar_n) > _RANK_TOL * max(1.0, np.abs(hbar_n).max()) else 0
     sys.energy = energy
     sys.roundoff = _ROUNDOFF * fv.spin.dim * max(1.0, 0.5 * fv.spin.two_s) * h_norm
     return sys

@@ -78,4 +78,4 @@ def jittered_grid(spin: Spin, rng):
     weights = g.theta_weights * rng.uniform(0.9, 1.1, g.n_theta)
     phi = np.sort(g.phi + rng.uniform(0.0, 0.2, g.n_phi))
     psi = np.sort(g.psi + rng.uniform(0.0, 0.2, g.n_psi))
-    return QuadratureGrid(g.n_theta, g.n_phi, g.n_psi, theta, weights, phi, psi)
+    return QuadratureGrid(theta, weights, phi, psi)

@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import basis_fv, dense_gram
-from spincs import EulerAngles, Spin, build_grid, little_d, make_fiducial, overlap
+from spincs import (EulerAngles, HamiltonianSpec, MonomialTerm, Spin, action_along_path,
+                    build_grid, little_d, make_fiducial, overlap)
 from spincs import cli
 from spincs.cli import main
 
@@ -159,6 +160,61 @@ def test_action_command(tmp_path):
     (report,) = _reports(tmp_path)
     assert "action" in report["outputs"]
     assert report["passed"] is True
+
+
+_FV_PAIRS = [[0.6, 0.1], [0.3, -0.2], [0.5, 0.4]]
+_COSINE = {"kind": "cosine", "omega": 3.0, "phase": 0.2}
+
+
+def _action_path():
+    t = np.linspace(0.0, 1.0, 60)
+    return np.column_stack([t, 2 * math.pi * t, 0.8 + 0.1 * np.sin(3 * t), 0.5 * t])
+
+
+@pytest.mark.parametrize("terms, library_terms", [
+    ([{"q": 1, "coeff": 1.0},
+      {"p": 1, "coeff": 0.15, "profile": _COSINE},
+      {"r": 1, "coeff": 0.15, "profile": _COSINE}],
+     (MonomialTerm(0, 1, 0, 1.0),
+      MonomialTerm(1, 0, 0, 0.15, ("cosine", 3.0, 0.2)),
+      MonomialTerm(0, 0, 1, 0.15, ("cosine", 3.0, 0.2)))),
+    ([{"q": 2, "coeff": 0.5, "profile": {"kind": "ramp"}},
+      {"p": 1, "r": 1, "coeff": [0.3, 0.0], "profile": {"kind": "ramp"}}],
+     (MonomialTerm(0, 2, 0, 0.5, ("ramp",)), MonomialTerm(1, 0, 1, 0.3, ("ramp",)))),
+], ids=["cosine", "ramp"])
+def test_action_hamiltonian_profiles_match_library(tmp_path, terms, library_terms):
+    spin = Spin(2)
+    path = _action_path()
+    cfg = _config(tmp_path, {"two_s": 2, "fv": _FV_PAIRS, "path": path.tolist(),
+                             "hamiltonian": {"terms": terms}})
+    assert main(["action", "--config", cfg, "--out", str(tmp_path)]) == 0
+    (report,) = _reports(tmp_path)
+    fv = make_fiducial(spin, [complex(re, im) for re, im in _FV_PAIRS])
+    expected = action_along_path(fv, HamiltonianSpec(spin, library_terms), path)
+    assert_allclose(report["outputs"]["action"], expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("hamiltonian, message", [
+    ({"terms": [{"q": 1, "profile": {"omega": 3.0}}]}, "profile must be an object with 'kind'"),
+    ({"terms": [{"q": 1, "profile": {"kind": "sine"}}]}, "kind 'sine' unknown"),
+    ({"terms": [{"q": 1, "profile": dict(_COSINE, period=2.0)}]}, "cosine profile has unknown"),
+    ({"terms": [{"q": 1, "profile": {"kind": "ramp", "omega": 1.0}}]},
+     "ramp profile has unknown"),
+    ({"terms": {"q": 1}}, "'hamiltonian.terms' must be a list"),
+    ({"terms": [], "scale": 2.0}, "'hamiltonian' must be an object"),
+    ({"terms": [{"p": 1, "coeff": 1.0}]}, "bad hamiltonian"),
+    ({"terms": [{"q": 1, "power": 2}]}, "must have keys p, q, r, coeff"),
+    ({"terms": [{"q": -1}]}, "bad hamiltonian term 0"),
+], ids=["no_kind", "unknown_kind", "cosine_extra_key", "ramp_extra_key", "terms_not_list",
+        "extra_key", "not_hermitian", "term_extra_key", "negative_exponent"])
+def test_action_bad_hamiltonian_is_config_error(tmp_path, capsys, monkeypatch,
+                                               hamiltonian, message):
+    monkeypatch.setattr(cli, "action_along_path", lambda *a, **k: pytest.fail("ran the command"))
+    cfg = _config(tmp_path, {"two_s": 2, "fv": "lowest", "path": _action_path().tolist(),
+                             "hamiltonian": hamiltonian})
+    assert main(["action", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert _reports(tmp_path) == []
 
 
 def test_geometry_point_and_loop(tmp_path):

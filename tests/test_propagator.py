@@ -9,13 +9,13 @@ from scipy.linalg import expm
 from conftest import (dense_gram, jittered_grid, lowest_fv, random_fv, random_omega,
                       rng_for)
 from spincs import coherent, propagator
-from spincs import (EulerAngles, GridTooCoarse, HamiltonianSpec, LengthMismatch,
-                    MonomialTerm, NotHermitian, NotNormalized, OrthogonalPair,
-                    Spin, action_along_path, build_grid, coherent_state,
-                    discrete_cspi, exact_propagator, geometric_phase, grid_amplitudes,
-                    h_expectation, h_ratio, hamiltonian_matrix,
-                    infinitesimal_overlap, midpoint_product,
-                    overlap, spin_operators, transition_amplitude)
+from spincs import (EulerAngles, GridCoarseWarning, GridTooCoarse, HamiltonianSpec,
+                    LengthMismatch, MonomialTerm, NotHermitian, NotNormalized,
+                    OrthogonalPair, QuadratureGrid, Spin, action_along_path, build_grid,
+                    coherent_state, discrete_cspi, exact_propagator, geometric_phase,
+                    grid_amplitudes, h_expectation, h_ratio, hamiltonian_matrix,
+                    infinitesimal_overlap, midpoint_product, overlap,
+                    resolution_residual, spin_operators, transition_amplitude)
 
 
 def _precession_spec(spin):
@@ -527,6 +527,26 @@ def test_discrete_cspi_validation():
                       2, grid)
 
 
+def test_grid_node_counts_are_the_array_sizes():
+    # a 2-node theta rule with the azimuths of the two_s=4 grid, once
+    # declared with n_theta=8, passed as exact at two_s=4: here M1 was off
+    # by 0.066 and the residual, 0.057, came without a warning
+    spin = Spin(4)
+    fv = random_fv(spin, rng_for(57))
+    exact = build_grid(spin)
+    x, w = np.polynomial.legendre.leggauss(2)
+    grid = QuadratureGrid(np.arccos(x), w, exact.phi, exact.psi)
+    assert (grid.n_theta, grid.n_phi, grid.n_psi) == (2, exact.n_phi, exact.n_psi)
+    assert grid.exact_two_s == 1
+    with pytest.raises(GridTooCoarse):
+        discrete_cspi(fv, _precession_spec(spin), (0.3, 1.1, 0.7), (1.0, 0.8, 2.0),
+                      0.0, 1.0, 4, grid)
+    with pytest.warns(GridCoarseWarning):
+        assert resolution_residual(fv, grid) > 1e-3
+    with pytest.raises(LengthMismatch):
+        QuadratureGrid(exact.theta, w, exact.phi, exact.psi)
+
+
 def test_transition_amplitude_zero_hamiltonian():
     rng = rng_for(53)
     spin = Spin(2)
@@ -569,19 +589,24 @@ def test_transition_amplitude_validation():
 
 
 def test_infinitesimal_overlap_quadratic_remainder():
+    # the raw thetas 4.1 and -0.5 are passed unfolded: the displacement is
+    # in the raw chart, which folding the base point alone would flip
     rng = rng_for(54)
     fv = random_fv(Spin(3), rng)
     om = random_omega(rng, theta_margin=0.1, wrap_margin=0.1)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     scales = np.logspace(-5, -2, 10)
-    devs = []
-    for eps in scales:
-        delta = eps * direction
-        exact = overlap(fv, EulerAngles(*(om.as_array() + delta)), om)
-        devs.append(abs(infinitesimal_overlap(fv, om, delta) - exact))
-    slope = np.polyfit(np.log(scales), np.log(devs), 1)[0]
-    assert 1.9 < slope < 2.1
+    for theta in (om.theta, 4.1, -0.5):
+        raw = np.array([om.phi, theta, om.psi])
+        base = om if theta == om.theta else raw
+        devs = []
+        for eps in scales:
+            delta = eps * direction
+            exact = overlap(fv, EulerAngles(*(raw + delta)), EulerAngles(*raw))
+            devs.append(abs(infinitesimal_overlap(fv, base, delta) - exact))
+        slope = np.polyfit(np.log(scales), np.log(devs), 1)[0]
+        assert 1.9 < slope < 2.1, theta
 
 
 def test_action_static_path():

@@ -55,7 +55,7 @@ def test_grid_maps_match_expm(two_s):
     theta = np.array([0.0, 0.5 * math.pi, math.pi, 4.1, -2.2])
     phi = np.array([-7.3, 0.4, 13.0])
     psi = np.array([9.9, -0.4])
-    grid = QuadratureGrid(theta.size, phi.size, psi.size, theta, np.ones(theta.size), phi, psi)
+    grid = QuadratureGrid(theta, np.ones(theta.size), phi, psi)
     amps = grid_amplitudes(fv, grid).reshape(theta.size, phi.size, psi.size, spin.dim)
     for i, th in enumerate(theta):
         for j, ph in enumerate(phi):

@@ -111,6 +111,30 @@ def test_su2_roundtrip_and_double_cover():
         assert_allclose(sign3 * su2_matrix(om3), -u, atol=1e-12)
 
 
+@pytest.mark.parametrize("theta, tol", [(0.0, 1e-14), (1e-10, 1e-9), (1e-9, 1e-9),
+                                        (math.pi, 1e-14), (math.pi - 1e-10, 1e-9),
+                                        (math.pi - 1e-9, 1e-9)])
+def test_su2_roundtrip_at_degenerate_theta(theta, tol):
+    # within 1e-9 of a pole one angle is zeroed and the dropped entry of
+    # size sin(theta/2) or cos(theta/2) is the reconstruction error
+    rng = rng_for(16)
+    for _ in range(10):
+        phi, psi = rng.uniform(-2 * math.pi, 2 * math.pi, 2)
+        for u in (su2_matrix((phi, theta, psi)), -su2_matrix((phi, theta, psi))):
+            om, sign = euler_from_su2(u)
+            assert_allclose(sign * su2_matrix(om), u, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("u, error", [
+    (np.eye(3), ValueError),
+    (np.array([[1.0, 0.1], [0.0, 1.0]]), NotUnitary),
+    (np.diag([1.0, -1.0]), NotUnitary),
+], ids=["not_2x2", "not_unitary", "det_minus_one"])
+def test_euler_from_su2_rejects(u, error):
+    with pytest.raises(error):
+        euler_from_su2(u)
+
+
 @pytest.mark.parametrize("two_s", [1, 2, 3])
 def test_compose_euler(two_s):
     rng = rng_for(14, two_s)
