@@ -18,7 +18,7 @@ from .contraction import (CanonicalCS, FockVector, annihilation_degree_residual,
                           normal_ordered_matrix)
 from .errors import (AmplitudesTooLarge, ConfigInvalid, DecompositionPole, GridCoarseWarning,
                      GridTooCoarse, InconsistentSystem, LengthMismatch,
-                     NoConvergence, NotHermitian, NotNormalized, NotUnitary,
+                     NoConvergence, NotFinite, NotHermitian, NotNormalized, NotUnitary,
                      NumericalFailure, OrthogonalPair, PathTooShort, PoleMargin,
                      SpincsError, SubsidiaryViolation, TimesNotMonotone, ZOriginSingular,
                      ZeroVector)

@@ -37,7 +37,7 @@ from .contraction import (annihilation_degree_residual, canonical_cs,
                           hp_contract_state, hp_measure_ratio, make_fock)
 from .errors import ConfigInvalid, SpincsError
 from .geometry import (gauge_potential, geometric_phase, kinetic_term, one_form,
-                       two_form)
+                       two_form, _kappa)
 from .parametrizations import (ZCoords, kinetic_term_a, kinetic_term_z, omega_to_a,
                                omega_to_z)
 from .propagator import (HamiltonianSpec, MonomialTerm, action_along_path,
@@ -493,17 +493,11 @@ def _run_geometry(cfg, seed, tol, hbar):
     kappa = one_form(fv, om)
     w = two_form(fv, om)
     step = 1e-4
-    angles = np.array([om.phi, om.theta, om.psi])
-
-    def k_at(v):
-        f = one_form(fv, (v[0], v[1], v[2]))
-        return np.array([f.k_phi, f.k_theta, f.k_psi])
-
-    jac = np.empty((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = step
-        jac[:, j] = (k_at(angles + e) - k_at(angles - e)) / (2 * step)
+    # kappa at the six points displaced by +-step along each angle, in one
+    # call; column j of the Jacobian is the central difference along angle j
+    shifted = np.array([om.phi, om.theta, om.psi]) + step * np.vstack((np.eye(3), -np.eye(3)))
+    k = _kappa(fv, shifted[:, 1], shifted[:, 2])
+    jac = (k[:3] - k[3:]).T / (2 * step)
     fd_dev = max(abs((jac[0, 1] - jac[1, 0]) - w.w_theta_phi),
                  abs((jac[2, 0] - jac[0, 2]) - w.w_phi_psi),
                  abs((jac[1, 2] - jac[2, 1]) - w.w_psi_theta))

@@ -136,12 +136,20 @@ def coherent_state(fv: FiducialVector, omega: EulerAngles) -> CoherentState:
     return CoherentState(fv, omega, amps)
 
 
+def _states(fv: FiducialVector, omegas) -> np.ndarray:
+    """The amplitudes of R(Omega)|Psi0> for each Omega in ``omegas``
+    (EulerAngles or raw triples, taken unfolded), one row each, from one
+    _rotate call on the stacked angles."""
+    phi, theta, psi = np.array([_angles_of(om) for om in omegas]).T
+    return _rotate(fv.spin.two_s, phi, theta, psi, fv.coeffs)
+
+
 def overlap(fv: FiducialVector, omega2: EulerAngles, omega1: EulerAngles) -> complex:
     """<Omega2|Omega1> for a shared fiducial vector, computed as
-    conj(amplitudes(Omega2)) . amplitudes(Omega1)."""
-    a2 = coherent_state(fv, omega2).amplitudes
-    a1 = coherent_state(fv, omega1).amplitudes
-    return complex(np.vdot(a2, a1))
+    conj(amplitudes(Omega2)) . amplitudes(Omega1), with both states built
+    by one rotation call on the stacked angles."""
+    bra, ket = _states(fv, (omega2, omega1))
+    return complex(np.vdot(bra, ket))
 
 
 def structure_pair(fv: FiducialVector) -> tuple:
@@ -154,6 +162,14 @@ def structure_pair(fv: FiducialVector) -> tuple:
     return fv._structure_pair
 
 
+def _structure_at(fv: FiducialVector, psi) -> tuple:
+    """(a0, a1(psi), a4(psi)) with a1 + i a4 = e^{i psi} b0, for a scalar
+    psi or elementwise over an array of them."""
+    a0, b0 = structure_pair(fv)
+    b = np.exp(1j * np.asarray(psi)) * b0
+    return a0, b.real, b.imag
+
+
 def matrix_elements(fv: FiducialVector, omega) -> tuple:
     """Expectation values (<S3>, <S+>) in |Omega> and the structure set.
 
@@ -164,10 +180,8 @@ def matrix_elements(fv: FiducialVector, omega) -> tuple:
     values are 2pi-periodic and fold-invariant, so raw angles are safe.
     """
     phi, theta, psi = _angles_of(omega)
-    a0, b0 = structure_pair(fv)
-    b = np.exp(1j * psi) * b0
-    a1 = b.real
-    a4 = b.imag
+    a0, a1, a4 = _structure_at(fv, psi)
+    b = complex(a1, a4)
     ct, st = math.cos(theta), math.sin(theta)
     a2 = 0.5 * np.exp(1j * phi) * ((1.0 + ct) * b - (1.0 - ct) * np.conj(b))
     s3 = a0 * ct - a1 * st
@@ -182,9 +196,8 @@ def generating_function(fv: FiducialVector, omega2: EulerAngles, omega1: EulerAn
     of arbitrary generator monomials between coherent states."""
     ops = spin_operators(fv.spin)
     middle = expm(z_plus * ops.s_plus) @ expm(z3 * ops.s3) @ expm(z_minus * ops.s_minus)
-    a2 = coherent_state(fv, omega2).amplitudes
-    a1 = coherent_state(fv, omega1).amplitudes
-    return complex(np.vdot(a2, middle @ a1))
+    bra, ket = _states(fv, (omega2, omega1))
+    return complex(np.vdot(bra, middle @ ket))
 
 
 @dataclass(frozen=True)

@@ -83,5 +83,9 @@ class ConfigInvalid(SpincsError):
     """A run configuration fails schema validation."""
 
 
+class NotFinite(SpincsError):
+    """An input that must be a finite number is NaN or infinite."""
+
+
 class NumericalFailure(SpincsError):
     """A run completed but a numerical acceptance check failed."""

@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .coherent import FiducialVector, structure_pair
-from .errors import PathTooShort, TimesNotMonotone
+from .coherent import FiducialVector, _structure_at
+from .errors import NotFinite, PathTooShort, TimesNotMonotone
 from .spin_core import _angles_of
 
 __all__ = [
@@ -72,13 +72,20 @@ class GaugePotential:
     a_eta: float
 
 
+def _kappa(fv: FiducialVector, theta, psi) -> np.ndarray:
+    """kappa's coefficients (k_phi, k_theta, k_psi) = (a0 cos t - a1 sin t,
+    a4, a0) at scalar or array (theta, psi) that broadcast: shape
+    broadcast(theta, psi).shape + (3,)."""
+    a0, a1, a4 = _structure_at(fv, psi)
+    return np.stack(np.broadcast_arrays(a0 * np.cos(theta) - a1 * np.sin(theta), a4, a0),
+                    axis=-1)
+
+
 def one_form(fv: FiducialVector, omega) -> OneForm:
     """kappa at a point: k_phi = a0 cos t - a1 sin t, k_theta = a4,
     k_psi = a0."""
     _, theta, psi = _angles_of(omega)
-    a0, b0 = structure_pair(fv)
-    b = np.exp(1j * psi) * b0
-    return OneForm(a0 * math.cos(theta) - b.real * math.sin(theta), b.imag, a0)
+    return OneForm(*(float(k) for k in _kappa(fv, theta, psi)))
 
 
 def two_form(fv: FiducialVector, omega) -> TwoForm:
@@ -89,9 +96,7 @@ def two_form(fv: FiducialVector, omega) -> TwoForm:
                   + a1 dpsi^dt.
     """
     _, theta, psi = _angles_of(omega)
-    a0, b0 = structure_pair(fv)
-    b = np.exp(1j * psi) * b0
-    a1, a4 = b.real, b.imag
+    a0, a1, a4 = _structure_at(fv, psi)
     st, ct = math.sin(theta), math.cos(theta)
     return TwoForm(-(a0 * st + a1 * ct), -a4 * st, a1)
 
@@ -106,10 +111,7 @@ def gauge_potential(fv: FiducialVector, theta: float, xi: float, eta: float) -> 
     for every fiducial vector (the divergence familiar from the monopole
     potential is absorbed by the frame factors).
     """
-    psi = 0.5 * (xi - eta)
-    a0, b0 = structure_pair(fv)
-    b = np.exp(1j * psi) * b0
-    a1, a4 = b.real, b.imag
+    a0, a1, a4 = _structure_at(fv, 0.5 * (xi - eta))
     ch, sh = math.cos(0.5 * theta), math.sin(0.5 * theta)
     return GaugePotential(2.0 * a4, 2.0 * (a0 * ch - a1 * sh), -2.0 * (a0 * sh + a1 * ch))
 
@@ -131,12 +133,16 @@ def path_velocities(path: np.ndarray) -> np.ndarray:
     the interior and second-order one-sided differences at the ends.
 
     Angles must be sampled as continuous (unwrapped) floats.  Raises
-    TimesNotMonotone unless the times strictly increase or strictly
+    NotFinite, naming the first such row, for a non-finite time or angle,
+    and TimesNotMonotone unless the times strictly increase or strictly
     decrease: a repeated time would be a zero step.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 4 or path.shape[0] < 2:
         raise PathTooShort(f"need at least 2 samples of (t, phi, theta, psi), got {path.shape}")
+    bad = np.flatnonzero(~np.isfinite(path).all(axis=1))
+    if bad.size:
+        raise NotFinite(f"path row {bad[0]} is not finite: {path[bad[0]].tolist()}")
     t = path[:, 0]
     dt = np.diff(t)
     if not (np.all(dt > 0) or np.all(dt < 0)):
@@ -148,16 +154,18 @@ def path_velocities(path: np.ndarray) -> np.ndarray:
 
 def geometric_phase(fv: FiducialVector, path: np.ndarray) -> float:
     """integral of kappa along a sampled path: composite trapezoid of the
-    kinetic term with finite-difference velocities.
+    kinetic term with finite-difference velocities, kappa evaluated at all
+    rows (raw angles, unfolded) in one array call.
 
     The raw line integral is returned (no 2pi reduction): for a closed
     latitude loop at fixed theta it converges to the enclosed-flux value,
     e.g. 2 pi m cos(theta) for a single-m fiducial vector.
 
-    Raises PathTooShort for fewer than two samples and TimesNotMonotone
-    unless the times are strictly monotone.
+    Raises PathTooShort for fewer than two samples, NotFinite for a
+    non-finite row and TimesNotMonotone unless the times are strictly
+    monotone.
     """
     path = np.asarray(path, dtype=float)
     vel = path_velocities(path)
-    vals = np.array([kinetic_term(fv, row[1:], v) for row, v in zip(path, vel)])
+    vals = (_kappa(fv, path[:, 2], path[:, 3]) * vel).sum(axis=1)
     return float(np.trapezoid(vals, path[:, 0]))

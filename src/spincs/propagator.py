@@ -39,23 +39,26 @@ are built in row blocks at every slice, overlaps included (see _m3_chain).
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+import math
 
 import numpy as np
 from numpy.linalg import matrix_power
 from scipy.linalg import expm
 
 from .coherent import (FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes,
-                       _grid_gram)
-from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotHermitian, NotNormalized,
-                     NumericalFailure, OrthogonalPair)
+                       _grid_gram, _states)
+from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotFinite, NotHermitian,
+                     NotNormalized, NumericalFailure, OrthogonalPair)
 from .geometry import geometric_phase, kinetic_term
-from .spin_core import EulerAngles, Spin, spin_operators, _angles_of
+from .spin_core import EulerAngles, Spin, spin_operators, _angles_of, _rotate
 
 _ZERO_OVERLAP = 1e-12
 _M3_GUARD = 0.5
 _HERMITICITY_TOL = 1e-12
 _MODES = ("M1", "M2", "M3")
 _KERNEL_BLOCK_ENTRIES = 1 << 21
+# bound on the entries of one stacked block of midpoint H(t) matrices
+_H_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,11 +84,9 @@ class MonomialTerm:
         object.__setattr__(self, "coeff", complex(self.coeff))
         if self.profile is not None:
             prof = tuple(self.profile)
-            if prof[0] == "cosine" and len(prof) == 3:
+            if len(prof) == 3 and prof[0] == "cosine":
                 prof = ("cosine", float(prof[1]), float(prof[2]))
-            elif prof[0] == "ramp" and len(prof) == 1:
-                pass
-            else:
+            elif not (len(prof) == 1 and prof[0] == "ramp"):
                 raise ValueError(f"unknown time profile {self.profile!r}")
             object.__setattr__(self, "profile", prof)
 
@@ -198,19 +199,29 @@ def hamiltonian_matrix(spec: HamiltonianSpec, t=0.0) -> np.ndarray:
     return h.reshape(t.shape + (spec.spin.dim,) * 2)
 
 
+def _h_expectations(spec: HamiltonianSpec, v: np.ndarray, t) -> np.ndarray:
+    """<v|H(t)|v> for rows v of shape (..., dim) at times t of shape (...),
+    as sum_p f_p(t) <v|H_p|v> over the per-profile H_p: O(dim^2) a row per
+    profile and O(rows * dim) memory, with no stack of H(t) matrices."""
+    e = np.zeros(np.shape(t))
+    for term, h in zip(spec._profiles, spec._h_parts):
+        e += term.factor(t) * np.vecdot(v, v @ h.reshape(v.shape[-1], -1).T).real
+    return e
+
+
 def h_expectation(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.0) -> float:
-    """<Omega|H(t)|Omega>, real for a Hermitian spec."""
-    v = coherent_state(fv, _as_angles(omega)).amplitudes
-    return float(np.real(np.vdot(v, hamiltonian_matrix(spec, t) @ v)))
+    """<Omega|H(t)|Omega>, real for a Hermitian spec: the one-row case of
+    the per-profile contraction that action_along_path runs on a path."""
+    return float(_h_expectations(spec, coherent_state(fv, _as_angles(omega)).amplitudes, t))
 
 
 def h_ratio(fv: FiducialVector, spec: HamiltonianSpec, omega2, omega1, t: float = 0.0) -> complex:
-    """<Omega2|H(t)|Omega1> / <Omega2|Omega1>.
+    """<Omega2|H(t)|Omega1> / <Omega2|Omega1>, both states from one rotation
+    call on the stacked (folded) angles.
 
     Raises OrthogonalPair when the overlap magnitude is at or below 1e-12.
     """
-    v2 = coherent_state(fv, _as_angles(omega2)).amplitudes
-    v1 = coherent_state(fv, _as_angles(omega1)).amplitudes
+    v2, v1 = _states(fv, (_as_angles(omega2), _as_angles(omega1)))
     o = complex(np.vdot(v2, v1))
     if abs(o) <= _ZERO_OVERLAP:
         raise OrthogonalPair(f"|<Omega2|Omega1>| = {abs(o):.3e} is too small to divide by")
@@ -221,13 +232,18 @@ def midpoint_product(spec: HamiltonianSpec, t_i: float, t_f: float, n_steps: int
                      hbar: float = 1.0) -> np.ndarray:
     """Product of n_steps midpoint-sampled matrix exponentials, the
     second-order building block of exact_propagator.  Time-independent
-    specs reduce to a single exponential raised to a power."""
+    specs reduce to a single exponential raised to a power; driven specs
+    take H at the midpoints from stacked hamiltonian_matrix calls, in blocks
+    of at most _H_BLOCK_ENTRIES entries."""
     eps = (t_f - t_i) / n_steps
     if not spec.time_dependent:
         return matrix_power(expm(-1j * eps / hbar * hamiltonian_matrix(spec, t_i)), n_steps)
+    block = max(1, _H_BLOCK_ENTRIES // spec.spin.dim ** 2)
     u = np.eye(spec.spin.dim, dtype=complex)
-    for j in range(n_steps):
-        u = expm(-1j * eps / hbar * hamiltonian_matrix(spec, t_i + (j + 0.5) * eps)) @ u
+    for start in range(0, n_steps, block):
+        j = np.arange(start, min(start + block, n_steps))
+        for h in hamiltonian_matrix(spec, t_i + (j + 0.5) * eps):
+            u = expm(-1j * eps / hbar * h) @ u
     return u
 
 
@@ -361,7 +377,9 @@ def _slice_hamiltonians(spec: HamiltonianSpec, t_i: float, eps: float, n_slices:
 
 
 def _check_grid(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid,
-                n_slices: int, mode: str):
+                t_i: float, t_f: float, n_slices: int, mode: str):
+    if not (math.isfinite(t_i) and math.isfinite(t_f)):
+        raise NotFinite(f"t_i={t_i} and t_f={t_f} must be finite")
     if spec.spin != fv.spin:
         raise LengthMismatch(f"spec spin {spec.spin} differs from fiducial spin {fv.spin}")
     if grid.exact_two_s < fv.spin.two_s:
@@ -379,7 +397,7 @@ def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, k
     chain, from ket_i to ket_f; grid_ends inserts the resolution at both ends
     too.  Returns the amplitude, the M3 fallback count and fraction, and the
     M1/M2 P."""
-    _check_grid(fv, spec, grid, n_slices, mode)
+    _check_grid(fv, spec, grid, t_i, t_f, n_slices, mode)
     eps = (t_f - t_i) / (n_slices + 1)
     h = _slice_hamiltonians(spec, t_i, eps, n_slices)
     # a static spec's one matrix is broadcast over the slices, not copied
@@ -433,8 +451,7 @@ def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
     omega_i) up to roundoff for any slice count, since each grid sum is an
     exact resolution of unity.
     """
-    amps_i = coherent_state(fv, _as_angles(omega_i)).amplitudes
-    amps_f = coherent_state(fv, _as_angles(omega_f)).amplitudes
+    amps_i, amps_f = _states(fv, (_as_angles(omega_i), _as_angles(omega_f)))
     amplitude, n_zeroed, fallback, p = _path_sum(fv, spec, grid, amps_i, amps_f, t_i, t_f,
                                                  n_slices, mode, hbar, grid_ends=False)
     error = None if oracle is None else float(abs(amplitude - np.vdot(amps_f, oracle @ amps_i)))
@@ -473,10 +490,13 @@ def infinitesimal_overlap(fv: FiducialVector, omega, delta_omega) -> complex:
 def action_along_path(fv: FiducialVector, spec: HamiltonianSpec, path,
                       hbar: float = 1.0) -> float:
     """hbar * geometric_phase(fv, path) - the trapezoid integral of <H>
-    along a sampled path of rows (t, phi, theta, psi).  Raises PathTooShort
-    below 2 samples and TimesNotMonotone unless the times are strictly
-    monotone."""
+    along a sampled path of rows (t, phi, theta, psi).  The states of all
+    rows come from one rotation at the raw angles (<H> is blind to the sign
+    a fold flips at half-integer spin), and <H> in O(rows * dim) memory.
+    Raises PathTooShort below 2 samples, NotFinite for a non-finite row and
+    TimesNotMonotone unless the times are strictly monotone."""
     path = np.asarray(path, dtype=float)
     kinetic = geometric_phase(fv, path)
-    energies = [h_expectation(fv, spec, row[1:], row[0]) for row in path]
+    v = _rotate(fv.spin.two_s, path[:, 1], path[:, 2], path[:, 3], fv.coeffs)
+    energies = _h_expectations(spec, v, path[:, 0])
     return float(hbar * kinetic - np.trapezoid(energies, path[:, 0]))

@@ -5,10 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import basis_fv, random_fv, random_omega, rng_for
-from spincs import (HamiltonianSpec, MonomialTerm, PathTooShort, Spin, TimesNotMonotone,
-                    action_along_path, coherent_state, gauge_potential, geometric_phase,
-                    kinetic_term, make_fiducial, one_form, path_velocities, structure_pair,
-                    two_form)
+from spincs import (HamiltonianSpec, MonomialTerm, NotFinite, PathTooShort, Spin,
+                    TimesNotMonotone, action_along_path, coherent_state, gauge_potential,
+                    geometric_phase, kinetic_term, make_fiducial, one_form, path_velocities,
+                    structure_pair, two_form)
 
 
 def _fd_kinetic(fv, omega, omega_dot, h=1e-6):
@@ -141,6 +141,21 @@ def test_repeated_or_unordered_times_raise():
             geometric_phase(fv, path)
         with pytest.raises(TimesNotMonotone):
             action_along_path(fv, spec, path)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_path_row_raises(column, bad):
+    # a NaN row made geometric_phase and action_along_path return nan
+    fv = random_fv(Spin(2), rng_for(38))
+    spec = HamiltonianSpec(Spin(2), (MonomialTerm(0, 1, 0, 1.0),))
+    t = np.linspace(0.0, 1.0, 6)
+    path = np.column_stack([t, t, 0.9 + t, 0.1 * t])
+    path[3, column] = bad
+    for call in (path_velocities, lambda p: geometric_phase(fv, p),
+                 lambda p: action_along_path(fv, spec, p)):
+        with pytest.raises(NotFinite, match="row 3"):
+            call(path)
 
 
 def test_reversed_path_negates_phase():

@@ -10,12 +10,13 @@ from conftest import (dense_gram, jittered_grid, lowest_fv, random_fv, random_om
                       rng_for)
 from spincs import coherent, propagator
 from spincs import (EulerAngles, GridCoarseWarning, GridTooCoarse, HamiltonianSpec,
-                    LengthMismatch, MonomialTerm, NotHermitian, NotNormalized,
+                    LengthMismatch, MonomialTerm, NotFinite, NotHermitian, NotNormalized,
                     OrthogonalPair, QuadratureGrid, Spin, action_along_path, build_grid,
-                    coherent_state, discrete_cspi, exact_propagator, geometric_phase,
-                    grid_amplitudes, h_expectation, h_ratio, hamiltonian_matrix,
-                    infinitesimal_overlap, midpoint_product, overlap,
-                    resolution_residual, spin_operators, transition_amplitude)
+                    coherent_state, discrete_cspi, exact_propagator, generating_function,
+                    geometric_phase, grid_amplitudes, h_expectation, h_ratio,
+                    hamiltonian_matrix, infinitesimal_overlap, midpoint_product, overlap,
+                    path_velocities, resolution_residual, spin_operators, structure_pair,
+                    transition_amplitude)
 
 
 def _precession_spec(spin):
@@ -32,6 +33,9 @@ def test_monomial_term_validation():
         MonomialTerm(0, 0.5, 0, 1.0)
     with pytest.raises(ValueError):
         MonomialTerm(0, 1, 0, 1.0, profile=("sawtooth",))
+    # an empty profile tuple was an IndexError from reading its first entry
+    with pytest.raises(ValueError, match="unknown time profile"):
+        MonomialTerm(0, 1, 0, 1.0, profile=())
 
 
 def test_monomial_time_profiles():
@@ -155,7 +159,31 @@ def test_h_ratio_builds_each_state_once(monkeypatch):
 
     monkeypatch.setattr(coherent, "_rotate", counting)
     h_ratio(fv, _precession_spec(spin), random_omega(rng), random_omega(rng))
-    assert len(calls) == 2
+    # one rotation call whose angle arrays carry both states' rows
+    assert len(calls) == 1
+    assert all(np.shape(angle) == (2,) for angle in calls[0][1:4])
+
+
+@pytest.mark.parametrize("call", [
+    lambda fv, a, b: overlap(fv, a, b),
+    lambda fv, a, b: generating_function(fv, a, b, 0.1, 0.2j, -0.3),
+    lambda fv, a, b: discrete_cspi(fv, HamiltonianSpec(fv.spin), a, b, 0.0, 1.0, 2,
+                                   build_grid(fv.spin)),
+], ids=["overlap", "generating_function", "discrete_cspi"])
+def test_state_pairs_take_one_rotation(monkeypatch, call):
+    rng = rng_for(64)
+    fv = random_fv(Spin(3), rng)
+    calls = []
+    rotate = coherent._rotate
+
+    def counting(*args):
+        calls.append(args)
+        return rotate(*args)
+
+    monkeypatch.setattr(coherent, "_rotate", counting)
+    call(fv, random_omega(rng), random_omega(rng))
+    assert len(calls) == 1
+    assert all(np.shape(angle) == (2,) for angle in calls[0][1:4])
 
 
 def test_h_ratio_orthogonal_pair():
@@ -635,3 +663,87 @@ def test_action_kinetic_piece_scales_with_hbar():
     s2 = action_along_path(fv, zero, path, hbar=2.0)
     assert_allclose(s2, 2.0 * s1, rtol=1e-12)
     assert_allclose(s1, geometric_phase(fv, path), rtol=1e-12)
+
+
+def _path_specs(spin):
+    cos = ("cosine", 2.5, 0.3)
+    return {
+        "static": _precession_spec(spin),
+        "cosine": HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0),
+                                         MonomialTerm(1, 0, 0, 0.3, cos),
+                                         MonomialTerm(0, 0, 1, 0.3, cos))),
+        "ramp": HamiltonianSpec(spin, (MonomialTerm(0, 2, 0, 0.4, ("ramp",)),)),
+        "mixed": HamiltonianSpec(spin, (MonomialTerm(0, 2, 0, 0.5),
+                                        MonomialTerm(1, 0, 0, 0.2, ("ramp",)),
+                                        MonomialTerm(0, 0, 1, 0.2, ("ramp",)),
+                                        MonomialTerm(1, 1, 0, 0.1, cos),
+                                        MonomialTerm(0, 1, 1, 0.1, cos))),
+        "empty": HamiltonianSpec(spin),
+    }
+
+
+def _loop_phase_and_action(fv, spec, path, hbar):
+    """The per-sample reference: kappa from the structure pair and <H> from
+    the dense H(t) between folded coherent states, one row at a time."""
+    a0, b0 = structure_pair(fv)
+    kinetic, energies = [], []
+    for (t, phi, theta, psi), (dphi, dtheta, dpsi) in zip(path, path_velocities(path)):
+        b = complex(np.exp(1j * psi) * b0)
+        kinetic.append((a0 * math.cos(theta) - b.real * math.sin(theta)) * dphi
+                       + b.imag * dtheta + a0 * dpsi)
+        v = coherent_state(fv, EulerAngles(phi, theta, psi)).amplitudes
+        energies.append(np.vdot(v, hamiltonian_matrix(spec, t) @ v).real)
+    phase = np.trapezoid(kinetic, path[:, 0])
+    return phase, hbar * phase - np.trapezoid(energies, path[:, 0])
+
+
+@pytest.mark.parametrize("two_s", [2, 3])
+@pytest.mark.parametrize("kind", ["static", "cosine", "ramp", "mixed", "empty"])
+def test_path_functions_match_per_sample_loops(two_s, kind):
+    rng = rng_for(70, two_s)
+    spin = Spin(two_s)
+    fv = random_fv(spin, rng)
+    spec = _path_specs(spin)[kind]
+    t = np.linspace(-0.4, 1.1, 37)
+    for theta in (0.0, math.pi, 4.1, -0.5):
+        # raw angles: psi and phi run past 2 pi, theta starts at its raw value
+        path = np.column_stack([t, 0.3 + 5.0 * t, theta + 0.2 * np.sin(2.0 * t), -1.0 + 6.0 * t])
+        for rows in (path, path[::-1], path[:2], path[::-1][:2]):
+            phase, action = _loop_phase_and_action(fv, spec, rows, hbar=0.7)
+            span = abs(rows[-1, 0] - rows[0, 0])
+            h_norm = max(np.linalg.norm(hamiltonian_matrix(spec, ti), 2) for ti in rows[:, 0])
+            assert abs(geometric_phase(fv, rows) - phase) <= 1e-14 * max(1.0, abs(phase))
+            assert (abs(action_along_path(fv, spec, rows, hbar=0.7) - action)
+                    <= 1e-14 * max(1.0, h_norm * span))
+
+
+def test_action_memory_is_linear_in_samples():
+    # the (20000, 33, 33) stack of H(t) alone would be 348 MB
+    rng = rng_for(71)
+    spin = Spin(32)
+    fv = random_fv(spin, rng)
+    spec = _path_specs(spin)["mixed"]
+    t = np.linspace(0.0, 2.0, 20000)
+    path = np.column_stack([t, 0.3 + 2.0 * t, 1.1 + 0.4 * np.sin(3.0 * t), -1.0 + 3.0 * t])
+    tracemalloc.start()
+    try:
+        value = action_along_path(fv, spec, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert np.isfinite(value)
+
+
+@pytest.mark.parametrize("t_i, t_f", [(0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)])
+def test_non_finite_times_raise_not_finite(t_i, t_f):
+    # t_f = nan was a NumericalFailure that blamed a near-orthogonal pair
+    spin = Spin(2)
+    fv = random_fv(spin, rng_for(72))
+    spec = _precession_spec(spin)
+    grid = build_grid(spin)
+    for mode in ("M1", "M3"):
+        with pytest.raises(NotFinite, match="must be finite"):
+            discrete_cspi(fv, spec, (0.1, 0.2, 0.3), (0.4, 0.5, 0.6), t_i, t_f, 2, grid, mode)
+        with pytest.raises(NotFinite):
+            transition_amplitude(fv, spec, fv.coeffs, fv.coeffs, t_i, t_f, grid, 2, mode)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
-import spincs.geometry
+import spincs.coherent
 import spincs.propagator
 import spincs.semiclassical
 from spincs import (HamiltonianSpec, InconsistentSystem, MonomialTerm, Spin,
@@ -202,7 +202,7 @@ def test_closed_form_matches_lstsq(monkeypatch, hbar, n_norm):
         a1, a4 = -x, y / math.sin(theta)
         a0 = (z - a1 * math.cos(theta)) / math.sin(theta)
         pair = (a0, complex(np.exp(-1j * psi) * (a1 + 1j * a4)))
-        monkeypatch.setattr(spincs.geometry, "structure_pair", lambda fv, pair=pair: pair)
+        monkeypatch.setattr(spincs.coherent, "structure_pair", lambda fv, pair=pair: pair)
         sys = build_system(fv, _field_spec(spin, bx=0.4), (0.3, theta, psi), hbar=hbar)
         tol = 1e-10 * max(1.0, np.abs(sys.m).max())
         assert sys.rank == np.linalg.matrix_rank(sys.m, tol=tol)
