@@ -21,8 +21,8 @@ import warnings
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotNormalized,
-                     ZeroVector)
+from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotFinite,
+                     NotNormalized, ZeroVector)
 from .spin_core import (EulerAngles, Spin, ladder_factor, spin_operators, _angles_of, _rotate,
                         _s2_eigensystem)
 
@@ -274,8 +274,11 @@ def build_grid(spin_max: Spin, oversample: float = 1.2) -> QuadratureGrid:
     """Product grid sized for exact integration at spin <= spin_max:
     n_theta = ceil(ov (2 s_max + 2)), n_phi = n_psi = ceil(ov (4 s_max + 3)).
     The theta nodes and weights are the cached Gauss-Legendre rule of that
-    size, shared read-only by every grid with the same n_theta.
+    size, shared read-only by every grid with the same n_theta.  Raises
+    NotFinite for a NaN or infinite oversample and ValueError below 1.
     """
+    if not math.isfinite(oversample):
+        raise NotFinite(f"oversample={oversample} must be finite")
     if oversample < 1.0:
         raise ValueError("oversample must be >= 1")
     two_s = spin_max.two_s

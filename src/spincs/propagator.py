@@ -31,8 +31,10 @@ overlap.  The M3 kernel does not factorize through the spin space, so its
 chain runs over grid-indexed vectors; it falls back to the product form
 wherever |eps*h/o| is not small (see _kernel_entries).  When its G x G
 kernel fits in one row block, what H does not touch (the overlaps, the
-guard bound |o|/2 and 1/o) is computed once per call, and each slice costs
-one matmul for the H elements and one masked exp per entry; a
+guard bound |o|/2 and 1/o) is computed once per call with the scratch
+arrays every slice reuses, and each slice costs one matmul for the H
+elements and a few float64 passes per entry, with no complex exp or
+complex division (_exp_small takes exp(y) from real tan and exp); a
 time-independent H builds the kernel itself once per call.  Larger kernels
 are built in row blocks at every slice, overlaps included (see _m3_chain).
 """
@@ -40,6 +42,7 @@ are built in row blocks at every slice, overlaps included (see _m3_chain).
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import matrix_power
@@ -211,7 +214,9 @@ def _h_expectations(spec: HamiltonianSpec, v: np.ndarray, t) -> np.ndarray:
 
 def h_expectation(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.0) -> float:
     """<Omega|H(t)|Omega>, real for a Hermitian spec: the one-row case of
-    the per-profile contraction that action_along_path runs on a path."""
+    the per-profile contraction that action_along_path runs on a path.
+    Raises LengthMismatch unless the spec's spin is the fiducial's."""
+    _check_spin(fv, spec)
     return float(_h_expectations(spec, coherent_state(fv, _as_angles(omega)).amplitudes, t))
 
 
@@ -219,8 +224,10 @@ def h_ratio(fv: FiducialVector, spec: HamiltonianSpec, omega2, omega1, t: float 
     """<Omega2|H(t)|Omega1> / <Omega2|Omega1>, both states from one rotation
     call on the stacked (folded) angles.
 
-    Raises OrthogonalPair when the overlap magnitude is at or below 1e-12.
+    Raises OrthogonalPair when the overlap magnitude is at or below 1e-12,
+    LengthMismatch unless the spec's spin is the fiducial's.
     """
+    _check_spin(fv, spec)
     v2, v1 = _states(fv, (_as_angles(omega2), _as_angles(omega1)))
     o = complex(np.vdot(v2, v1))
     if abs(o) <= _ZERO_OVERLAP:
@@ -277,37 +284,82 @@ def _as_angles(omega) -> EulerAngles:
     return omega if isinstance(omega, EulerAngles) else EulerAngles(*omega)
 
 
-def _pair_terms(dst: np.ndarray, src: np.ndarray):
-    """The parts of the M3 kernel from the states src to the states dst
-    (rows of amplitudes) that H does not touch: the overlaps o[g, g'] =
-    <dst[g]|src[g']>, the guard bound |o|/2 and 1/o (0 where o = 0)."""
-    o = dst.conj() @ src.T
-    inv = np.zeros_like(o)
-    np.divide(1.0, o, out=inv, where=o != 0)
-    return o, np.abs(o) * _M3_GUARD, inv
+class _PairTerms(NamedTuple):
+    """What the M3 kernel from the states src to the states dst (rows of
+    amplitudes) takes from the pair alone, and the scratch that every
+    _kernel_entries call on the pair reuses; see _pair_terms."""
+
+    bra: np.ndarray    # the conjugated dst rows
+    o: np.ndarray      # overlaps o[g, g'] = <dst[g]|src[g']>
+    bound: np.ndarray  # the guard bound |o|/2
+    inv: np.ndarray    # 1/o, 0 where o = 0
+    x: np.ndarray      # complex scratch: the scaled H elements, then the kernel
+    f: np.ndarray      # (3,) + o.shape float scratch
 
 
-def _kernel_entries(pair, x: np.ndarray):
+def _pair_terms(dst: np.ndarray, src: np.ndarray) -> _PairTerms:
+    """The parts of the M3 kernel from the states src to the states dst that
+    H does not touch, with the scratch of every slice that shares them.
+    1/o is conj(o) (1/|o|) (1/|o|) from one real reciprocal, which neither
+    divides complex numbers nor squares |o| (that would underflow for
+    |o| < 1e-154)."""
+    bra = dst.conj()
+    o = bra @ src.T
+    f = np.empty((3,) + o.shape)
+    r = np.abs(o, out=f[0])
+    bound = r * _M3_GUARD
+    np.divide(1.0, r, out=r, where=r != 0)
+    inv = o.conj()
+    inv *= r
+    inv *= r
+    return _PairTerms(bra, o, bound, inv, np.empty_like(o), f)
+
+
+def _exp_small(y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """exp(y) in place for complex y with |Im y| < pi, by float64 tan and
+    exp only: exp(a + ib) = e^a (1 - t^2 + 2it) / (1 + t^2) with t =
+    tan(b/2).  Unlike complex exp, sin and cos, those two run vectorized;
+    the M3 exponents (|y| < 1/2) agree with np.exp to 7e-16 relative.  f is
+    float scratch of shape (3,) + y.shape."""
+    e, t, d = f
+    np.multiply(y.imag, 0.5, out=t)
+    np.tan(t, out=t)
+    np.copyto(e, y.real)  # exp on a strided view runs at a third of the speed
+    np.exp(e, out=e)
+    np.square(t, out=d)
+    d += 1.0
+    e /= d
+    np.subtract(2.0, d, out=d)
+    np.multiply(e, d, out=y.real)
+    t += t
+    np.multiply(e, t, out=y.imag)
+    return y
+
+
+def _kernel_entries(pair: _PairTerms, x: np.ndarray):
     """Elementwise M3 short-time kernel from the pair terms of _pair_terms
-    and the scaled elements x = -i (eps/hbar) <''|H|'>, which it overwrites.
+    and the scaled elements x = -i (eps/hbar) <''|H|'>, which it overwrites
+    with the kernel and returns, with the count of linearized entries.
 
     The exponentiated ratio o*exp(x/o) is used only where |x| < |o|/2 (the
     regime where it approximates the product form o + x to O(eps^2) per
     entry) and the linearized form elsewhere, which keeps near-orthogonal
-    pairs from blowing up exp; the returned counter reports the linearized
-    entries.  Symmetric grids do hit exact overlap zeros on a
-    non-negligible pair fraction for low spin, so dropping such entries
-    outright would leave a slice-count-independent bias in the chain.  One
-    pass each for the guard, the linear form, the ratio x*(1/o), the
-    masked exp and the masked product with o.
+    pairs from blowing up exp.  Symmetric grids do hit exact overlap zeros
+    on a non-negligible pair fraction for low spin, so dropping such entries
+    outright would leave a slice-count-independent bias in the chain.  The
+    linearized entries (0.2-16% of them in M3 chains at two_s 1-2) are
+    gathered and their exponents zeroed before _exp_small, so no entry can
+    overflow; every other pass runs over the whole array in the pair's
+    scratch: the guard, the ratio x*(1/o), the exp and the product with o.
     """
-    o, bound, inv = pair
-    safe = np.abs(x) < bound
-    k = o + x
-    np.multiply(x, inv, out=x)
-    np.exp(x, out=x, where=safe)
-    np.multiply(o, x, out=k, where=safe)
-    return k, int(x.size - np.count_nonzero(safe))
+    fall = np.flatnonzero(~(np.abs(x, out=pair.f[0]) < pair.bound))
+    linear = np.take(pair.o, fall) + np.take(x, fall)
+    np.multiply(x, pair.inv, out=x)
+    np.put(x, fall, 0.0)
+    _exp_small(x, pair.f)
+    x *= pair.o
+    np.put(x, fall, linear)
+    return x, len(fall)
 
 
 def _kernel_step(dst: np.ndarray, src: np.ndarray, h: np.ndarray, c: np.ndarray,
@@ -316,17 +368,16 @@ def _kernel_step(dst: np.ndarray, src: np.ndarray, h: np.ndarray, c: np.ndarray,
     state src[g'] to the state dst[g] (rows of amplitudes), built in row
     blocks of at most _KERNEL_BLOCK_ENTRIES entries to bound memory.  pair
     is the _pair_terms of (dst, src) computed by the caller, given only when
-    K fits in one block; without it each block computes its own.  Returns
-    K @ c, the fallback count and the last row block of K (all of K when it
-    fit in one block)."""
+    K fits in one block; without it each block computes its own.  K is
+    built in the pair's scratch x.  Returns K @ c, the fallback count and
+    the last row block of K (all of K when it fit in one block)."""
     h_src = ((-1j * eps_over_hbar) * h) @ src.T
     out = np.empty(len(dst), dtype=complex)
     zeroed = 0
     block = max(1, _KERNEL_BLOCK_ENTRIES // len(src))
     for start in range(0, len(dst), block):
-        rows = dst[start:start + block]
-        k, z = _kernel_entries(pair if pair is not None else _pair_terms(rows, src),
-                               rows.conj() @ h_src)
+        terms = pair if pair is not None else _pair_terms(dst[start:start + block], src)
+        k, z = _kernel_entries(terms, np.matmul(terms.bra, h_src, out=terms.x))
         zeroed += z
         out[start:start + block] = k @ c
     return out, zeroed, k
@@ -340,14 +391,15 @@ def _m3_chain(nodes, hs, c: np.ndarray, eps_over_hbar: float, static: bool):
 
     What H does not touch is computed once per call: when the grid-to-grid
     kernel fits in one row block, the pair terms (overlaps, guard bound,
-    1/o) of the grid with itself are built at the first grid-to-grid step
-    and serve every later one.  Per slice there remain one matmul for the
-    scaled H elements and one masked exp (see _kernel_entries).  When
-    static (every hs[j] is the same H) a one-block grid-to-grid kernel is
-    itself reused, with its fallback count, at the rest of the steps.
-    Above one row block every step builds its kernel, pair terms included,
-    block by block.  A reused kernel counts its entries and fallbacks once
-    per use.
+    1/o, scratch) of the grid with itself are built at the first
+    grid-to-grid step and serve every later one.  Per slice there remain
+    one matmul for the scaled H elements and the entry passes of
+    _kernel_entries, all in that scratch.  When static (every hs[j] is the
+    same H) a one-block grid-to-grid kernel is itself reused, with its
+    fallback count, at the rest of the steps; no later step rebuilds it, so
+    it can stay in the pair's scratch.  Above one row block every step
+    builds its kernel, pair terms included, block by block.  A reused
+    kernel counts its entries and fallbacks once per use.
     """
     zeroed, entries, pair, kept = 0, 0, None, None
     for (src, w), (dst, _), h in zip(nodes, nodes[1:], hs):
@@ -376,12 +428,20 @@ def _slice_hamiltonians(spec: HamiltonianSpec, t_i: float, eps: float, n_slices:
     return hamiltonian_matrix(spec, t_i + eps * np.arange(n_slices + 1))
 
 
-def _check_grid(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid,
-                t_i: float, t_f: float, n_slices: int, mode: str):
-    if not (math.isfinite(t_i) and math.isfinite(t_f)):
-        raise NotFinite(f"t_i={t_i} and t_f={t_f} must be finite")
+def _check_spin(fv: FiducialVector, spec: HamiltonianSpec):
     if spec.spin != fv.spin:
         raise LengthMismatch(f"spec spin {spec.spin} differs from fiducial spin {fv.spin}")
+
+
+def _check_grid(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid,
+                t_i: float, t_f: float, n_slices: int, mode: str, hbar: float):
+    if not (math.isfinite(t_i) and math.isfinite(t_f)):
+        raise NotFinite(f"t_i={t_i} and t_f={t_f} must be finite")
+    if not math.isfinite(hbar):
+        raise NotFinite(f"hbar={hbar} must be finite")
+    if hbar <= 0:
+        raise ValueError(f"hbar must be > 0, got {hbar}")
+    _check_spin(fv, spec)
     if grid.exact_two_s < fv.spin.two_s:
         raise GridTooCoarse(
             f"grid exact through two_s={grid.exact_two_s}, need {fv.spin.two_s}")
@@ -397,7 +457,7 @@ def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, k
     chain, from ket_i to ket_f; grid_ends inserts the resolution at both ends
     too.  Returns the amplitude, the M3 fallback count and fraction, and the
     M1/M2 P."""
-    _check_grid(fv, spec, grid, t_i, t_f, n_slices, mode)
+    _check_grid(fv, spec, grid, t_i, t_f, n_slices, mode, hbar)
     eps = (t_f - t_i) / (n_slices + 1)
     h = _slice_hamiltonians(spec, t_i, eps, n_slices)
     # a static spec's one matrix is broadcast over the slices, not copied
@@ -493,8 +553,10 @@ def action_along_path(fv: FiducialVector, spec: HamiltonianSpec, path,
     along a sampled path of rows (t, phi, theta, psi).  The states of all
     rows come from one rotation at the raw angles (<H> is blind to the sign
     a fold flips at half-integer spin), and <H> in O(rows * dim) memory.
-    Raises PathTooShort below 2 samples, NotFinite for a non-finite row and
-    TimesNotMonotone unless the times are strictly monotone."""
+    Raises PathTooShort below 2 samples, NotFinite for a non-finite row,
+    TimesNotMonotone unless the times are strictly monotone and
+    LengthMismatch unless the spec's spin is the fiducial's."""
+    _check_spin(fv, spec)
     path = np.asarray(path, dtype=float)
     kinetic = geometric_phase(fv, path)
     v = _rotate(fv.spin.two_s, path[:, 1], path[:, 2], path[:, 3], fv.coeffs)

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from conftest import (basis_fv, dense_gram, jittered_grid, lowest_fv, random_fv,
                       random_omega, rng_for)
 from spincs import (AmplitudesTooLarge, EulerAngles, GridCoarseWarning, LengthMismatch,
-                    NotNormalized, Spin, ZeroVector, big_r, build_grid, coherent_state,
+                    NotFinite, NotNormalized, Spin, ZeroVector, big_r, build_grid, coherent_state,
                     generating_function, grid_amplitudes, make_fiducial,
                     euler_from_su2, matrix_elements, overlap, resolution_residual,
                     spin_operators, structure_pair, su2_matrix)
@@ -142,6 +142,14 @@ def test_grid_weights_and_exactness_window():
     assert grid.exact_two_s >= 4
     with pytest.raises(ValueError):
         build_grid(Spin(2), oversample=0.5)
+
+
+@pytest.mark.parametrize("oversample", [math.nan, math.inf])
+def test_build_grid_non_finite_oversample(oversample):
+    # nan failed in int() ("cannot convert float NaN to integer"), inf with
+    # an OverflowError
+    with pytest.raises(NotFinite, match="oversample"):
+        build_grid(Spin(2), oversample)
 
 
 def test_build_grid_shares_read_only_gauss_legendre_rule():

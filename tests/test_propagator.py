@@ -186,6 +186,19 @@ def test_state_pairs_take_one_rotation(monkeypatch, call):
     assert all(np.shape(angle) == (2,) for angle in calls[0][1:4])
 
 
+@pytest.mark.parametrize("call", [
+    lambda fv, spec: h_expectation(fv, spec, (0.1, 0.2, 0.3)),
+    lambda fv, spec: h_ratio(fv, spec, (0.1, 0.2, 0.3), (0.4, 0.5, 0.6)),
+    lambda fv, spec: action_along_path(fv, spec, [[0.0, 0.1, 0.2, 0.3], [1.0, 0.4, 0.5, 0.6]]),
+], ids=["h_expectation", "h_ratio", "action_along_path"])
+def test_spin_mismatch_raises_length_mismatch(call):
+    # a Spin(2) fiducial with a Spin(4) spec raised a bare numpy ValueError
+    # from the matmul or a reshape
+    fv = random_fv(Spin(2), rng_for(65))
+    with pytest.raises(LengthMismatch, match="differs from fiducial spin"):
+        call(fv, _precession_spec(Spin(4)))
+
+
 def test_h_ratio_orthogonal_pair():
     spin = Spin(1)
     fv = lowest_fv(spin)
@@ -387,15 +400,19 @@ def _driven_spec(spin):
                                   MonomialTerm(0, 0, 1, 0.3, ("cosine", 1.7, 0.2))))
 
 
-@pytest.mark.parametrize("two_s", [1, 2])
+@pytest.mark.parametrize("two_s, fiducial", [pytest.param(1, "random", id="1"),
+                                             pytest.param(2, "random", id="2"),
+                                             pytest.param(1, "lowest", id="1-lowest")])
 @pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
-def test_transition_m3_matches_dense_grid_chain(two_s, driven):
+def test_transition_m3_matches_dense_grid_chain(two_s, fiducial, driven):
     # explicit G x G kernels from the grid amplitudes, with the same
     # |eps h / o| < 1/2 guard, chained c <- K_j w c from the grid overlaps of
-    # ket_i and read out against those of ket_f
+    # ket_i and read out against those of ket_f.  The lowest-weight
+    # fiducial at two_s=1 has antipodal grid pairs whose overlap is zero up
+    # to roundoff, where 1/o is about 1e17.
     rng = rng_for(61, two_s, driven)
     spin = Spin(two_s)
-    fv = random_fv(spin, rng)
+    fv = lowest_fv(spin) if fiducial == "lowest" else random_fv(spin, rng)
     spec = _driven_spec(spin) if driven else _precession_spec(spin)
     grid = build_grid(spin)
     ket_i, ket_f = random_fv(spin, rng).coeffs, random_fv(spin, rng).coeffs
@@ -412,8 +429,43 @@ def test_transition_m3_matches_dense_grid_chain(two_s, driven):
         kernel[safe] = o[safe] * np.exp(-1j * eps * h[safe] / o[safe])
         c = kernel @ (w * c)
     expected = (a @ ket_f.conj()) @ (w * c)
+    if fiducial == "lowest":
+        assert np.any(np.abs(o) < 1e-16)
     amp = transition_amplitude(fv, spec, ket_i, ket_f, 0.0, t_f, grid, n, "M3")
     assert abs(amp - expected) < 1e-13
+
+
+def test_kernel_entries_at_exact_zero_overlaps():
+    # orthogonal basis states give o = 0 exactly, where 1/o is taken as 0
+    # and the entry must be the linear form o + x, with no warning; |x| at
+    # exactly |o|/2 is linearized too
+    dst = np.array([[1.0, 0.0], [0.6, 0.8j]])
+    src = np.array([[0.0, 1.0], [1.0, 0.0], [0.8, 0.6]])
+    x = np.array([[0.3j, -0.1, 0.02 - 0.01j], [0.4, 1e-3j, -0.2]])
+    o = dst.conj() @ src.T
+    assert o[0, 0] == 0 and abs(x[1, 0]) == abs(o[1, 0]) / 2
+    safe = np.abs(x) < 0.5 * np.abs(o)
+    expected = np.where(safe, o * np.exp(np.divide(x, o, where=safe, out=np.zeros_like(x))),
+                        o + x)
+    k, zeroed = propagator._kernel_entries(propagator._pair_terms(dst, src), x.copy())
+    assert zeroed == np.count_nonzero(~safe) == 2
+    assert np.max(np.abs(k - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("y", [
+    np.linspace(-0.5, 0.5, 201),
+    1j * np.linspace(-0.5, 0.5, 201),
+    np.add.outer(np.linspace(-0.5, 0.5, 41), 1j * np.linspace(-0.5, 0.5, 41)),
+    np.array([0.5 + 0.5j, 0.5 - 0.5j, -0.5 + 0.5j, -0.5 - 0.5j, 0.0]),
+], ids=["real", "imaginary", "square", "corners"])
+def test_exp_small_matches_np_exp(y):
+    # the M3 guard keeps |y| < 1/2; y = 0 (a linearized entry) must give
+    # exactly 1, which the kernel's product with o relies on
+    y = np.asarray(y, dtype=complex)
+    expected = np.exp(y)
+    got = propagator._exp_small(y.copy(), np.empty((3,) + y.shape))
+    assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-15
+    assert np.all(got[y == 0] == 1.0)
 
 
 def _dense_fallback_count(nodes, hs, eps):
@@ -747,3 +799,21 @@ def test_non_finite_times_raise_not_finite(t_i, t_f):
             discrete_cspi(fv, spec, (0.1, 0.2, 0.3), (0.4, 0.5, 0.6), t_i, t_f, 2, grid, mode)
         with pytest.raises(NotFinite):
             transition_amplitude(fv, spec, fv.coeffs, fv.coeffs, t_i, t_f, grid, 2, mode)
+
+
+@pytest.mark.parametrize("hbar, error", [(0.0, ValueError), (-1.0, ValueError),
+                                         (math.nan, NotFinite), (math.inf, NotFinite)])
+def test_chain_hbar_is_checked(hbar, error):
+    # hbar=0 raised ZeroDivisionError, and hbar=nan a NumericalFailure that
+    # blamed a near-orthogonal pair
+    spin = Spin(1)
+    fv = random_fv(spin, rng_for(73))
+    spec = _precession_spec(spin)
+    grid = build_grid(spin)
+    for mode in ("M1", "M3"):
+        with pytest.raises(error, match="hbar"):
+            discrete_cspi(fv, spec, (0.1, 0.2, 0.3), (0.4, 0.5, 0.6), 0.0, 1.0, 2, grid, mode,
+                          hbar=hbar)
+        with pytest.raises(error, match="hbar"):
+            transition_amplitude(fv, spec, fv.coeffs, fv.coeffs, 0.0, 1.0, grid, 2, mode,
+                                 hbar=hbar)
