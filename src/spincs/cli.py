@@ -29,8 +29,8 @@ import time
 
 import numpy as np
 
-from .coherent import (FiducialVector, build_grid, coherent_state, make_fiducial, overlap,
-                       random_fiducial, resolution_residual, structure_pair, _grid_gram)
+from .coherent import (FiducialVector, build_grid, make_fiducial, overlap, random_fiducial,
+                       resolution_residual, structure_pair, _grid_gram, _states)
 from .contraction import (annihilation_degree_residual, canonical_cs,
                           ccs_kinetic_term, ccs_resolution_residual,
                           displacement_matrix, dns_amplitudes, dns_number_check,
@@ -41,7 +41,8 @@ from .geometry import (gauge_potential, geometric_phase, kinetic_term, one_form,
 from .parametrizations import (ZCoords, kinetic_term_a, kinetic_term_z, omega_to_a,
                                omega_to_z)
 from .propagator import (HamiltonianSpec, MonomialTerm, action_along_path,
-                         discrete_cspi, exact_propagator, infinitesimal_overlap, _MODES)
+                         discrete_cspi, exact_propagator, infinitesimal_overlap, _MODES,
+                         _PROFILES)
 from .semiclassical import integrate_trajectory
 from .spin_core import (EulerAngles, Spin, big_r, compose_euler, invert_euler,
                         little_d)
@@ -224,17 +225,13 @@ def _build_hamiltonian(spin: Spin, node) -> HamiltonianSpec:
         if profile is not None:
             if not isinstance(profile, dict) or "kind" not in profile:
                 raise ConfigInvalid(f"term {i} profile must be an object with 'kind'")
-            if profile["kind"] == "cosine":
-                if set(profile) - {"kind", "omega", "phase"}:
-                    raise ConfigInvalid(f"term {i} cosine profile has unknown keys")
-                profile = ("cosine", _as_float(profile.get("omega", 1.0), "omega"),
-                           _as_float(profile.get("phase", 0.0), "phase"))
-            elif profile["kind"] == "ramp":
-                if set(profile) - {"kind"}:
-                    raise ConfigInvalid(f"term {i} ramp profile has unknown keys")
-                profile = ("ramp",)
-            else:
-                raise ConfigInvalid(f"term {i} profile kind {profile['kind']!r} unknown")
+            kind = profile["kind"]
+            if not isinstance(kind, str) or kind not in _PROFILES:
+                raise ConfigInvalid(f"term {i} profile kind {kind!r} unknown")
+            names, defaults, _ = _PROFILES[kind]
+            if set(profile) - {"kind", *names}:
+                raise ConfigInvalid(f"term {i} {kind} profile has unknown keys")
+            profile = (kind, *(_as_float(profile.get(n, d), n) for n, d in zip(names, defaults)))
         try:
             built.append(MonomialTerm(_as_int(t.get("p", 0), "p"),
                                       _as_int(t.get("q", 0), "q"),
@@ -259,34 +256,26 @@ def _build_fock(node):
 # report plumbing
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.complexfloating, complex)):
+def _json_default(obj):
+    """json's hook for the values it cannot encode itself: a complex number
+    as [re, im], a numpy scalar or array as the Python value it holds."""
+    if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _inputs_hash(command: str, cfg: dict, seed: int) -> str:
-    blob = json.dumps({"command": command, "config": _jsonable(cfg), "seed": seed},
-                      sort_keys=True, separators=(",", ":"))
+    blob = json.dumps({"command": command, "config": cfg, "seed": seed},
+                      sort_keys=True, separators=(",", ":"), default=_json_default)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _write_report(out_dir, record) -> str:
     path = f"{out_dir}/{record['experiment_id']}.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(record), fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     return path
 
@@ -412,13 +401,9 @@ def _run_infinitesimal(cfg, seed, tol, hbar):
         om = _random_omega(rng, theta_margin=0.3, wrap_margin=0.3)
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        errs = []
-        for h in steps:
-            delta = h * d
-            displaced = EulerAngles(om.phi + delta[0], om.theta + delta[1],
-                                    om.psi + delta[2])
-            exact = overlap(fv, displaced, om)
-            errs.append(abs(exact - infinitesimal_overlap(fv, om, delta)))
+        here, *displaced = _states(fv, [om] + [om.as_array() + h * d for h in steps])
+        errs = [abs(np.vdot(bra, here) - infinitesimal_overlap(fv, om, h * d))
+                for bra, h in zip(displaced, steps)]
         slopes.append(np.polyfit(np.log(steps), np.log(errs), 1)[0])
     lo, hi = float(min(slopes)), float(max(slopes))
     outputs = {"min_slope": lo, "max_slope": hi}
@@ -437,8 +422,7 @@ def _run_propagate(cfg, seed, tol, hbar):
         raise ConfigInvalid(f"'t_f' must be >= 't_i' ({t_i}), got {t_f}")
     grid = build_grid(spin, cfg.get("oversample", 1.2))
     oracle = exact_propagator(spec, t_i, t_f, hbar=hbar)
-    amps_i = coherent_state(fv, om_i).amplitudes
-    amps_f = coherent_state(fv, om_f).amplitudes
+    amps_i, amps_f = _states(fv, (om_i, om_f))
     exact = complex(np.vdot(amps_f, oracle @ amps_i))
     rows, per_mode = [], {}
     for mode in modes:
@@ -475,10 +459,8 @@ def _run_kinetic_fd(cfg, seed, tol, hbar):
         fv = random_fiducial(spin, rng)
         om = _random_omega(rng, theta_margin=0.3, wrap_margin=0.3)
         om_dot = rng.normal(size=3)
-        angles = np.array([om.phi, om.theta, om.psi])
-        plus = coherent_state(fv, EulerAngles(*(angles + step * om_dot))).amplitudes
-        minus = coherent_state(fv, EulerAngles(*(angles - step * om_dot))).amplitudes
-        here = coherent_state(fv, om).amplitudes
+        plus, minus, here = _states(fv, (om.as_array() + step * om_dot,
+                                         om.as_array() - step * om_dot, om))
         fd = 1j * np.vdot(here, (plus - minus) / (2.0 * step))
         dev = max(dev, abs(fd.real - kinetic_term(fv, om, om_dot)))
         imag = max(imag, abs(fd.imag))
@@ -741,7 +723,7 @@ def main(argv=None) -> int:
         "seed": seed,
         "hbar": hbar,
         "tolerances": {"tol": tol},
-        "config": _jsonable(cfg),
+        "config": cfg,
     }
     try:
         outputs, passed, header, rows = run(cfg, seed, tol, hbar)

@@ -23,7 +23,7 @@ from scipy.linalg import expm
 
 from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotFinite,
                      NotNormalized, ZeroVector)
-from .spin_core import (EulerAngles, Spin, ladder_factor, spin_operators, _angles_of, _rotate,
+from .spin_core import (EulerAngles, Spin, spin_operators, _angles_of, _ladder, _rotate,
                         _s2_eigensystem)
 
 __all__ = [
@@ -57,7 +57,7 @@ class FiducialVector:
         if c.shape != (self.spin.dim,):
             raise LengthMismatch(f"expected {self.spin.dim} coefficients, got shape {c.shape}")
         norm_dev = abs(np.vdot(c, c).real - 1.0)
-        if norm_dev > 1e-12:
+        if not norm_dev <= 1e-12:
             raise NotNormalized(f"coefficients are not normalized (defect {norm_dev:.3e})")
         c = c.copy()
         c.flags.writeable = False
@@ -67,10 +67,8 @@ class FiducialVector:
     def _structure_pair(self) -> tuple:
         c = self.coeffs
         a0 = float(np.sum(self.spin.m_values() * np.abs(c) ** 2))
-        two_m = self.spin.two_m_values()
-        f = np.array([ladder_factor(self.spin, int(t)) for t in two_m[:-1]])
         # c is descending in m: index i holds m_i, index i+1 holds m_i - 1
-        b0 = complex(np.sum(f * np.conj(c[:-1]) * c[1:]))
+        b0 = complex(np.sum(_ladder(self.spin.two_s) * np.conj(c[:-1]) * c[1:]))
         return a0, b0
 
 
@@ -106,9 +104,10 @@ class MatrixElementSet:
 def make_fiducial(spin: Spin, raw) -> FiducialVector:
     """Normalize raw coefficients (descending-m order) into a FiducialVector.
 
-    Raises LengthMismatch for a wrong-sized array and ZeroVector for an
-    all-zero input.  The global phase is chosen so the first (highest-m)
-    nonzero coefficient is real positive.
+    Raises LengthMismatch for a wrong-sized array, ZeroVector for an
+    all-zero input and NotFinite for a NaN or infinite one.  The global
+    phase is chosen so the first (highest-m) nonzero coefficient is real
+    positive.
     """
     c = np.asarray(raw, dtype=complex).ravel()
     if c.shape != (spin.dim,):
@@ -116,6 +115,8 @@ def make_fiducial(spin: Spin, raw) -> FiducialVector:
     norm = np.linalg.norm(c)
     if norm == 0.0:
         raise ZeroVector("fiducial coefficients are all zero")
+    if not math.isfinite(norm):
+        raise NotFinite(f"fiducial coefficients have norm {norm}")
     c = c / norm
     lead = np.flatnonzero(np.abs(c) > 0)[0]
     c = c * np.exp(-1j * np.angle(c[lead]))

@@ -24,8 +24,8 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from .coherent import _AMPLITUDE_BYTES_MAX, FiducialVector, _gauss_legendre
-from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotHermitian,
-                     NotNormalized, PoleMargin, ZeroVector)
+from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotFinite,
+                     NotHermitian, NotNormalized, PoleMargin, ZeroVector)
 from .parametrizations import ZCoords, z_to_omega
 from .spin_core import Spin, _r_columns
 
@@ -45,7 +45,7 @@ class FockVector:
         norm = np.linalg.norm(c)
         if norm == 0.0:
             raise ZeroVector("Fock coefficients are identically zero")
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise NotNormalized(f"Fock vector norm {norm:.12f} is not 1")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -62,11 +62,14 @@ class FockVector:
 
 
 def make_fock(raw) -> FockVector:
-    """Normalize raw coefficients into a FockVector."""
+    """Normalize raw coefficients into a FockVector.  Raises ZeroVector for
+    an all-zero input and NotFinite for a NaN or infinite one."""
     c = np.asarray(raw, dtype=complex)
     norm = np.linalg.norm(c)
     if norm == 0.0:
         raise ZeroVector("Fock coefficients are identically zero")
+    if not np.isfinite(norm):
+        raise NotFinite(f"Fock coefficients have norm {norm}")
     return FockVector(c / norm)
 
 
@@ -191,8 +194,6 @@ def hp_contract_state(fv_spin: FiducialVector, alpha: complex) -> FockVector:
     root = np.sqrt(spin.two_s)
     if abs(alpha) >= root:
         raise PoleMargin(f"|alpha| = {abs(alpha):.3f} >= sqrt(2s) = {root:.3f}")
-    if alpha == 0:
-        return FockVector(fv_spin.coeffs[::-1].copy())
     k_lo = int(np.flatnonzero(fv_spin.coeffs)[0])
     n_bytes = spin.dim * (spin.dim - k_lo) * np.dtype(float).itemsize
     if n_bytes > _AMPLITUDE_BYTES_MAX:
@@ -229,14 +230,13 @@ def ccs_kinetic_term(alpha: complex, alpha_dot: complex, fv: FockVector,
     return float((0.5j * hbar * term).real)
 
 
-def ccs_resolution_residual(fv: FockVector, radial_max: float = 8.0, n_r: int = 200,
-                            n_phi: int = None, n_max: int = 40) -> float:
+def ccs_resolution_residual(fv: FockVector, radial_max: float = 8.0, n_max: int = 40) -> float:
     """Operator-norm residual of (1/pi) integral |alpha><alpha| d^2 alpha
     against the identity on the low Fock levels n < n_max//2.
 
-    Quadrature is Gauss-Legendre in |alpha| on [0, radial_max] times a
-    uniform angular grid (default size 2*n_max + 2*degree + 3, enough to
-    kill every phase mode present).  The amplitudes come from the closed
+    Quadrature is 200-node Gauss-Legendre in |alpha| on [0, radial_max]
+    times a uniform angular grid of 2*n_max + 2*degree + 3 nodes, enough to
+    kill every phase mode present.  The amplitudes come from the closed
     displaced-number-state forms, so the residual measures only the radial
     truncation and quadrature, not matrix exponentials.
     """
@@ -246,9 +246,8 @@ def ccs_resolution_residual(fv: FockVector, radial_max: float = 8.0, n_r: int = 
     if radial_max ** 2 < k + 6.0 * np.sqrt(k) + fv.degree:
         warnings.warn(f"radial_max={radial_max} truncates states that overlap the "
                       f"first {k} checked levels", GridCoarseWarning, stacklevel=2)
-    if n_phi is None:
-        n_phi = 2 * n_max + 2 * fv.degree + 3
-    x, w, _ = _gauss_legendre(n_r)
+    n_phi = 2 * n_max + 2 * fv.degree + 3
+    x, w, _ = _gauss_legendre(200)
     r = 0.5 * radial_max * (x + 1.0)
     wr = 0.5 * radial_max * w * r          # r dr
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -279,7 +278,7 @@ def normal_ordered_matrix(terms, n_max: int) -> np.ndarray:
         h += complex(coeff) * np.linalg.matrix_power(a.conj().T, int(p)) \
             @ np.linalg.matrix_power(a, int(q))
     defect = np.linalg.norm(h - h.conj().T)
-    if defect > 1e-12 * max(1.0, np.linalg.norm(h)):
+    if not defect <= 1e-12 * max(1.0, np.linalg.norm(h)):
         raise NotHermitian(f"normal-ordered polynomial deviates from Hermitian by {defect:.3e}")
     return h
 

@@ -46,7 +46,7 @@ class ZCoords:
     z_minus: complex
 
     def __post_init__(self):
-        if abs(abs(self.z_plus) - abs(self.z_minus)) > 1e-10:
+        if not abs(abs(self.z_plus) - abs(self.z_minus)) <= 1e-10:
             raise SubsidiaryViolation(
                 f"| |z+| - |z-| | = {abs(abs(self.z_plus) - abs(self.z_minus)):.3e} > 1e-10")
         object.__setattr__(self, "z_plus", complex(self.z_plus))
@@ -64,7 +64,7 @@ class ACoords:
 
     def __post_init__(self):
         dev = abs(abs(self.a1) ** 2 + abs(self.a2) ** 2 - 1.0)
-        if dev > 1e-12:
+        if not dev <= 1e-12:
             raise NotUnitary(f"|a|^2 deviates from 1 by {dev:.3e}")
         object.__setattr__(self, "a1", complex(self.a1))
         object.__setattr__(self, "a2", complex(self.a2))

@@ -62,6 +62,14 @@ _MODES = ("M1", "M2", "M3")
 _KERNEL_BLOCK_ENTRIES = 1 << 21
 # bound on the entries of one stacked block of midpoint H(t) matrices
 _H_BLOCK_ENTRIES = 1 << 16
+# exact_propagator's refinement and unitarity tolerance
+_ORACLE_TOL = 1e-10
+# time-profile kinds: kind -> (parameter names, their config defaults,
+# f(t, *parameters)); a term's profile is the tuple (kind, *parameters)
+_PROFILES = {
+    "cosine": (("omega", "phase"), (1.0, 0.0), lambda t, omega, phase: np.cos(omega * t + phase)),
+    "ramp": ((), (), lambda t: t),
+}
 
 
 @dataclass(frozen=True)
@@ -87,11 +95,10 @@ class MonomialTerm:
         object.__setattr__(self, "coeff", complex(self.coeff))
         if self.profile is not None:
             prof = tuple(self.profile)
-            if len(prof) == 3 and prof[0] == "cosine":
-                prof = ("cosine", float(prof[1]), float(prof[2]))
-            elif not (len(prof) == 1 and prof[0] == "ramp"):
+            entry = _PROFILES.get(prof[0]) if prof and isinstance(prof[0], str) else None
+            if entry is None or len(prof) != 1 + len(entry[0]):
                 raise ValueError(f"unknown time profile {self.profile!r}")
-            object.__setattr__(self, "profile", prof)
+            object.__setattr__(self, "profile", prof[:1] + tuple(float(x) for x in prof[1:]))
 
     def factor(self, t):
         """The profile value f(t): a float for a scalar t, an array of the
@@ -99,10 +106,7 @@ class MonomialTerm:
         t = np.asarray(t, dtype=float)
         if self.profile is None:
             return 1.0 if t.ndim == 0 else np.ones(t.shape)
-        if self.profile[0] == "cosine":
-            f = np.cos(self.profile[1] * t + self.profile[2])
-        else:
-            f = t
+        f = _PROFILES[self.profile[0]][2](t, *self.profile[1:])
         return float(f) if t.ndim == 0 else f
 
 
@@ -132,7 +136,7 @@ class HamiltonianSpec:
             h += term.coeff * _monomial_matrix(self.spin.two_s, term.p, term.q, term.r)
         for term, h in parts.values():
             defect = np.linalg.norm(h - h.conj().T)
-            if defect > _HERMITICITY_TOL * max(1.0, np.linalg.norm(h)):
+            if not defect <= _HERMITICITY_TOL * max(1.0, np.linalg.norm(h)):
                 raise NotHermitian(f"profile {term.profile!r}: Hermitian defect {defect:.3e}")
         h_parts = np.array([h.ravel() for _, h in parts.values()], dtype=complex)
         h_parts.shape = (len(parts), self.spin.dim ** 2)
@@ -238,13 +242,14 @@ def h_ratio(fv: FiducialVector, spec: HamiltonianSpec, omega2, omega1, t: float 
 def midpoint_product(spec: HamiltonianSpec, t_i: float, t_f: float, n_steps: int,
                      hbar: float = 1.0) -> np.ndarray:
     """Product of n_steps midpoint-sampled matrix exponentials, the
-    second-order building block of exact_propagator.  Time-independent
-    specs reduce to a single exponential raised to a power; driven specs
-    take H at the midpoints from stacked hamiltonian_matrix calls, in blocks
-    of at most _H_BLOCK_ENTRIES entries."""
+    second-order building block of exact_propagator, with H at the
+    midpoints from stacked hamiltonian_matrix calls, in blocks of at most
+    _H_BLOCK_ENTRIES entries.  Raises NotFinite for a non-finite time or
+    hbar, ValueError for hbar <= 0 or n_steps < 1."""
+    _check_times(t_i, t_f, hbar)
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     eps = (t_f - t_i) / n_steps
-    if not spec.time_dependent:
-        return matrix_power(expm(-1j * eps / hbar * hamiltonian_matrix(spec, t_i)), n_steps)
     block = max(1, _H_BLOCK_ENTRIES // spec.spin.dim ** 2)
     u = np.eye(spec.spin.dim, dtype=complex)
     for start in range(0, n_steps, block):
@@ -254,15 +259,18 @@ def midpoint_product(spec: HamiltonianSpec, t_i: float, t_f: float, n_steps: int
     return u
 
 
-def exact_propagator(spec: HamiltonianSpec, t_i: float, t_f: float, tol: float = 1e-10,
+def exact_propagator(spec: HamiltonianSpec, t_i: float, t_f: float,
                      hbar: float = 1.0) -> np.ndarray:
     """Time-ordered evolution matrix for H(t) over [t_i, t_f].
 
     Midpoint-exponential products with the step count doubled until two
-    successive refinements differ by less than tol in Frobenius norm; the
-    converged matrix is checked for unitarity at the same tolerance.
-    Raises NoConvergence after 24 doublings (or on a unitarity defect).
+    successive refinements differ by less than 1e-10 (_ORACLE_TOL) in
+    Frobenius norm; the converged matrix is checked for unitarity at the
+    same tolerance per dimension.  Raises NoConvergence after 24 doublings
+    (or on a unitarity defect), NotFinite for a non-finite time or hbar,
+    and ValueError for hbar <= 0 or t_f < t_i.
     """
+    _check_times(t_i, t_f, hbar)
     if t_f < t_i:
         raise ValueError(f"t_f={t_f} must be >= t_i={t_i}")
     dim = spec.spin.dim
@@ -271,13 +279,13 @@ def exact_propagator(spec: HamiltonianSpec, t_i: float, t_f: float, tol: float =
     u_prev = midpoint_product(spec, t_i, t_f, 1, hbar)
     for k in range(1, 25):
         u = midpoint_product(spec, t_i, t_f, 2 ** k, hbar)
-        if np.linalg.norm(u - u_prev) < tol:
+        if np.linalg.norm(u - u_prev) < _ORACLE_TOL:
             defect = np.linalg.norm(u.conj().T @ u - np.eye(dim))
-            if defect > max(tol, 1e-12) * dim:
+            if not defect <= _ORACLE_TOL * dim:
                 raise NoConvergence(f"converged matrix has unitarity defect {defect:.3e}")
             return u
         u_prev = u
-    raise NoConvergence(f"midpoint products did not settle below {tol} after 24 doublings")
+    raise NoConvergence(f"midpoint products did not settle below {_ORACLE_TOL} after 24 doublings")
 
 
 def _as_angles(omega) -> EulerAngles:
@@ -419,28 +427,23 @@ def _m3_chain(nodes, hs, c: np.ndarray, eps_over_hbar: float, static: bool):
     return c, zeroed, entries
 
 
-def _slice_hamiltonians(spec: HamiltonianSpec, t_i: float, eps: float, n_slices: int):
-    """H at the slice times t_i + j eps, j = 0..n_slices, from one
-    hamiltonian_matrix call: the (n_slices + 1, dim, dim) stack, or for a
-    static spec the one (dim, dim) matrix that serves every slice."""
-    if not spec.time_dependent:
-        return hamiltonian_matrix(spec, t_i)
-    return hamiltonian_matrix(spec, t_i + eps * np.arange(n_slices + 1))
-
-
 def _check_spin(fv: FiducialVector, spec: HamiltonianSpec):
     if spec.spin != fv.spin:
         raise LengthMismatch(f"spec spin {spec.spin} differs from fiducial spin {fv.spin}")
 
 
-def _check_grid(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid,
-                t_i: float, t_f: float, n_slices: int, mode: str, hbar: float):
+def _check_times(t_i: float, t_f: float, hbar: float):
     if not (math.isfinite(t_i) and math.isfinite(t_f)):
         raise NotFinite(f"t_i={t_i} and t_f={t_f} must be finite")
     if not math.isfinite(hbar):
         raise NotFinite(f"hbar={hbar} must be finite")
     if hbar <= 0:
         raise ValueError(f"hbar must be > 0, got {hbar}")
+
+
+def _check_grid(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid,
+                t_i: float, t_f: float, n_slices: int, mode: str, hbar: float):
+    _check_times(t_i, t_f, hbar)
     _check_spin(fv, spec)
     if grid.exact_two_s < fv.spin.two_s:
         raise GridTooCoarse(
@@ -459,8 +462,10 @@ def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, k
     M1/M2 P."""
     _check_grid(fv, spec, grid, t_i, t_f, n_slices, mode, hbar)
     eps = (t_f - t_i) / (n_slices + 1)
-    h = _slice_hamiltonians(spec, t_i, eps, n_slices)
-    # a static spec's one matrix is broadcast over the slices, not copied
+    # H at the slice times t_i + j eps; a static spec's one matrix serves
+    # every slice, broadcast over them, not copied
+    h = hamiltonian_matrix(spec, t_i + eps * np.arange(n_slices + 1)
+                           if spec.time_dependent else t_i)
     stack = (n_slices + 1,) + h.shape[-2:]
     n_zeroed, fallback, p = 0, None, None
 
@@ -532,7 +537,7 @@ def transition_amplitude(fv: FiducialVector, spec: HamiltonianSpec, ket_i, ket_f
     for name, ket in (("ket_i", ket_i), ("ket_f", ket_f)):
         if ket.shape != (fv.spin.dim,):
             raise LengthMismatch(f"{name} has shape {ket.shape}, expected ({fv.spin.dim},)")
-        if abs(np.linalg.norm(ket) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(ket) - 1.0) <= 1e-10:
             raise NotNormalized(f"{name} has norm {np.linalg.norm(ket):.12f}")
     return _path_sum(fv, spec, grid, ket_i, ket_f, t_i, t_f, n_slices, mode, hbar,
                      grid_ends=True)[0]

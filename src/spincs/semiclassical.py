@@ -30,7 +30,7 @@ import numpy as np
 from .coherent import FiducialVector
 from .errors import InconsistentSystem
 from .geometry import two_form
-from .propagator import HamiltonianSpec, hamiltonian_matrix, _monomial_matrix
+from .propagator import HamiltonianSpec, hamiltonian_matrix, _check_spin, _monomial_matrix
 from .spin_core import _angles_of, _rotate
 
 _CONSISTENCY_REL = 1e-8
@@ -74,13 +74,16 @@ def h_gradient(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.0)
         d_psi |Omega>   = -i R(Omega) S3 |Psi0>.
 
     Raw angles are fine: the state and R(Omega) S3 |Psi0> are rotated at
-    the raw angles, in one call on the stacked rows [c, m c].
+    the raw angles, in one call on the stacked rows [c, m c].  Raises
+    LengthMismatch unless the spec's spin is the fiducial's, as do
+    build_system and integrate_trajectory, which evaluate it.
     """
     return _gradient_and_energy(fv, spec, omega, t)[0]
 
 
 def _gradient_and_energy(fv, spec, omega, t):
     """(h_gradient, <Omega|H(t)|Omega>, ||H(t)||_F) from one state and H(t)."""
+    _check_spin(fv, spec)
     phi, theta, psi = _angles_of(omega)
     m = 0.5 * fv.spin.two_m_values()
     v, r_mc = _rotate(fv.spin.two_s, phi, theta, psi, np.stack([fv.coeffs, m * fv.coeffs]))

@@ -128,7 +128,7 @@ class RotationMatrix:
         if e.shape != (self.spin.dim, self.spin.dim):
             raise ValueError(f"entries must be {self.spin.dim}x{self.spin.dim}, got {e.shape}")
         dev = np.linalg.norm(e.conj().T @ e - np.eye(self.spin.dim))
-        if dev > 1e-12 * self.spin.dim:
+        if not dev <= 1e-12 * self.spin.dim:
             raise NotUnitary(f"rotation matrix unitarity defect {dev:.3e}")
         object.__setattr__(self, "entries", e)
 
@@ -159,6 +159,13 @@ def ladder_factor(spin: Spin, two_m: int) -> float:
     return math.sqrt(a * b)
 
 
+def _ladder(two_s: int) -> np.ndarray:
+    """The superdiagonal of S+ in descending-m order: f(s, m_i) at index i,
+    for m_i = s - i, i = 0..2s-1 (``ladder_factor`` at every m but -s)."""
+    i = np.arange(two_s)
+    return np.sqrt((two_s - i) * (i + 1.0))
+
+
 # Bounded because the basis grows as dim^2: 41 MB at two_s = 1600.  States,
 # grid maps and gradients fill it; the large-spin contraction does not.
 @lru_cache(maxsize=32)
@@ -176,10 +183,9 @@ def _s2_eigensystem(two_s: int) -> tuple:
     read-only because every caller shares them.
     """
     dim = two_s + 1
-    n = np.arange(two_s)
-    _, v = eigh_tridiagonal(np.zeros(dim), 0.5 * np.sqrt((two_s - n) * (n + 1.0)))
+    _, v = eigh_tridiagonal(np.zeros(dim), 0.5 * _ladder(two_s))
     dev = np.linalg.norm(v.T @ v - np.eye(dim))
-    if dev > 1e-12 * dim:
+    if not dev <= 1e-12 * dim:
         raise NotUnitary(f"S2 eigenbasis orthogonality defect {dev:.3e} at two_s={two_s}")
     u = np.array([1, 1j, -1, -1j])[np.arange(dim) % 4, None] * v
     m = np.arange(dim) - 0.5 * two_s
@@ -224,8 +230,7 @@ def _r_columns(two_s: int, theta: float, k_lo: int) -> np.ndarray:
     dim = two_s + 1
     c, s = math.cos(theta), math.sin(theta)
     m = 0.5 * two_s - np.arange(dim)
-    i = np.arange(two_s)
-    f = np.sqrt((two_s - i) * (i + 1.0))
+    f = _ladder(two_s)
     _, v = eigh_tridiagonal(c * m, 0.5 * s * f, select="i", select_range=(0, two_s - k_lo))
     v = v[:, ::-1]
 
@@ -239,7 +244,7 @@ def _r_columns(two_s: int, theta: float, k_lo: int) -> np.ndarray:
     tol = 1e-12 * dim
     residual = np.linalg.norm(tri(c * m, 0.5 * s * f, 0.5 * s * f, v) - m[k_lo:] * v, axis=0)
     norm_dev = np.abs(np.linalg.norm(v, axis=0) - 1.0)
-    if residual.max() > tol or norm_dev.max() > tol:
+    if not (residual.max() <= tol and norm_dev.max() <= tol):
         raise NotUnitary(f"r(theta) columns: eigen-residual {residual.max():.3e}, norm defect "
                          f"{norm_dev.max():.3e} at two_s={two_s}, theta={theta}")
     peak = np.argmax(np.abs(v[:, -1]))
@@ -315,9 +320,9 @@ def euler_from_su2(u: np.ndarray) -> tuple:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(2)) > 1e-10:
+    if not np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-10:
         raise NotUnitary("matrix is not unitary to 1e-10")
-    if abs(np.linalg.det(u) - 1.0) > 1e-10:
+    if not abs(np.linalg.det(u) - 1.0) <= 1e-10:
         raise NotUnitary("matrix determinant differs from 1 by more than 1e-10")
 
     a, c = u[0, 0], u[1, 0]
@@ -389,13 +394,8 @@ def gaussian_decompose(omega: EulerAngles) -> tuple:
 def spin_operators(spin: Spin) -> SpinOperators:
     """S3, S+, S- in the descending-m basis: S3 = diag(s, s-1, ..., -s) and
     S+ |m-1> = f(s, m) |m> with f(s, m) = sqrt((s+m)(s-m+1))."""
-    dim = spin.dim
-    two_m = spin.two_m_values()
-    s3 = np.diag(0.5 * two_m).astype(complex)
-    s_plus = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim - 1):
-        # row i holds m_i; the entry couples |m_i - 1> (column i + 1) up to |m_i>
-        s_plus[i, i + 1] = ladder_factor(spin, int(two_m[i]))
+    s3 = np.diag(spin.m_values()).astype(complex)
+    s_plus = np.diag(_ladder(spin.two_s), 1).astype(complex)
     return SpinOperators(spin, s3, s_plus, s_plus.conj().T)
 
 

@@ -817,3 +817,21 @@ def test_chain_hbar_is_checked(hbar, error):
         with pytest.raises(error, match="hbar"):
             transition_amplitude(fv, spec, fv.coeffs, fv.coeffs, 0.0, 1.0, grid, 2, mode,
                                  hbar=hbar)
+
+
+_DRIVEN = HamiltonianSpec(Spin(1), (MonomialTerm(0, 1, 0, 1.0),
+                                    MonomialTerm(1, 0, 0, 0.2, ("cosine", 1.5, 0.0)),
+                                    MonomialTerm(0, 0, 1, 0.2, ("cosine", 1.5, 0.0))))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: exact_propagator(_DRIVEN, 0.0, 1.0, hbar=0.0), ValueError, "hbar"),
+    (lambda: exact_propagator(_DRIVEN, 0.0, 1.0, hbar=-1.0), ValueError, "hbar"),
+    (lambda: exact_propagator(_DRIVEN, 0.0, math.nan), NotFinite, "must be finite"),
+    (lambda: midpoint_product(_DRIVEN, 0.0, 1.0, 0), ValueError, "n_steps"),
+], ids=["hbar_zero", "hbar_negative", "t_f_nan", "zero_steps"])
+def test_oracle_arguments_are_checked(call, error, message):
+    # hbar=0 and n_steps=0 raised ZeroDivisionError, hbar=-1 returned the
+    # propagator of -H, and t_f=nan ran all 24 doublings (about 2^25 expm calls)
+    with pytest.raises(error, match=message):
+        call()

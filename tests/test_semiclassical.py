@@ -9,7 +9,7 @@ from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
 import spincs.coherent
 import spincs.propagator
 import spincs.semiclassical
-from spincs import (HamiltonianSpec, InconsistentSystem, MonomialTerm, Spin,
+from spincs import (HamiltonianSpec, InconsistentSystem, LengthMismatch, MonomialTerm, Spin,
                     build_system, h_expectation, h_gradient, hamiltonian_matrix,
                     integrate_trajectory, make_fiducial, solve_velocities, spin_operators,
                     two_form)
@@ -375,3 +375,15 @@ def test_trajectory_validation():
     spec = _field_spec(spin)
     with pytest.raises(ValueError):
         integrate_trajectory(fv, spec, (0.0, 1.0, 0.0), (0.0, 1.0), -0.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fv, spec: h_gradient(fv, spec, (0.1, 0.2, 0.3)),
+    lambda fv, spec: build_system(fv, spec, (0.1, 0.2, 0.3)),
+    lambda fv, spec: integrate_trajectory(fv, spec, (0.1, 0.2, 0.3), (0.0, 0.1), 0.05),
+], ids=["h_gradient", "build_system", "integrate_trajectory"])
+def test_spin_mismatch_raises_length_mismatch(call):
+    # a Spin(2) fiducial with a Spin(4) spec raised numpy's matmul ValueError
+    fv = random_fv(Spin(2), rng_for(67))
+    with pytest.raises(LengthMismatch, match="differs from fiducial spin"):
+        call(fv, _field_spec(Spin(4), bx=0.3))
