@@ -29,8 +29,8 @@ import time
 
 import numpy as np
 
-from .coherent import (FiducialVector, build_grid, make_fiducial, overlap, random_fiducial,
-                       resolution_residual, structure_pair, _grid_gram, _states)
+from .coherent import (FiducialVector, build_grid, coherent_state, make_fiducial, overlap,
+                       random_fiducial, resolution_residual, structure_pair, _grid_gram)
 from .contraction import (annihilation_degree_residual, canonical_cs,
                           ccs_kinetic_term, ccs_resolution_residual,
                           displacement_matrix, dns_amplitudes, dns_number_check,
@@ -401,7 +401,7 @@ def _run_infinitesimal(cfg, seed, tol, hbar):
         om = _random_omega(rng, theta_margin=0.3, wrap_margin=0.3)
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        here, *displaced = _states(fv, [om] + [om.as_array() + h * d for h in steps])
+        here, *displaced = coherent_state(fv, [om, *om.as_array() + np.outer(steps, d)]).amplitudes
         errs = [abs(np.vdot(bra, here) - infinitesimal_overlap(fv, om, h * d))
                 for bra, h in zip(displaced, steps)]
         slopes.append(np.polyfit(np.log(steps), np.log(errs), 1)[0])
@@ -422,7 +422,7 @@ def _run_propagate(cfg, seed, tol, hbar):
         raise ConfigInvalid(f"'t_f' must be >= 't_i' ({t_i}), got {t_f}")
     grid = build_grid(spin, cfg.get("oversample", 1.2))
     oracle = exact_propagator(spec, t_i, t_f, hbar=hbar)
-    amps_i, amps_f = _states(fv, (om_i, om_f))
+    amps_i, amps_f = coherent_state(fv, (om_i, om_f)).amplitudes
     exact = complex(np.vdot(amps_f, oracle @ amps_i))
     rows, per_mode = [], {}
     for mode in modes:
@@ -459,8 +459,8 @@ def _run_kinetic_fd(cfg, seed, tol, hbar):
         fv = random_fiducial(spin, rng)
         om = _random_omega(rng, theta_margin=0.3, wrap_margin=0.3)
         om_dot = rng.normal(size=3)
-        plus, minus, here = _states(fv, (om.as_array() + step * om_dot,
-                                         om.as_array() - step * om_dot, om))
+        plus, minus, here = coherent_state(fv, (om.as_array() + step * om_dot,
+                                                om.as_array() - step * om_dot, om)).amplitudes
         fd = 1j * np.vdot(here, (plus - minus) / (2.0 * step))
         dev = max(dev, abs(fd.real - kinetic_term(fv, om, om_dot)))
         imag = max(imag, abs(fd.imag))

@@ -2,9 +2,9 @@
 
 A fiducial vector |Psi0> = sum_m c_m |m> (any normalized superposition, not
 just the lowest-weight state) is carried over the group: |Omega> =
-R(Omega) |Psi0>.  This module provides the state construction, overlaps,
-matrix elements of the generators, and the product quadrature grid that
-makes the resolution of unity
+R(Omega) |Psi0> at the angles given.  This module provides the state
+construction, overlaps, matrix elements of the generators, and the
+product quadrature grid that makes the resolution of unity
 
     integral |Omega> dmu <Omega| = 1,
     dmu = (2s+1)/(8 pi^2) sin(theta) dtheta dphi dpsi
@@ -23,8 +23,7 @@ from scipy.linalg import expm
 
 from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotFinite,
                      NotNormalized, ZeroVector)
-from .spin_core import (EulerAngles, Spin, spin_operators, _angles_of, _ladder, _rotate,
-                        _s2_eigensystem)
+from .spin_core import Spin, spin_operators, _angles_of, _ladder, _rotate, _s2_eigensystem
 
 __all__ = [
     "FiducialVector",
@@ -74,11 +73,11 @@ class FiducialVector:
 
 @dataclass(frozen=True)
 class CoherentState:
-    """A rotated fiducial vector |Omega> = R(Omega) |Psi0>, with the basis
-    amplitudes sum_m' R_{m'm} c_m cached in descending-m order."""
+    """A rotated fiducial vector |Omega> = R(Omega) |Psi0>, or a stack, with
+    the amplitudes sum_m' R_{m'm} c_m in descending-m order, (..., dim)."""
 
     fv: FiducialVector
-    omega: EulerAngles
+    omega: object
     amplitudes: np.ndarray
 
 
@@ -130,26 +129,21 @@ def random_fiducial(spin: Spin, rng: np.random.Generator) -> FiducialVector:
     return make_fiducial(spin, raw)
 
 
-def coherent_state(fv: FiducialVector, omega: EulerAngles) -> CoherentState:
-    """|Omega> = R(Omega)|Psi0>: the fiducial coefficients c rotated in the
-    cached S2 eigenbasis, O(dim^2), with no rotation matrix built."""
-    amps = _rotate(fv.spin.two_s, omega.phi, omega.theta, omega.psi, fv.coeffs)
+def coherent_state(fv: FiducialVector, omega) -> CoherentState:
+    """|Omega> = R(Omega)|Psi0> at the angles given: the coefficients rotated
+    in the cached S2 eigenbasis, O(dim^2) a point, with no matrix built.
+    omega is an EulerAngles, a raw triple, a sequence of those or an array
+    of shape (..., 3), and the (..., dim) amplitudes come from one _rotate
+    call.  Raw angles are not folded, so they keep the SU(2) sheet."""
+    amps = _rotate(fv.spin.two_s, *_angles_of(omega), fv.coeffs)
     return CoherentState(fv, omega, amps)
 
 
-def _states(fv: FiducialVector, omegas) -> np.ndarray:
-    """The amplitudes of R(Omega)|Psi0> for each Omega in ``omegas``
-    (EulerAngles or raw triples, taken unfolded), one row each, from one
-    _rotate call on the stacked angles."""
-    phi, theta, psi = np.array([_angles_of(om) for om in omegas]).T
-    return _rotate(fv.spin.two_s, phi, theta, psi, fv.coeffs)
-
-
-def overlap(fv: FiducialVector, omega2: EulerAngles, omega1: EulerAngles) -> complex:
+def overlap(fv: FiducialVector, omega2, omega1) -> complex:
     """<Omega2|Omega1> for a shared fiducial vector, computed as
-    conj(amplitudes(Omega2)) . amplitudes(Omega1), with both states built
-    by one rotation call on the stacked angles."""
-    bra, ket = _states(fv, (omega2, omega1))
+    conj(amplitudes(Omega2)) . amplitudes(Omega1), with both states from
+    one coherent_state call at the angles given."""
+    bra, ket = coherent_state(fv, (omega2, omega1)).amplitudes
     return complex(np.vdot(bra, ket))
 
 
@@ -190,14 +184,14 @@ def matrix_elements(fv: FiducialVector, omega) -> tuple:
     return float(s3), complex(s_plus), MatrixElementSet(a0, a1, complex(a2), a4)
 
 
-def generating_function(fv: FiducialVector, omega2: EulerAngles, omega1: EulerAngles,
+def generating_function(fv: FiducialVector, omega2, omega1,
                         z_plus: complex, z3: complex, z_minus: complex) -> complex:
     """<Omega2| exp(z+ S+) exp(z3 S3) exp(z- S-) |Omega1>, evaluated by dense
     matrix exponentials.  Differentiating at z = 0 generates matrix elements
     of arbitrary generator monomials between coherent states."""
     ops = spin_operators(fv.spin)
     middle = expm(z_plus * ops.s_plus) @ expm(z3 * ops.s3) @ expm(z_minus * ops.s_minus)
-    bra, ket = _states(fv, (omega2, omega1))
+    bra, ket = coherent_state(fv, (omega2, omega1)).amplitudes
     return complex(np.vdot(bra, middle @ ket))
 
 

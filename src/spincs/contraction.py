@@ -14,8 +14,11 @@ the reindexed fiducial vector.  The spin state is built from the few
 columns of r(theta) that a Fock-like fiducial occupies, O(dim) each, so
 two_s in the tens of thousands takes milliseconds and no dim x dim basis.
 Every comparison here is at finite truncation with the tail accounted for.
+A NaN or infinite alpha (or alpha_dot) raises NotFinite naming it, and hbar
+follows the package's one rule (NotFinite, ValueError for hbar <= 0).
 """
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
@@ -27,9 +30,18 @@ from .coherent import _AMPLITUDE_BYTES_MAX, FiducialVector, _gauss_legendre
 from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotFinite,
                      NotHermitian, NotNormalized, PoleMargin, ZeroVector)
 from .parametrizations import ZCoords, z_to_omega
+from .propagator import _check_hbar
 from .spin_core import Spin, _r_columns
 
 _NORM_TOL = 1e-12
+
+
+def _check_finite(name: str, z) -> complex:
+    """z as a complex, or NotFinite naming the argument unless finite."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise NotFinite(f"{name}={z} must be finite")
+    return z
 
 
 @dataclass(frozen=True)
@@ -39,7 +51,7 @@ class FockVector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.array(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise LengthMismatch(f"need a 1-d coefficient vector, got shape {c.shape}")
         norm = np.linalg.norm(c)
@@ -98,6 +110,7 @@ def fock_annihilation(n_max: int) -> np.ndarray:
 def displacement_matrix(alpha: complex, n_max: int) -> np.ndarray:
     """exp(alpha a^+ - alpha^* a) on the truncated space; unitary up to the
     truncation tail."""
+    alpha = _check_finite("alpha", alpha)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     a = fock_annihilation(n_max)
@@ -132,7 +145,7 @@ def dns_amplitudes(alpha: complex, n: int, n_max: int) -> np.ndarray:
     """
     if not 0 <= n <= n_max:
         raise ValueError(f"need 0 <= n <= n_max, got n={n}, n_max={n_max}")
-    alpha = complex(alpha)
+    alpha = _check_finite("alpha", alpha)
     m = np.arange(n_max + 1)
     x = abs(alpha) ** 2
     out = np.empty(n_max + 1, dtype=complex)
@@ -189,7 +202,7 @@ def hp_contract_state(fv_spin: FiducialVector, alpha: complex) -> FockVector:
     AmplitudesTooLarge, before allocating, when the (dim, band) float block
     of columns would exceed ``coherent._AMPLITUDE_BYTES_MAX`` bytes.
     """
-    alpha = complex(alpha)
+    alpha = _check_finite("alpha", alpha)
     spin = fv_spin.spin
     root = np.sqrt(spin.two_s)
     if abs(alpha) >= root:
@@ -205,7 +218,7 @@ def hp_contract_state(fv_spin: FiducialVector, alpha: complex) -> FockVector:
     cols = _r_columns(spin.two_s, omega.theta, k_lo)
     x = (np.exp(-1j * omega.psi * m) * fv_spin.coeffs)[k_lo:]
     amps = np.exp(-1j * omega.phi * m) * (cols @ x.real + 1j * (cols @ x.imag))
-    return FockVector(amps[::-1].copy())
+    return FockVector(amps[::-1])
 
 
 def hp_measure_ratio(alpha: complex, spin: Spin) -> float:
@@ -221,7 +234,8 @@ def ccs_kinetic_term(alpha: complex, alpha_dot: complex, fv: FockVector,
     """(i hbar/2) [(alpha^* d_alpha - c.c.) + A] with the fiducial cross
     term A = 2 sum_n sqrt(n) (d_alpha c_n^* c_{n-1} - c.c.); both brackets
     are purely imaginary, so the result is real."""
-    alpha, alpha_dot = complex(alpha), complex(alpha_dot)
+    _check_hbar(hbar)
+    alpha, alpha_dot = _check_finite("alpha", alpha), _check_finite("alpha_dot", alpha_dot)
     c = fv.coeffs
     n = np.arange(1, c.size)
     cross = np.sum(np.sqrt(n) * alpha_dot * np.conj(c[1:]) * c[:-1])
@@ -299,7 +313,8 @@ def ccs_canonical_rhs(h_terms, alpha: complex, fv: FockVector = None,
     step are involved.  Raises NotHermitian when the terms do not sum to a
     Hermitian operator.
     """
-    alpha = complex(alpha)
+    _check_hbar(hbar)
+    alpha = _check_finite("alpha", alpha)
     if fv is None:
         fv = FockVector(np.array([1.0 + 0j]))
     terms = [(int(p), int(q), complex(c)) for p, q, c in h_terms]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coherent import FiducialVector, structure_pair
 from .errors import NotUnitary, SubsidiaryViolation, ZOriginSingular
-from .spin_core import EulerAngles, Spin, euler_from_su2, gaussian_decompose
+from .spin_core import EulerAngles, Spin, euler_from_su2, gaussian_decompose, su2_matrix
 
 __all__ = [
     "ZCoords",
@@ -106,12 +106,9 @@ def z3_of(z: ZCoords) -> complex:
     return -2.0 * cmath.log(1j * cmath.sqrt(w))
 
 
-def omega_to_a(omega: EulerAngles) -> ACoords:
-    """a1 = cos(t/2) e^{-i(phi+psi)/2}, a2 = sin(t/2) e^{i(phi-psi)/2}."""
-    ch = math.cos(0.5 * omega.theta)
-    sh = math.sin(0.5 * omega.theta)
-    return ACoords(ch * cmath.exp(-0.5j * (omega.phi + omega.psi)),
-                   sh * cmath.exp(0.5j * (omega.phi - omega.psi)))
+def omega_to_a(omega) -> ACoords:
+    """(a1, a2), the first column of su2_matrix(omega), at the angles given."""
+    return ACoords(*su2_matrix(omega)[:, 0])
 
 
 def a_to_omega(a: ACoords) -> tuple:

@@ -48,12 +48,11 @@ import numpy as np
 from numpy.linalg import matrix_power
 from scipy.linalg import expm
 
-from .coherent import (FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes,
-                       _grid_gram, _states)
+from .coherent import FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes, _grid_gram
 from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotFinite, NotHermitian,
                      NotNormalized, NumericalFailure, OrthogonalPair)
 from .geometry import geometric_phase, kinetic_term
-from .spin_core import EulerAngles, Spin, spin_operators, _angles_of, _rotate
+from .spin_core import Spin, spin_operators, _angles_of
 
 _ZERO_OVERLAP = 1e-12
 _M3_GUARD = 0.5
@@ -206,33 +205,29 @@ def hamiltonian_matrix(spec: HamiltonianSpec, t=0.0) -> np.ndarray:
     return h.reshape(t.shape + (spec.spin.dim,) * 2)
 
 
-def _h_expectations(spec: HamiltonianSpec, v: np.ndarray, t) -> np.ndarray:
-    """<v|H(t)|v> for rows v of shape (..., dim) at times t of shape (...),
-    as sum_p f_p(t) <v|H_p|v> over the per-profile H_p: O(dim^2) a row per
-    profile and O(rows * dim) memory, with no stack of H(t) matrices."""
-    e = np.zeros(np.shape(t))
-    for term, h in zip(spec._profiles, spec._h_parts):
-        e += term.factor(t) * np.vecdot(v, v @ h.reshape(v.shape[-1], -1).T).real
-    return e
-
-
-def h_expectation(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.0) -> float:
-    """<Omega|H(t)|Omega>, real for a Hermitian spec: the one-row case of
-    the per-profile contraction that action_along_path runs on a path.
+def h_expectation(fv: FiducialVector, spec: HamiltonianSpec, omega, t=0.0):
+    """<Omega|H(t)|Omega> at the angles given, one point or a stack (see
+    coherent_state), at a time or times that broadcast against the points:
+    sum_p f_p(t) <Omega|H_p|Omega> over the per-profile H_p, with no stack
+    of H(t) matrices.  A float for one point and time, else an array.
     Raises LengthMismatch unless the spec's spin is the fiducial's."""
     _check_spin(fv, spec)
-    return float(_h_expectations(spec, coherent_state(fv, _as_angles(omega)).amplitudes, t))
+    v = coherent_state(fv, omega).amplitudes
+    e = np.zeros(np.broadcast_shapes(v.shape[:-1], np.shape(t)))
+    for term, h in zip(spec._profiles, spec._h_parts):
+        e += term.factor(t) * np.vecdot(v, v @ h.reshape(fv.spin.dim, -1).T).real
+    return float(e) if e.ndim == 0 else e
 
 
 def h_ratio(fv: FiducialVector, spec: HamiltonianSpec, omega2, omega1, t: float = 0.0) -> complex:
-    """<Omega2|H(t)|Omega1> / <Omega2|Omega1>, both states from one rotation
-    call on the stacked (folded) angles.
+    """<Omega2|H(t)|Omega1> / <Omega2|Omega1>, both states from one
+    coherent_state call at the angles given.
 
     Raises OrthogonalPair when the overlap magnitude is at or below 1e-12,
     LengthMismatch unless the spec's spin is the fiducial's.
     """
     _check_spin(fv, spec)
-    v2, v1 = _states(fv, (_as_angles(omega2), _as_angles(omega1)))
+    v2, v1 = coherent_state(fv, (omega2, omega1)).amplitudes
     o = complex(np.vdot(v2, v1))
     if abs(o) <= _ZERO_OVERLAP:
         raise OrthogonalPair(f"|<Omega2|Omega1>| = {abs(o):.3e} is too small to divide by")
@@ -286,10 +281,6 @@ def exact_propagator(spec: HamiltonianSpec, t_i: float, t_f: float,
             return u
         u_prev = u
     raise NoConvergence(f"midpoint products did not settle below {_ORACLE_TOL} after 24 doublings")
-
-
-def _as_angles(omega) -> EulerAngles:
-    return omega if isinstance(omega, EulerAngles) else EulerAngles(*omega)
 
 
 class _PairTerms(NamedTuple):
@@ -435,6 +426,11 @@ def _check_spin(fv: FiducialVector, spec: HamiltonianSpec):
 def _check_times(t_i: float, t_f: float, hbar: float):
     if not (math.isfinite(t_i) and math.isfinite(t_f)):
         raise NotFinite(f"t_i={t_i} and t_f={t_f} must be finite")
+    _check_hbar(hbar)
+
+
+def _check_hbar(hbar: float):
+    """The one hbar rule: NotFinite unless finite, ValueError unless > 0."""
     if not math.isfinite(hbar):
         raise NotFinite(f"hbar={hbar} must be finite")
     if hbar <= 0:
@@ -512,11 +508,12 @@ def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
     fiducial spin (GridTooCoarse otherwise).  Pass the exact_propagator
     matrix as oracle to attach |amplitude - exact| as error_estimate.
 
-    With the zero Hamiltonian every mode collapses to overlap(fv, omega_f,
-    omega_i) up to roundoff for any slice count, since each grid sum is an
-    exact resolution of unity.
+    The endpoint states are built at the angles given, so with the zero
+    Hamiltonian every mode collapses to overlap(fv, omega_f, omega_i) up to
+    roundoff for any slice count and spin, since each grid sum is an exact
+    resolution of unity.
     """
-    amps_i, amps_f = _states(fv, (_as_angles(omega_i), _as_angles(omega_f)))
+    amps_i, amps_f = coherent_state(fv, (omega_i, omega_f)).amplitudes
     amplitude, n_zeroed, fallback, p = _path_sum(fv, spec, grid, amps_i, amps_f, t_i, t_f,
                                                  n_slices, mode, hbar, grid_ends=False)
     error = None if oracle is None else float(abs(amplitude - np.vdot(amps_f, oracle @ amps_i)))
@@ -555,15 +552,14 @@ def infinitesimal_overlap(fv: FiducialVector, omega, delta_omega) -> complex:
 def action_along_path(fv: FiducialVector, spec: HamiltonianSpec, path,
                       hbar: float = 1.0) -> float:
     """hbar * geometric_phase(fv, path) - the trapezoid integral of <H>
-    along a sampled path of rows (t, phi, theta, psi).  The states of all
-    rows come from one rotation at the raw angles (<H> is blind to the sign
-    a fold flips at half-integer spin), and <H> in O(rows * dim) memory.
-    Raises PathTooShort below 2 samples, NotFinite for a non-finite row,
-    TimesNotMonotone unless the times are strictly monotone and
-    LengthMismatch unless the spec's spin is the fiducial's."""
-    _check_spin(fv, spec)
+    along a sampled path of rows (t, phi, theta, psi), with <H> at every
+    row from one h_expectation call on the stacked angles and times.
+    Raises PathTooShort below 2 samples, NotFinite for a non-finite row or
+    hbar, ValueError for hbar <= 0, TimesNotMonotone unless the times are
+    strictly monotone and LengthMismatch unless the spec's spin is the
+    fiducial's."""
+    _check_hbar(hbar)
     path = np.asarray(path, dtype=float)
     kinetic = geometric_phase(fv, path)
-    v = _rotate(fv.spin.two_s, path[:, 1], path[:, 2], path[:, 3], fv.coeffs)
-    energies = _h_expectations(spec, v, path[:, 0])
+    energies = h_expectation(fv, spec, path[:, 1:], path[:, 0])
     return float(hbar * kinetic - np.trapezoid(energies, path[:, 0]))

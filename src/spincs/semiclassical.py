@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coherent import FiducialVector
-from .errors import InconsistentSystem
+from .errors import InconsistentSystem, NotFinite
 from .geometry import two_form
-from .propagator import HamiltonianSpec, hamiltonian_matrix, _check_spin, _monomial_matrix
+from .propagator import (HamiltonianSpec, hamiltonian_matrix, _check_hbar, _check_spin,
+                         _monomial_matrix)
 from .spin_core import _angles_of, _rotate
 
 _CONSISTENCY_REL = 1e-8
@@ -97,7 +98,9 @@ def _gradient_and_energy(fv, spec, omega, t):
 def build_system(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.0,
                  hbar: float = 1.0) -> VelocitySystem:
     """Velocity system at (omega, t); omega may be raw angles (continuous
-    paths are kept unwrapped, the coefficients are 2pi-periodic anyway)."""
+    paths are kept unwrapped, the coefficients are 2pi-periodic anyway).
+    A non-finite hbar raises NotFinite, hbar <= 0 ValueError."""
+    _check_hbar(hbar)
     w = two_form(fv, omega)
     c, a4_sin, a1 = -w.w_theta_phi, -w.w_phi_psi, w.w_psi_theta
     m = hbar * np.array([[c, 0.0, a1],
@@ -182,8 +185,13 @@ def integrate_trajectory(fv: FiducialVector, spec: HamiltonianSpec, omega0,
     dt either way.  Angles evolve as raw unwrapped floats.  The error estimate
     is the maximum endpoint angle deviation against an integration with half
     the step.  InconsistentSystem aborts with the failure time in the message.
+    NotFinite names a NaN or infinite omega0, t_span, dt or hbar, and dt <= 0
+    or hbar <= 0 raises ValueError.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    for name, value in (("omega0", omega0), ("t_span", (t0, t1)), ("dt", dt)):
+        if not np.isfinite(value).all():
+            raise NotFinite(f"{name}={value} must be finite")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = max(1, int(np.ceil(abs(t1 - t0) / dt - 1e-12)))

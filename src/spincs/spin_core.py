@@ -14,7 +14,8 @@ Conventions used throughout the package:
   ``psi in [0, 2pi)`` label rotations (SO(3) elements).  They cover half of
   SU(2), so functions that extract angles from a 2x2 special-unitary matrix
   also return a sign flag: ``u = sign * R^(1/2)(angles)``.  At spin s the
-  flag enters as ``sign**two_s``.
+  flag enters as ``sign**two_s``.  Only ``EulerAngles`` fold: point and
+  stack angle arguments enter through ``_angles_of`` as given.
 * Every rotation of a whole state comes from one S2 eigenbasis per spin,
   cached and checked orthogonal once.  States are rotated vectors, R(Omega)
   applied at O(dim^2) a vector with no matrix built; ``little_d`` and
@@ -31,7 +32,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import DecompositionPole, NotUnitary
+from .errors import DecompositionPole, NotFinite, NotUnitary
 
 __all__ = [
     "Spin",
@@ -89,8 +90,9 @@ class EulerAngles:
     ``(phi, -theta, psi) ~ (phi + pi, theta, psi + pi)`` and 2pi shifts,
     which preserve the rotation (the SO(3) element).  At half-integer spin
     the folded representative may differ from the raw one by an overall
-    sign of the representation matrix; callers that need SU(2)-exact
-    arithmetic should track signs via :func:`euler_from_su2`.
+    sign of the representation matrix; raw triples, which every state
+    takes as given, keep the sheet, as does :func:`euler_from_su2`'s sign.
+    Raises NotFinite for a NaN or infinite angle.
     """
 
     phi: float
@@ -98,7 +100,7 @@ class EulerAngles:
     psi: float
 
     def __post_init__(self):
-        phi, theta, psi = float(self.phi), float(self.theta), float(self.psi)
+        phi, theta, psi = _finite(float(self.phi), float(self.theta), float(self.psi))
         theta = theta % TWO_PI
         if theta > math.pi:
             theta = TWO_PI - theta
@@ -274,12 +276,30 @@ def big_r(spin: Spin, omega: EulerAngles) -> RotationMatrix:
     return RotationMatrix(spin, entries)
 
 
+def _finite(phi: float, theta: float, psi: float) -> tuple:
+    """The three angles, or NotFinite unless each is finite."""
+    if not (math.isfinite(phi) and math.isfinite(theta) and math.isfinite(psi)):
+        raise NotFinite(f"Euler angles ({phi}, {theta}, {psi}) must be finite")
+    return phi, theta, psi
+
+
 def _angles_of(omega) -> tuple:
-    """Accept an EulerAngles or any (phi, theta, psi) sequence."""
+    """(phi, theta, psi) as given, unfolded, from an EulerAngles, a raw
+    triple, a sequence of those or an array of shape (..., 3): floats for
+    one point, arrays of shape (...) for a stack.  Every point or stack
+    angle argument enters here, and a NaN or infinite one raises NotFinite."""
     if isinstance(omega, EulerAngles):
         return omega.phi, omega.theta, omega.psi
-    phi, theta, psi = (float(x) for x in omega)
-    return phi, theta, psi
+    if not isinstance(omega, np.ndarray) and any(isinstance(o, EulerAngles) for o in omega):
+        return tuple(np.array([_angles_of(o) for o in omega]).T)
+    a = np.asarray(omega, dtype=float)
+    if a.shape[-1:] != (3,):
+        raise ValueError(f"Euler angles need a last axis of length 3, got shape {a.shape}")
+    if a.ndim == 1:  # three math.isfinite cost less than one np.isfinite
+        return _finite(*a.tolist())
+    if not np.isfinite(a).all():
+        raise NotFinite(f"Euler angles of shape {a.shape} hold a NaN or infinite angle")
+    return a[..., 0], a[..., 1], a[..., 2]
 
 
 def su2_matrix(omega) -> np.ndarray:

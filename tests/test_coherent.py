@@ -47,6 +47,35 @@ def test_coherent_state_is_rotated_fiducial():
         assert_allclose(np.linalg.norm(state.amplitudes), 1.0, atol=1e-13)
 
 
+def test_coherent_state_takes_raw_triples_and_stacks():
+    rng = rng_for(27)
+    for two_s in (1, 2, 4):
+        fv = random_fv(Spin(two_s), rng)
+        angles = rng.uniform(-7.0, 7.0, (6, 3))
+        stack = coherent_state(fv, angles).amplitudes
+        assert stack.shape == (6, two_s + 1)
+        # one _rotate call whatever the layout of the stack: nested arrays,
+        # lists of triples and sequences of EulerAngles give its rows bit for bit
+        nested = coherent_state(fv, angles.reshape(2, 3, 3)).amplitudes
+        assert np.array_equal(nested.reshape(6, -1), stack)
+        assert np.array_equal(coherent_state(fv, angles.tolist()).amplitudes, stack)
+        folded = [EulerAngles(*a) for a in angles]
+        assert np.array_equal(coherent_state(fv, folded).amplitudes,
+                              coherent_state(fv, [om.as_array() for om in folded]).amplitudes)
+        for row, a, om in zip(stack, angles, folded):
+            single = coherent_state(fv, a).amplitudes
+            # one point takes BLAS's vector product and a stack its matrix
+            # product, which may round the last bit differently
+            assert_allclose(row, single, rtol=0, atol=1e-15)
+            # a raw triple at canonical angles is its EulerAngles, bit for bit
+            assert np.array_equal(coherent_state(fv, om.as_array()).amplitudes,
+                                  coherent_state(fv, om).amplitudes)
+            # raw angles keep the SU(2) sheet: R(a) = sign^(2s) R(folded)
+            _, sign = euler_from_su2(su2_matrix(a))
+            assert_allclose(single, sign ** two_s * coherent_state(fv, om).amplitudes,
+                            atol=1e-12)
+
+
 def test_overlap_against_direct_inner_product():
     rng = rng_for(21)
     for two_s in (1, 2, 4):

@@ -38,6 +38,16 @@ def test_make_fock():
         FockVector(np.array([0.5, 0.0]))
 
 
+def test_fock_vector_copies_the_callers_array():
+    # the caller's complex array was made read-only in place
+    a = np.array([1.0 + 0j, 0.0])
+    fv = FockVector(a)
+    assert a.flags.writeable
+    a[0] = 0.0
+    assert fv.coeffs[0] == 1.0
+    assert not fv.coeffs.flags.writeable
+
+
 def test_fock_annihilation():
     a = fock_annihilation(4)
     assert_allclose(a, np.diag(np.sqrt(np.arange(1.0, 5.0)), k=1))

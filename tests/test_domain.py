@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from spincs import (ACoords, FiducialVector, FockVector, HamiltonianSpec, MonomialTerm,
-                    NotFinite, NotHermitian, NotNormalized, NotUnitary, RotationMatrix, Spin,
-                    SubsidiaryViolation, ZCoords, build_grid, euler_from_su2, make_fiducial,
-                    make_fock, normal_ordered_matrix, transition_amplitude)
+from spincs import (ACoords, EulerAngles, FiducialVector, FockVector, HamiltonianSpec,
+                    MonomialTerm, NotFinite, NotHermitian, NotNormalized, NotUnitary,
+                    RotationMatrix, Spin, SubsidiaryViolation, ZCoords, action_along_path,
+                    build_grid, canonical_cs, ccs_canonical_rhs, ccs_kinetic_term,
+                    coherent_state, displacement_matrix, dns_amplitudes, euler_from_su2,
+                    hp_contract_state, integrate_trajectory, make_fiducial, make_fock,
+                    normal_ordered_matrix, overlap, random_fiducial, transition_amplitude)
 
-nan = math.nan
+nan, inf = math.nan, math.inf
 
 
 def _transition_from_nan_ket():
@@ -20,24 +23,87 @@ def _transition_from_nan_ket():
                                 [1.0, 0.0], 0.0, 1.0, build_grid(spin), 2)
 
 
-@pytest.mark.parametrize("call, error", [
-    (lambda: FiducialVector(Spin(2), [nan, 0.0, 0.0]), NotNormalized),
-    (lambda: make_fiducial(Spin(1), [nan, 1.0]), NotFinite),
-    (lambda: FockVector([nan, 0.0]), NotNormalized),
-    (lambda: make_fock([nan, 1.0]), NotFinite),
-    (lambda: RotationMatrix(Spin(1), np.full((2, 2), nan)), NotUnitary),
-    (lambda: ZCoords(nan, 1.0), SubsidiaryViolation),
-    (lambda: ACoords(nan, 0.0), NotUnitary),
-    (lambda: HamiltonianSpec(Spin(1), (MonomialTerm(0, 1, 0, nan),)), NotHermitian),
-    (lambda: normal_ordered_matrix([(1, 1, nan)], 3), NotHermitian),
-    (lambda: euler_from_su2(np.full((2, 2), nan)), NotUnitary),
-    (_transition_from_nan_ket, NotNormalized),
+def _trajectory(omega0=(0.4, 1.1, 0.7), t_span=(0.0, 0.2), dt=0.05, hbar=1.0):
+    """A dense spin-1 fiducial precessing under S3."""
+    spin = Spin(2)
+    fv = random_fiducial(spin, np.random.default_rng(7))
+    spec = HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0),))
+    return integrate_trajectory(fv, spec, omega0, t_span, dt, hbar=hbar)
+
+
+def _action(hbar):
+    spin = Spin(2)
+    fv = random_fiducial(spin, np.random.default_rng(7))
+    spec = HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0),))
+    return action_along_path(fv, spec, [[0.0, 0.1, 0.2, 0.3], [1.0, 0.4, 0.5, 0.6]],
+                             hbar=hbar)
+
+
+_FV = make_fiducial(Spin(1), [0.6, 0.8])
+_FOCK = FockVector(np.array([0.6, 0.8j]))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: FiducialVector(Spin(2), [nan, 0.0, 0.0]), NotNormalized, None),
+    (lambda: make_fiducial(Spin(1), [nan, 1.0]), NotFinite, None),
+    (lambda: FockVector([nan, 0.0]), NotNormalized, None),
+    (lambda: make_fock([nan, 1.0]), NotFinite, None),
+    (lambda: RotationMatrix(Spin(1), np.full((2, 2), nan)), NotUnitary, None),
+    (lambda: ZCoords(nan, 1.0), SubsidiaryViolation, None),
+    (lambda: ACoords(nan, 0.0), NotUnitary, None),
+    (lambda: HamiltonianSpec(Spin(1), (MonomialTerm(0, 1, 0, nan),)), NotHermitian, None),
+    (lambda: normal_ordered_matrix([(1, 1, nan)], 3), NotHermitian, None),
+    (lambda: euler_from_su2(np.full((2, 2), nan)), NotUnitary, None),
+    (_transition_from_nan_ket, NotNormalized, None),
+    # angles: EulerAngles and raw triples returned NaN states and overlaps
+    (lambda: EulerAngles(nan, 0.2, 0.1), NotFinite, "Euler angles"),
+    (lambda: EulerAngles(0.3, inf, 0.1), NotFinite, "Euler angles"),
+    (lambda: overlap(_FV, (nan, 0.2, 0.1), (0.1, 0.2, 0.3)), NotFinite, "Euler angles"),
+    (lambda: coherent_state(_FV, [[0.1, 0.2, 0.3], [0.4, -inf, 0.6]]), NotFinite,
+     "Euler angles"),
+    # integrate_trajectory raised "cannot convert float NaN to integer",
+    # OverflowError or InconsistentSystem ("residual nan")
+    (lambda: _trajectory(dt=nan), NotFinite, "dt"),
+    (lambda: _trajectory(t_span=(0.0, nan)), NotFinite, "t_span"),
+    (lambda: _trajectory(t_span=(0.0, inf)), NotFinite, "t_span"),
+    (lambda: _trajectory(omega0=(nan, 1.1, 0.7)), NotFinite, "omega0"),
+    # hbar: only the chain and the oracle checked it; integrate_trajectory
+    # raised InconsistentSystem or (hbar=-1) returned a trajectory, the rest
+    # returned nan, a value, or raised ZeroDivisionError
+    (lambda: _trajectory(hbar=0.0), ValueError, "hbar"),
+    (lambda: _trajectory(hbar=nan), NotFinite, "hbar"),
+    (lambda: _trajectory(hbar=-1.0), ValueError, "hbar"),
+    (lambda: _action(nan), NotFinite, "hbar"),
+    (lambda: _action(0.0), ValueError, "hbar"),
+    (lambda: ccs_kinetic_term(0.3, 0.1j, _FOCK, hbar=nan), NotFinite, "hbar"),
+    (lambda: ccs_kinetic_term(0.3, 0.1j, _FOCK, hbar=0.0), ValueError, "hbar"),
+    (lambda: ccs_canonical_rhs([(1, 1, 1.5)], 0.3, _FOCK, hbar=nan), NotFinite, "hbar"),
+    (lambda: ccs_canonical_rhs([(1, 1, 1.5)], 0.3, _FOCK, hbar=0.0), ValueError, "hbar"),
+    # alpha: SubsidiaryViolation, RuntimeWarnings and NaN results
+    (lambda: hp_contract_state(make_fiducial(Spin(8), [1.0] + [0.0] * 8), nan), NotFinite,
+     "alpha"),
+    (lambda: canonical_cs(_FOCK, complex(nan, 0.0), 6), NotFinite, "alpha"),
+    (lambda: dns_amplitudes(nan, 1, 6), NotFinite, "alpha"),
+    (lambda: displacement_matrix(complex(0.0, inf), 6), NotFinite, "alpha"),
+    (lambda: ccs_kinetic_term(nan, 0.1j, _FOCK), NotFinite, "alpha"),
+    (lambda: ccs_kinetic_term(0.3, complex(nan, 1.0), _FOCK), NotFinite, "alpha_dot"),
+    (lambda: ccs_canonical_rhs([(1, 1, 1.5)], nan, _FOCK), NotFinite, "alpha"),
 ], ids=["FiducialVector", "make_fiducial", "FockVector", "make_fock", "RotationMatrix",
         "ZCoords", "ACoords", "HamiltonianSpec", "normal_ordered_matrix", "euler_from_su2",
-        "transition_amplitude"])
-def test_nan_input_raises_named_error(call, error):
-    # every one of these checks read `defect > bound`, which a NaN defect
+        "transition_amplitude", "EulerAngles", "EulerAngles_inf", "overlap_raw",
+        "coherent_state_stack", "integrate_trajectory_dt", "integrate_trajectory_t_span",
+        "integrate_trajectory_t_span_inf", "integrate_trajectory_omega0",
+        "integrate_trajectory_hbar_zero", "integrate_trajectory_hbar_nan",
+        "integrate_trajectory_hbar_negative", "action_along_path_hbar_nan",
+        "action_along_path_hbar_zero", "ccs_kinetic_term_hbar_nan",
+        "ccs_kinetic_term_hbar_zero", "ccs_canonical_rhs_hbar_nan",
+        "ccs_canonical_rhs_hbar_zero", "hp_contract_state", "canonical_cs",
+        "dns_amplitudes", "displacement_matrix", "ccs_kinetic_term", "ccs_kinetic_term_dot",
+        "ccs_canonical_rhs"])
+def test_nan_input_raises_named_error(call, error, match):
+    # the first rows' checks read `defect > bound`, which a NaN defect
     # passes; make_fiducial raised IndexError, transition_amplitude a
-    # NumericalFailure that blamed kernel overflow, the rest returned NaN
-    with pytest.raises(error):
+    # NumericalFailure that blamed kernel overflow, the rest returned NaN.
+    # hbar <= 0 is out of the domain too, and meets ValueError
+    with pytest.raises(error, match=match):
         call()

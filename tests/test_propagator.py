@@ -15,8 +15,8 @@ from spincs import (EulerAngles, GridCoarseWarning, GridTooCoarse, HamiltonianSp
                     coherent_state, discrete_cspi, exact_propagator, generating_function,
                     geometric_phase, grid_amplitudes, h_expectation, h_ratio,
                     hamiltonian_matrix, infinitesimal_overlap, midpoint_product, overlap,
-                    path_velocities, resolution_residual, spin_operators, structure_pair,
-                    transition_amplitude)
+                    path_velocities, random_fiducial, resolution_residual, spin_operators,
+                    structure_pair, transition_amplitude)
 
 
 def _precession_spec(spin):
@@ -269,6 +269,19 @@ def test_zero_hamiltonian_collapse(mode, n_slices):
     om_i, om_f = random_omega(rng), random_omega(rng)
     res = discrete_cspi(fv, spec, om_i, om_f, 0.0, 1.0, n_slices, grid, mode)
     assert abs(res.amplitude - overlap(fv, om_f, om_i)) < 1e-12
+
+
+@pytest.mark.parametrize("two_s", [1, 2])
+@pytest.mark.parametrize("mode", ["M1", "M2", "M3"])
+def test_zero_hamiltonian_collapse_at_raw_angles(mode, two_s):
+    # the endpoints were built at folded angles (psi_i = 7 > 2 pi), so at
+    # two_s=1 every mode returned -overlap(fv, omega_f, omega_i)
+    spin = Spin(two_s)
+    fv = random_fiducial(spin, np.random.default_rng(5))
+    om_i, om_f = (0.3, 1.0, 7.0), (1.0, 0.5, 0.2)
+    res = discrete_cspi(fv, HamiltonianSpec(spin, ()), om_i, om_f, 0.0, 1.0, 4,
+                        build_grid(spin), mode)
+    assert abs(res.amplitude - overlap(fv, om_f, om_i)) <= 1e-12
 
 
 def test_m1_and_m2_agree_to_roundoff():
@@ -767,6 +780,27 @@ def test_path_functions_match_per_sample_loops(two_s, kind):
             assert abs(geometric_phase(fv, rows) - phase) <= 1e-14 * max(1.0, abs(phase))
             assert (abs(action_along_path(fv, spec, rows, hbar=0.7) - action)
                     <= 1e-14 * max(1.0, h_norm * span))
+
+
+@pytest.mark.parametrize("kind", ["static", "cosine", "mixed", "empty"])
+def test_h_expectation_on_stacked_angles_and_times(kind):
+    rng = rng_for(71)
+    spin = Spin(3)
+    fv = random_fv(spin, rng)
+    spec = _path_specs(spin)[kind]
+    angles = rng.uniform(-7.0, 7.0, (6, 3))
+    t = rng.uniform(-1.0, 2.0, 6)
+    stacked = h_expectation(fv, spec, angles, t)
+    assert stacked.shape == (6,)
+    # a stack's states come from BLAS's matrix product, a point's from its
+    # vector product, so the two may differ in the last bits
+    assert_allclose(stacked, [h_expectation(fv, spec, a, ti) for a, ti in zip(angles, t)],
+                    rtol=0, atol=1e-14)
+    assert_allclose(h_expectation(fv, spec, angles, 0.5),
+                    [h_expectation(fv, spec, a, 0.5) for a in angles], rtol=0, atol=1e-14)
+    assert np.array_equal(h_expectation(fv, spec, angles.reshape(2, 3, 3), t.reshape(2, 3)),
+                          stacked.reshape(2, 3))
+    assert isinstance(h_expectation(fv, spec, angles[0], t[0]), float)
 
 
 def test_action_memory_is_linear_in_samples():
