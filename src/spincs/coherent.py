@@ -104,18 +104,28 @@ def make_fiducial(spin: Spin, raw) -> FiducialVector:
     """Normalize raw coefficients (descending-m order) into a FiducialVector.
 
     Raises LengthMismatch for a wrong-sized array, ZeroVector for an
-    all-zero input and NotFinite for a NaN or infinite one.  The global
+    all-zero input and NotFinite for a NaN or infinite one.  Any other
+    input normalizes, from subnormal to near-overflow entries.  The global
     phase is chosen so the first (highest-m) nonzero coefficient is real
     positive.
     """
     c = np.asarray(raw, dtype=complex).ravel()
     if c.shape != (spin.dim,):
         raise LengthMismatch(f"expected {spin.dim} coefficients, got {c.shape[0]}")
-    norm = np.linalg.norm(c)
-    if norm == 0.0:
-        raise ZeroVector("fiducial coefficients are all zero")
-    if not math.isfinite(norm):
-        raise NotFinite(f"fiducial coefficients have norm {norm}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(c)
+    if not 2.0 ** -480 < norm < 2.0 ** 480:
+        # outside 2^(+-480) the squares under the norm may overflow or lose
+        # bits to underflow: scale by the power of two that brings the
+        # largest real or imaginary part into [1/2, 1), which changes no
+        # bit of c / norm
+        big = float(np.abs(c.view(float)).max())
+        if big == 0.0:
+            raise ZeroVector("fiducial coefficients are all zero")
+        if not math.isfinite(big):
+            raise NotFinite(f"fiducial coefficients hold a NaN or infinite part ({big})")
+        c = np.ldexp(c.view(float), -math.frexp(big)[1]).view(complex)
+        norm = np.linalg.norm(c)
     c = c / norm
     lead = np.flatnonzero(np.abs(c) > 0)[0]
     c = c * np.exp(-1j * np.angle(c[lead]))

@@ -32,8 +32,9 @@ chain runs over grid-indexed vectors; it falls back to the product form
 wherever |eps*h/o| is not small (see _kernel_entries).  When its G x G
 kernel fits in one row block, what H does not touch (the overlaps, the
 guard bound |o|/2 and 1/o) is computed once per call with the scratch
-arrays every slice reuses, and each slice costs one matmul for the H
-elements and a few float64 passes per entry, with no complex exp or
+arrays every slice reuses, all views of one allocation whose pages the
+allocator keeps for the next call.  Each slice costs one matmul for the
+H elements and a few float64 passes per entry, with no complex exp or
 complex division (_exp_small takes exp(y) from real tan and exp); a
 time-independent H builds the kernel itself once per call.  Larger kernels
 are built in row blocks at every slice, overlaps included (see _m3_chain).
@@ -301,17 +302,24 @@ def _pair_terms(dst: np.ndarray, src: np.ndarray) -> _PairTerms:
     H does not touch, with the scratch of every slice that shares them.
     1/o is conj(o) (1/|o|) (1/|o|) from one real reciprocal, which neither
     divides complex numbers nor squares |o| (that would underflow for
-    |o| < 1e-154)."""
+    |o| < 1e-154).  o, 1/o, x, the bound and f are views of one float64
+    block, freed together: glibc keeps the pages of one freed block for
+    the next call, while separate arrays that sum past its trim threshold
+    go back to the system and fault in again on every call."""
     bra = dst.conj()
-    o = bra @ src.T
-    f = np.empty((3,) + o.shape)
+    n, m = len(dst), len(src)
+    block = np.empty(10 * n * m)
+    o, inv, x = block[:6 * n * m].view(complex).reshape(3, n, m)
+    rest = block[6 * n * m:].reshape(4, n, m)
+    bound, f = rest[0], rest[1:]
+    np.matmul(bra, src.T, out=o)
     r = np.abs(o, out=f[0])
-    bound = r * _M3_GUARD
+    np.multiply(r, _M3_GUARD, out=bound)
     np.divide(1.0, r, out=r, where=r != 0)
-    inv = o.conj()
+    np.conjugate(o, out=inv)
     inv *= r
     inv *= r
-    return _PairTerms(bra, o, bound, inv, np.empty_like(o), f)
+    return _PairTerms(bra, o, bound, inv, x, f)
 
 
 def _exp_small(y: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -478,22 +486,25 @@ def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, k
                                          not spec.time_dependent)
         fallback = n_zeroed / entries
         amplitude = complex(readout @ (end[1] * c))
+        cause = "kernel overflow on a near-orthogonal pair; refine the grid or slice count"
     else:
         # the projector sum_g w_g |O_g><O_g| is the transposed fiducial Gram
         p = _grid_gram(grid, fv.spin, fv.coeffs, fv.coeffs).T
         if grid_ends:
             ket_i, ket_f = p @ ket_i, p @ ket_f
-        # the slice transfers a_j = 1 - i (eps/hbar) H_j, formed once per call
-        a = np.broadcast_to(np.eye(len(p)) - (1j * eps / hbar) * h, stack)
-        v = a[0] @ ket_i
-        for a_j in a[1:]:
-            v = a_j @ (p @ v)
-        amplitude = complex(np.vdot(ket_f, v))
+        # an overflow here is reported below as the chain's, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the slice transfers a_j = 1 - i (eps/hbar) H_j, formed once per call
+            a = np.broadcast_to(np.eye(len(p)) - (1j * eps / hbar) * h, stack)
+            v = a[0] @ ket_i
+            for a_j in a[1:]:
+                v = a_j @ (p @ v)
+            amplitude = complex(np.vdot(ket_f, v))
+        cause = ("the Euler chain of steps 1 - i eps H/hbar overflowed; "
+                 "take more slices or a shorter span")
 
     if not np.isfinite(amplitude.real) or not np.isfinite(amplitude.imag):
-        raise NumericalFailure(
-            f"mode {mode} amplitude is not finite (kernel overflow on a "
-            "near-orthogonal pair); refine the grid or slice count")
+        raise NumericalFailure(f"mode {mode} amplitude is not finite ({cause})")
     return amplitude, n_zeroed, fallback, p
 
 

@@ -158,9 +158,8 @@ def _solve_at(fv, spec, omega, t, hbar):
         raise InconsistentSystem(f"at t={t:.6g}: {exc}") from None
 
 
-def _rk4_path(fv, spec, omega0, t0, t1, n_steps, hbar, record=True):
+def _rk4_path(fv, spec, y, t0, t1, n_steps, hbar, record=True):
     dt = (t1 - t0) / n_steps
-    y = np.asarray(omega0, dtype=float).copy()
     rows, systems = [], []
     for j in range(n_steps + 1 if record else n_steps):
         t = t0 + j * dt
@@ -179,7 +178,8 @@ def _rk4_path(fv, spec, omega0, t0, t1, n_steps, hbar, record=True):
 
 def integrate_trajectory(fv: FiducialVector, spec: HamiltonianSpec, omega0,
                          t_span, dt: float, hbar: float = 1.0) -> Trajectory:
-    """Fixed-step RK4 integration of the velocity system over t_span.
+    """Fixed-step RK4 integration of the velocity system over t_span from
+    omega0, an EulerAngles or a raw (phi, theta, psi) triple.
 
     A reversed span (t1 < t0) integrates backward, with steps no longer than
     dt either way.  Angles evolve as raw unwrapped floats.  The error estimate
@@ -188,15 +188,19 @@ def integrate_trajectory(fv: FiducialVector, spec: HamiltonianSpec, omega0,
     NotFinite names a NaN or infinite omega0, t_span, dt or hbar, and dt <= 0
     or hbar <= 0 raises ValueError.
     """
+    try:
+        y0 = np.array(_angles_of(omega0))
+    except NotFinite as exc:
+        raise NotFinite(f"omega0: {exc}") from None
     t0, t1 = float(t_span[0]), float(t_span[1])
-    for name, value in (("omega0", omega0), ("t_span", (t0, t1)), ("dt", dt)):
+    for name, value in (("t_span", (t0, t1)), ("dt", dt)):
         if not np.isfinite(value).all():
             raise NotFinite(f"{name}={value} must be finite")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = max(1, int(np.ceil(abs(t1 - t0) / dt - 1e-12)))
-    path, systems, y_end = _rk4_path(fv, spec, omega0, t0, t1, n_steps, hbar)
-    *_, y_half = _rk4_path(fv, spec, omega0, t0, t1, 2 * n_steps, hbar, record=False)
+    path, systems, y_end = _rk4_path(fv, spec, y0, t0, t1, n_steps, hbar)
+    *_, y_half = _rk4_path(fv, spec, y0, t0, t1, 2 * n_steps, hbar, record=False)
     energies, ranks, residuals = (np.array([getattr(sys, name) for sys in systems])
                                   for name in ("energy", "rank", "residual"))
     return Trajectory(path, energies, ranks, residuals,

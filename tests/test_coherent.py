@@ -36,6 +36,20 @@ def test_make_fiducial_errors():
         FiducialVector(Spin(1), np.array([0.8, 0.0]))
 
 
+@pytest.mark.parametrize("raw, expected", [
+    ([1e308, 1e308, 0.0], [2 ** -0.5, 2 ** -0.5, 0.0]),
+    ([1e-320, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([3e-162, 4e-162, 0.0], [0.6, 0.8, 0.0]),
+    ([0.0, 1e308 + 1e308j, -1e308j], [0.0, (2 / 3) ** 0.5, -(1 + 1j) / 6 ** 0.5]),
+], ids=["near_overflow", "subnormal", "subnormal_squares", "complex_near_overflow"])
+def test_make_fiducial_normalizes_extreme_magnitudes(raw, expected):
+    # the norm was taken unscaled: inf (NotFinite) near overflow, 0
+    # (ZeroVector) for a subnormal entry, and 1.2% off (NotNormalized)
+    # where the squares were subnormal
+    fv = make_fiducial(Spin(2), raw)
+    assert_allclose(fv.coeffs, expected, rtol=0, atol=1e-15)
+
+
 def test_coherent_state_is_rotated_fiducial():
     rng = rng_for(20)
     for two_s in (1, 2, 3):

@@ -11,12 +11,12 @@ from conftest import (dense_gram, jittered_grid, lowest_fv, random_fv, random_om
 from spincs import coherent, propagator
 from spincs import (EulerAngles, GridCoarseWarning, GridTooCoarse, HamiltonianSpec,
                     LengthMismatch, MonomialTerm, NotFinite, NotHermitian, NotNormalized,
-                    OrthogonalPair, QuadratureGrid, Spin, action_along_path, build_grid,
-                    coherent_state, discrete_cspi, exact_propagator, generating_function,
-                    geometric_phase, grid_amplitudes, h_expectation, h_ratio,
-                    hamiltonian_matrix, infinitesimal_overlap, midpoint_product, overlap,
-                    path_velocities, random_fiducial, resolution_residual, spin_operators,
-                    structure_pair, transition_amplitude)
+                    NumericalFailure, OrthogonalPair, QuadratureGrid, Spin, action_along_path,
+                    build_grid, coherent_state, discrete_cspi, exact_propagator,
+                    generating_function, geometric_phase, grid_amplitudes, h_expectation,
+                    h_ratio, hamiltonian_matrix, infinitesimal_overlap, midpoint_product,
+                    overlap, path_velocities, random_fiducial, resolution_residual,
+                    spin_operators, structure_pair, transition_amplitude)
 
 
 def _precession_spec(spin):
@@ -463,6 +463,46 @@ def test_kernel_entries_at_exact_zero_overlaps():
     k, zeroed = propagator._kernel_entries(propagator._pair_terms(dst, src), x.copy())
     assert zeroed == np.count_nonzero(~safe) == 2
     assert np.max(np.abs(k - expected)) <= 1e-15
+
+
+def _block_of(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("pair", ["grid", "bra_endpoint", "ket_endpoint"])
+def test_pair_terms_share_one_block(pair):
+    # o, 1/o, the bound, the scratch x and f are views of one float64
+    # block, which the next M3 call gets back from the allocator without
+    # page faults; arrays allocated apart would fault in afresh each call
+    fv = random_fv(Spin(1), rng_for(74))
+    grid = build_grid(fv.spin)
+    a = grid_amplitudes(fv, grid)
+    end = coherent_state(fv, (0.3, 1.2, -0.4)).amplitudes[None]
+    dst, src = {"grid": (a, a), "bra_endpoint": (end, a), "ket_endpoint": (a, end)}[pair]
+    terms = propagator._pair_terms(dst, src)
+    arrays = (terms.o, terms.inv, terms.bound, terms.x, terms.f)
+    block = _block_of(terms.o)
+    assert all(_block_of(arr) is block for arr in arrays)
+    assert block.nbytes == sum(arr.nbytes for arr in arrays)
+    assert terms.o.shape == terms.x.shape == (len(dst), len(src))
+    assert_allclose(terms.o, dst.conj() @ src.T, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["M1", "M2"])
+def test_euler_chain_overflow_is_named(mode):
+    # t_f = 1e308 overflows the chain of steps 1 - i eps H; the error named
+    # a near-orthogonal kernel pair, which M1 and M2 never build, and under
+    # the suite's RuntimeWarning filter it was the warning itself
+    spin = Spin(1)
+    fv = random_fv(spin, rng_for(75))
+    grid = build_grid(spin)
+    spec = _precession_spec(spin)
+    with pytest.raises(NumericalFailure, match="Euler chain"):
+        discrete_cspi(fv, spec, (0.1, 0.2, 0.3), (0.4, 0.5, 0.6), 0.0, 1e308, 2, grid, mode)
+    with pytest.raises(NumericalFailure, match="Euler chain"):
+        transition_amplitude(fv, spec, fv.coeffs, fv.coeffs, 0.0, 1e308, grid, 2, mode)
 
 
 @pytest.mark.parametrize("y", [

@@ -9,10 +9,10 @@ from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
 import spincs.coherent
 import spincs.propagator
 import spincs.semiclassical
-from spincs import (HamiltonianSpec, InconsistentSystem, LengthMismatch, MonomialTerm, Spin,
-                    build_system, h_expectation, h_gradient, hamiltonian_matrix,
-                    integrate_trajectory, make_fiducial, solve_velocities, spin_operators,
-                    two_form)
+from spincs import (EulerAngles, HamiltonianSpec, InconsistentSystem, LengthMismatch,
+                    MonomialTerm, Spin, build_system, h_expectation, h_gradient,
+                    hamiltonian_matrix, integrate_trajectory, make_fiducial, solve_velocities,
+                    spin_operators, two_form)
 
 
 def _field_spec(spin, bz=1.0, bx=0.0):
@@ -318,6 +318,18 @@ def test_rk4_energies_come_from_the_velocity_solve(monkeypatch):
     for (t, *om), energy in zip(traj.path, traj.energies):
         h_norm = np.linalg.norm(hamiltonian_matrix(spec, t), 2)
         assert abs(energy - h_expectation(fv, spec, om, t)) <= 1e-12 * h_norm
+
+
+def test_euler_angles_start_matches_raw_triple():
+    # an EulerAngles start raised a bare TypeError from np.isfinite
+    spin = Spin(2)
+    fv = random_fv(spin, rng_for(43))
+    spec = _field_spec(spin, bz=1.0, bx=0.4)
+    raw = integrate_trajectory(fv, spec, (0.4, 1.1, 0.7), (0.0, 0.2), 0.05)
+    named = integrate_trajectory(fv, spec, EulerAngles(0.4, 1.1, 0.7), (0.0, 0.2), 0.05)
+    assert np.array_equal(named.path, raw.path)
+    assert np.array_equal(named.energies, raw.energies)
+    assert named.error_estimate == raw.error_estimate
 
 
 def test_precession_scales_with_hbar():
