@@ -112,6 +112,16 @@ def make_fiducial(spin: Spin, raw) -> FiducialVector:
     c = np.asarray(raw, dtype=complex).ravel()
     if c.shape != (spin.dim,):
         raise LengthMismatch(f"expected {spin.dim} coefficients, got {c.shape[0]}")
+    c = _normalized(c, "fiducial")
+    lead = np.flatnonzero(np.abs(c) > 0)[0]
+    c = c * np.exp(-1j * np.angle(c[lead]))
+    return FiducialVector(spin, c)
+
+
+def _normalized(c: np.ndarray, what: str) -> np.ndarray:
+    """c / ||c|| for complex coefficients, from subnormal to near-overflow
+    entries.  Raises ZeroVector for an all-zero c and NotFinite for a NaN or
+    infinite part, naming the coefficients as what."""
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(c)
     if not 2.0 ** -480 < norm < 2.0 ** 480:
@@ -119,17 +129,15 @@ def make_fiducial(spin: Spin, raw) -> FiducialVector:
         # bits to underflow: scale by the power of two that brings the
         # largest real or imaginary part into [1/2, 1), which changes no
         # bit of c / norm
-        big = float(np.abs(c.view(float)).max())
+        parts = np.stack((c.real, c.imag), axis=-1)
+        big = float(np.abs(parts).max(initial=0.0))
         if big == 0.0:
-            raise ZeroVector("fiducial coefficients are all zero")
+            raise ZeroVector(f"{what} coefficients are all zero")
         if not math.isfinite(big):
-            raise NotFinite(f"fiducial coefficients hold a NaN or infinite part ({big})")
-        c = np.ldexp(c.view(float), -math.frexp(big)[1]).view(complex)
+            raise NotFinite(f"{what} coefficients hold a NaN or infinite part ({big})")
+        c = np.ldexp(parts, -math.frexp(big)[1]).view(complex)[..., 0]
         norm = np.linalg.norm(c)
-    c = c / norm
-    lead = np.flatnonzero(np.abs(c) > 0)[0]
-    c = c * np.exp(-1j * np.angle(c[lead]))
-    return FiducialVector(spin, c)
+    return c / norm
 
 
 def random_fiducial(spin: Spin, rng: np.random.Generator) -> FiducialVector:

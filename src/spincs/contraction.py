@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
-from .coherent import _AMPLITUDE_BYTES_MAX, FiducialVector, _gauss_legendre
+from .coherent import _AMPLITUDE_BYTES_MAX, FiducialVector, _gauss_legendre, _normalized
 from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotFinite,
                      NotHermitian, NotNormalized, PoleMargin, ZeroVector)
 from .parametrizations import ZCoords, z_to_omega
@@ -75,14 +75,9 @@ class FockVector:
 
 def make_fock(raw) -> FockVector:
     """Normalize raw coefficients into a FockVector.  Raises ZeroVector for
-    an all-zero input and NotFinite for a NaN or infinite one."""
-    c = np.asarray(raw, dtype=complex)
-    norm = np.linalg.norm(c)
-    if norm == 0.0:
-        raise ZeroVector("Fock coefficients are identically zero")
-    if not np.isfinite(norm):
-        raise NotFinite(f"Fock coefficients have norm {norm}")
-    return FockVector(c / norm)
+    an all-zero input and NotFinite for a NaN or infinite one.  Any other
+    input normalizes, from subnormal to near-overflow entries."""
+    return FockVector(_normalized(np.asarray(raw, dtype=complex), "Fock"))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coherent import FiducialVector
-from .errors import InconsistentSystem, NotFinite
+from .errors import InconsistentSystem, LengthMismatch, NotFinite
 from .geometry import two_form
 from .propagator import (HamiltonianSpec, hamiltonian_matrix, _check_hbar, _check_spin,
                          _monomial_matrix)
@@ -185,13 +185,17 @@ def integrate_trajectory(fv: FiducialVector, spec: HamiltonianSpec, omega0,
     dt either way.  Angles evolve as raw unwrapped floats.  The error estimate
     is the maximum endpoint angle deviation against an integration with half
     the step.  InconsistentSystem aborts with the failure time in the message.
-    NotFinite names a NaN or infinite omega0, t_span, dt or hbar, and dt <= 0
-    or hbar <= 0 raises ValueError.
+    NotFinite names a NaN or infinite omega0, t_span, dt or hbar,
+    LengthMismatch a stack of points as omega0, and dt <= 0 or hbar <= 0
+    raises ValueError.
     """
     try:
         y0 = np.array(_angles_of(omega0))
     except NotFinite as exc:
         raise NotFinite(f"omega0: {exc}") from None
+    if y0.shape != (3,):
+        raise LengthMismatch(f"omega0 must be one point, got Euler angles of shape "
+                             f"{y0.shape[1:] + (3,)}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     for name, value in (("t_span", (t0, t1)), ("dt", dt)):
         if not np.isfinite(value).all():

@@ -38,6 +38,16 @@ def test_make_fock():
         FockVector(np.array([0.5, 0.0]))
 
 
+@pytest.mark.parametrize("raw, expected", [
+    ([1e308, 1e308], [2 ** -0.5, 2 ** -0.5]),
+    ([1e-320, 0.0], [1.0, 0.0]),
+], ids=["near_overflow", "subnormal"])
+def test_make_fock_normalizes_extreme_magnitudes(raw, expected):
+    # the norm was taken unscaled: inf (NotFinite, or a RuntimeWarning under
+    # the suite's filter) near overflow, 0 (ZeroVector) for a subnormal entry
+    assert_allclose(make_fock(raw).coeffs, expected, rtol=1e-15, atol=0)
+
+
 def test_fock_vector_copies_the_callers_array():
     # the caller's complex array was made read-only in place
     a = np.array([1.0 + 0j, 0.0])

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from conftest import (dense_gram, jittered_grid, lowest_fv, random_fv, random_omega,
@@ -909,3 +910,89 @@ def test_oracle_arguments_are_checked(call, error, message):
     # propagator of -H, and t_f=nan ran all 24 doublings (about 2^25 expm calls)
     with pytest.raises(error, match=message):
         call()
+
+
+def _drive(two_s, profile):
+    """S3 plus a profile-driven 0.3 (S+ + S-), which does not commute with
+    itself across times."""
+    return HamiltonianSpec(Spin(two_s), (MonomialTerm(0, 1, 0, 1.0),
+                                         MonomialTerm(1, 0, 0, 0.3, profile),
+                                         MonomialTerm(0, 0, 1, 0.3, profile)))
+
+
+def _dop853_propagator(spec, t_i, t_f):
+    dim = spec.spin.dim
+
+    def rhs(t, y):
+        return (-1j * hamiltonian_matrix(spec, t) @ y.reshape(dim, dim)).ravel()
+
+    sol = solve_ivp(rhs, (t_i, t_f), np.eye(dim, dtype=complex).ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-13)
+    assert sol.success
+    return sol.y[:, -1].reshape(dim, dim)
+
+
+@pytest.mark.parametrize("two_s", [1, 4])
+@pytest.mark.parametrize("profile", [("cosine", 1.5, 0.2), ("ramp",)], ids=["cosine", "ramp"])
+def test_exact_propagator_matches_dop853(two_s, profile):
+    spec = _drive(two_s, profile)
+    u = exact_propagator(spec, 0.0, 2.0)
+    assert_allclose(u, _dop853_propagator(spec, 0.0, 2.0), rtol=0, atol=1e-10)
+
+
+def test_cf4_product_is_fourth_order():
+    # the drive of test_midpoint_product_is_second_order; with its two
+    # exponentials swapped the scheme is second order and this ratio is
+    # about 4
+    spin = Spin(1)
+    spec = HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0),
+                                  MonomialTerm(1, 0, 0, 0.4, ("cosine", 2.0, 0.3)),
+                                  MonomialTerm(0, 0, 1, 0.4, ("cosine", 2.0, 0.3))))
+    exact = propagator._cf4_product(spec, 0.0, 1.5, 1024, 1.0)
+    e1 = np.linalg.norm(propagator._cf4_product(spec, 0.0, 1.5, 8, 1.0) - exact)
+    e2 = np.linalg.norm(propagator._cf4_product(spec, 0.0, 1.5, 16, 1.0) - exact)
+    assert 12.0 <= e1 / e2 <= 20.0
+
+
+def _counted_cf4(monkeypatch):
+    steps = []
+    cf4 = propagator._cf4_product
+
+    def counted(spec, t_i, t_f, n_steps, hbar):
+        steps.append(n_steps)
+        return cf4(spec, t_i, t_f, n_steps, hbar)
+
+    monkeypatch.setattr(propagator, "_cf4_product", counted)
+    return steps
+
+
+def test_static_oracle_settles_at_the_first_doubling(monkeypatch):
+    steps = _counted_cf4(monkeypatch)
+    spec = _precession_spec(Spin(3))
+    u = exact_propagator(spec, 0.0, 1.3)
+    assert steps == [1, 2]
+    assert_allclose(u, expm(-1.3j * hamiltonian_matrix(spec)), atol=1e-10)
+
+
+def test_driven_oracle_settles_within_eight_doublings(monkeypatch):
+    # the drive of test_exact_propagator_time_dependent, which took 17
+    # doublings of the midpoint product
+    steps = _counted_cf4(monkeypatch)
+    exact_propagator(_DRIVEN, 0.0, 2.0)
+    assert steps == [2 ** k for k in range(len(steps))]
+    assert len(steps) <= 9
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+def test_m3_step_overflow_is_named(driven):
+    # t_f = 1e308 makes the scaled H elements of the M3 kernel overflow; the
+    # error blamed a near-orthogonal pair, which the guard rules out, and
+    # under the suite's RuntimeWarning filter it was the bare warning
+    spin = Spin(1)
+    fv = random_fv(spin, rng_for(76))
+    grid = build_grid(spin)
+    spec = _DRIVEN if driven else _precession_spec(spin)
+    with pytest.raises(NumericalFailure, match=r"step eps H/hbar overflowed"):
+        discrete_cspi(fv, spec, (0.1, 0.2, 0.3), (0.4, 0.5, 0.6), 0.0, 1e308, 2, grid, "M3")
+    with pytest.raises(NumericalFailure, match=r"step eps H/hbar overflowed"):
+        transition_amplitude(fv, spec, fv.coeffs, fv.coeffs, 0.0, 1e308, grid, 2, "M3")

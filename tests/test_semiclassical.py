@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -399,3 +400,16 @@ def test_spin_mismatch_raises_length_mismatch(call):
     fv = random_fv(Spin(2), rng_for(67))
     with pytest.raises(LengthMismatch, match="differs from fiducial spin"):
         call(fv, _field_spec(Spin(4), bx=0.3))
+
+
+@pytest.mark.parametrize("omega0, shape", [
+    ([[0.4, 1.1, 0.7], [0.1, 0.2, 0.3]], "(2, 3)"),
+    ([EulerAngles(0.4, 1.1, 0.7)] * 3, "(3, 3)"),
+], ids=["array_stack", "euler_angles_stack"])
+def test_stacked_omega0_is_refused(omega0, shape):
+    # a (2, 3) stack raised a ValueError that named the shape (3, 2)
+    spin = Spin(1)
+    fv = random_fv(spin, rng_for(77))
+    spec = HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0),))
+    with pytest.raises(LengthMismatch, match=re.escape(f"shape {shape}")):
+        integrate_trajectory(fv, spec, omega0, (0.0, 0.2), 0.05)
