@@ -36,8 +36,7 @@ from .contraction import (annihilation_degree_residual, canonical_cs,
                           displacement_matrix, dns_amplitudes, dns_number_check,
                           hp_contract_state, hp_measure_ratio, make_fock)
 from .errors import ConfigInvalid, SpincsError
-from .geometry import (gauge_potential, geometric_phase, kinetic_term, one_form,
-                       two_form, _kappa)
+from .geometry import gauge_potential, geometric_phase, kinetic_term, one_form, two_form
 from .parametrizations import (ZCoords, kinetic_term_a, kinetic_term_z, omega_to_a,
                                omega_to_z)
 from .propagator import (HamiltonianSpec, MonomialTerm, action_along_path,
@@ -402,8 +401,8 @@ def _run_infinitesimal(cfg, seed, tol, hbar):
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
         here, *displaced = coherent_state(fv, [om, *om.as_array() + np.outer(steps, d)]).amplitudes
-        errs = [abs(np.vdot(bra, here) - infinitesimal_overlap(fv, om, h * d))
-                for bra, h in zip(displaced, steps)]
+        approx = infinitesimal_overlap(fv, om, np.outer(steps, d))
+        errs = [abs(np.vdot(bra, here) - first) for bra, first in zip(displaced, approx)]
         slopes.append(np.polyfit(np.log(steps), np.log(errs), 1)[0])
     lo, hi = float(min(slopes)), float(max(slopes))
     outputs = {"min_slope": lo, "max_slope": hi}
@@ -475,10 +474,11 @@ def _run_geometry(cfg, seed, tol, hbar):
     kappa = one_form(fv, om)
     w = two_form(fv, om)
     step = 1e-4
-    # kappa at the six points displaced by +-step along each angle, in one
-    # call; column j of the Jacobian is the central difference along angle j
+    # kappa's components (kinetic_term on the unit velocities) at the six
+    # points displaced by +-step along each angle, in one call; column j of
+    # the Jacobian is the central difference along angle j
     shifted = np.array([om.phi, om.theta, om.psi]) + step * np.vstack((np.eye(3), -np.eye(3)))
-    k = _kappa(fv, shifted[:, 1], shifted[:, 2])
+    k = kinetic_term(fv, shifted[:, None, :], np.eye(3))
     jac = (k[:3] - k[3:]).T / (2 * step)
     fd_dev = max(abs((jac[0, 1] - jac[1, 0]) - w.w_theta_phi),
                  abs((jac[2, 0] - jac[0, 2]) - w.w_phi_psi),

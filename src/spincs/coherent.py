@@ -169,18 +169,18 @@ def structure_pair(fv: FiducialVector) -> tuple:
     """(a0, b0) with a0 = sum_m m |c_m|^2 and b0 = sum_m f(s,m) c_m^* c_{m-1}.
 
     Every angle-dependent structure function is built from these two numbers:
-    a1 = Re(e^{i psi} b0), a4 = Im(e^{i psi} b0).
+    a1 = Re(e^{i psi} b0), a4 = Im(e^{i psi} b0), and the spin vector
+    <Psi0|S|Psi0> = (Re b0, Im b0, a0) of the kinetic terms.
     Computed on the first call for a fiducial vector and kept with it.
     """
     return fv._structure_pair
 
 
-def _structure_at(fv: FiducialVector, psi) -> tuple:
-    """(a0, a1(psi), a4(psi)) with a1 + i a4 = e^{i psi} b0, for a scalar
-    psi or elementwise over an array of them."""
+def _spin_vector(fv: FiducialVector) -> tuple:
+    """n_fv = <Psi0|S|Psi0> = (Re b0, Im b0, a0), the cached structure pair
+    read as a spin vector (<S+> = b0, <S3> = a0)."""
     a0, b0 = structure_pair(fv)
-    b = np.exp(1j * np.asarray(psi)) * b0
-    return a0, b.real, b.imag
+    return b0.real, b0.imag, a0
 
 
 def matrix_elements(fv: FiducialVector, omega) -> tuple:
@@ -193,8 +193,9 @@ def matrix_elements(fv: FiducialVector, omega) -> tuple:
     values are 2pi-periodic and fold-invariant, so raw angles are safe.
     """
     phi, theta, psi = _angles_of(omega)
-    a0, a1, a4 = _structure_at(fv, psi)
-    b = complex(a1, a4)
+    a0, b0 = structure_pair(fv)
+    b = np.exp(1j * psi) * b0
+    a1, a4 = float(b.real), float(b.imag)
     ct, st = math.cos(theta), math.sin(theta)
     a2 = 0.5 * np.exp(1j * phi) * ((1.0 + ct) * b - (1.0 - ct) * np.conj(b))
     s3 = a0 * ct - a1 * st
@@ -270,12 +271,31 @@ class QuadratureGrid:
         return (spin.dim / (8.0 * math.pi ** 2)) * self.weights()
 
 
+# Budget for the (n_points, dim) complex array of grid_amplitudes, which
+# only M3 and explicit amplitude maps build (grid sums of two states go
+# through _grid_gram), and for the dense n x n companion matrix that
+# leggauss builds for an n-node rule.  It lets through every grid this
+# package's tests and benchmark map (the largest, two_s = 36 on an
+# oversample-1 grid, is 0.13 GB) and stops two_s = 60 on the default grid
+# (1.6 GB), or a rule past 11585 nodes, before numpy runs out of memory.
+_AMPLITUDE_BYTES_MAX = 2 ** 30
+
+
 @lru_cache(maxsize=64)
 def _gauss_legendre(n: int) -> tuple:
     """The n-node Gauss-Legendre rule on [-1, 1]: nodes x, weights w and the
     angles arccos(x), all read-only.  leggauss costs far more than the rest
     of a small grid build, and grids of one size, and the radial rule of
-    contraction.ccs_resolution_residual, share the same rule."""
+    contraction.ccs_resolution_residual, share the same rule.
+
+    Raises AmplitudesTooLarge, before allocating, when the n x n float
+    companion matrix of leggauss would exceed ``_AMPLITUDE_BYTES_MAX`` bytes.
+    """
+    n_bytes = n * n * np.dtype(float).itemsize
+    if n_bytes > _AMPLITUDE_BYTES_MAX:
+        raise AmplitudesTooLarge(
+            f"the {n}-node Gauss-Legendre rule needs a {n} x {n} companion matrix of "
+            f"{n_bytes / 1e9:.2f} GB, above the {_AMPLITUDE_BYTES_MAX / 1e9:.2f} GB budget")
     x, w = np.polynomial.legendre.leggauss(n)
     rule = x, w, np.arccos(x)
     for arr in rule:
@@ -288,7 +308,9 @@ def build_grid(spin_max: Spin, oversample: float = 1.2) -> QuadratureGrid:
     n_theta = ceil(ov (2 s_max + 2)), n_phi = n_psi = ceil(ov (4 s_max + 3)).
     The theta nodes and weights are the cached Gauss-Legendre rule of that
     size, shared read-only by every grid with the same n_theta.  Raises
-    NotFinite for a NaN or infinite oversample and ValueError below 1.
+    NotFinite for a NaN or infinite oversample, ValueError below 1 and
+    AmplitudesTooLarge, before allocating, past 11585 theta nodes (see
+    _gauss_legendre).
     """
     if not math.isfinite(oversample):
         raise NotFinite(f"oversample={oversample} must be finite")
@@ -300,15 +322,6 @@ def build_grid(spin_max: Spin, oversample: float = 1.2) -> QuadratureGrid:
     _, w, theta = _gauss_legendre(n_theta)
     phi = 2.0 * math.pi * np.arange(n_ang) / n_ang
     return QuadratureGrid(theta, w, phi, phi.copy())
-
-
-# Budget for the (n_points, dim) complex array of grid_amplitudes, which
-# only M3 and explicit amplitude maps build (grid sums of two states go
-# through _grid_gram).  It lets through every grid this package's tests and
-# benchmark map (the largest, two_s = 36 on an oversample-1 grid, is
-# 0.13 GB) and stops two_s = 60 on the default grid (1.6 GB) before numpy
-# runs out of memory.
-_AMPLITUDE_BYTES_MAX = 2 ** 30
 
 
 def grid_amplitudes(fv: FiducialVector, grid: QuadratureGrid) -> np.ndarray:

@@ -48,7 +48,8 @@ class GridTooCoarse(SpincsError):
 
 
 class AmplitudesTooLarge(SpincsError):
-    """A grid amplitude array would exceed the package's memory budget."""
+    """A grid, its quadrature rule or a grid amplitude array would exceed the
+    package's memory budget."""
 
 
 class GridCoarseWarning(UserWarning):

@@ -1,14 +1,17 @@
 """Alternative coordinates for the coherent-state manifold: the Gaussian
 z-chart and the spinor a-chart, with their invariant measure densities and
-chart-local kinetic terms.
+kinetic terms.
 
 Both charts are linked to Euler angles by
 
     z_plus = -tan(t/2) e^{-i phi},  z_minus = tan(t/2) e^{-i psi},
-    a1 = cos(t/2) e^{-i(phi+psi)/2}, a2 = sin(t/2) e^{i(phi-psi)/2},
+    a1 = cos(t/2) e^{-i(phi+psi)/2}, a2 = sin(t/2) e^{i(phi-psi)/2}.
 
-and the chart-local kinetic terms reproduce kinetic_term(fv, Omega,
-Omega_dot) exactly under the induced velocity maps.
+Neither chart carries a kinetic formula of its own.  Each maps its velocity
+to the body angular velocity omega_body of geometry, and the kinetic term
+is the fiducial vector's spin vector n_fv against it, as in the Euler
+chart: the a-chart reads omega_body from g^-1 dg/dt directly, the z-chart
+through the Euler-angle velocity at z_to_omega(z).
 """
 
 from dataclasses import dataclass
@@ -17,8 +20,9 @@ import math
 
 import numpy as np
 
-from .coherent import FiducialVector, structure_pair
-from .errors import NotUnitary, SubsidiaryViolation, ZOriginSingular
+from .coherent import FiducialVector, structure_pair, _spin_vector
+from .errors import NotUnitary, NumericalFailure, SubsidiaryViolation, ZOriginSingular
+from .geometry import kinetic_term, _velocity
 from .spin_core import EulerAngles, Spin, euler_from_su2, gaussian_decompose, su2_matrix
 
 __all__ = [
@@ -146,53 +150,37 @@ def a_measure_weight(a: ACoords, spin: Spin) -> float:
 
 
 def kinetic_term_z(fv: FiducialVector, z: ZCoords, z_dot) -> float:
-    """Chart-local form of <Omega| i d/dt |Omega> on the constraint surface:
-
-        i { a0/(2|z+|^2) [ (1-|z+|^2)/(1+|z+|^2) (z+* dz+ - dz+* z+)
-                           + (z-* dz- - dz-* z-) ]
-            + 1/(|z+|^2 (1+|z+|^2)) sum_m f(s,m)
-              (c_m c_{m-1}* z+ dz+* z- - c.c.) }
-
-    with z_dot = (dz_plus/dt, dz_minus/dt).  Agrees exactly with
-    kinetic_term under the induced velocity map.
-
-    Raises ZOriginSingular when |z_plus| < 1e-9 and the fiducial vector has
-    nonzero neighboring-coefficient products (the 1/|z+|^2 prefactors are
-    then genuinely singular at the chart origin).
+    """kinetic_term at z_to_omega(z), with z_dot = (dz_plus/dt, dz_minus/dt)
+    mapped to dphi = -Im(dz+/z+), dtheta = 2 |z+| Re(dz+/z+) / (1 + |z+|^2)
+    and dpsi = -Im(dz-/z-).  Raises NotFinite or LengthMismatch for a bad
+    z_dot, NumericalFailure when a finite z_dot overflows that map or the
+    term, and ZOriginSingular when |z_plus| < 1e-9 and b0 != 0, where the
+    limit depends on the direction of approach; for b0 = 0 the term
+    vanishes with |z+| along constraint paths and 0.0 is returned.
     """
-    zp, zm = z.z_plus, z.z_minus
-    zp_dot, zm_dot = (complex(v) for v in z_dot)
-    u2 = abs(zp) ** 2
-    a0, b0 = structure_pair(fv)
-    if u2 < 1e-18:
-        if abs(b0) > 0.0:
+    zp_dot, zm_dot = _velocity(z_dot, "z_dot", 2, complex).tolist()
+    u = abs(z.z_plus)
+    if u * u < 1e-18:
+        if abs(structure_pair(fv)[1]) > 0.0:
             raise ZOriginSingular(
                 "kinetic term is singular at z_plus = 0 for fiducial vectors "
                 "with coupled neighboring components")
-        # single-ladder-free fiducial vector: only the a0 bracket survives,
-        # and it vanishes with |z+|^2 -> 0 along constraint paths
         return 0.0
-    bracket = ((1.0 - u2) / (1.0 + u2) * (zp.conjugate() * zp_dot - zp_dot.conjugate() * zp)
-               + (zm.conjugate() * zm_dot - zm_dot.conjugate() * zm))
-    cross = b0.conjugate() * zp * zp_dot.conjugate() * zm
-    term = a0 / (2.0 * u2) * bracket \
-        + (cross - cross.conjugate()) / (u2 * (1.0 + u2))
-    return float((1j * term).real)
+    rate_p, rate_m = zp_dot / z.z_plus, zm_dot / z.z_minus
+    omega_dot = (-rate_p.imag, 2.0 * u * rate_p.real / (1.0 + u * u), -rate_m.imag)
+    if not all(map(math.isfinite, omega_dot)):
+        raise NumericalFailure(f"z_dot {[zp_dot, zm_dot]} overflows the Euler velocity {omega_dot}")
+    return kinetic_term(fv, z_to_omega(z), omega_dot)
 
 
 def kinetic_term_a(fv: FiducialVector, a: ACoords, a_dot) -> float:
-    """Chart-local kinetic term in spinor coordinates:
-
-        i { a0 [ (a1* da1 - da1* a1) + (a2* da2 - da2* a2) ]
-            + sum_m f(s,m) (c_m c_{m-1}* (a1 da2 - da1 a2) - c.c.) }
-
-    with a_dot = (da1/dt, da2/dt).  Globally regular on the sphere and
-    exactly equal to kinetic_term under the induced velocity map.
-    """
-    a1, a2 = a.a1, a.a2
-    a1_dot, a2_dot = (complex(v) for v in a_dot)
-    a0, b0 = structure_pair(fv)
-    diag = (a1.conjugate() * a1_dot - a1_dot.conjugate() * a1
-            + a2.conjugate() * a2_dot - a2_dot.conjugate() * a2)
-    wedge = b0.conjugate() * (a1 * a2_dot - a1_dot * a2)
-    return float((1j * (a0 * diag + wedge - wedge.conjugate())).real)
+    """n_fv . omega_body with the body velocity of g^-1 dg/dt at
+    g = [[a1, -a2*], [a2, a1*]] and a_dot = (da1/dt, da2/dt):
+    omega_body = (-2 Im v, 2 Re v, -2 Im(a1* da1 + a2* da2)), v = a1 da2 -
+    da1 a2.  Globally regular on the sphere.  Raises NotFinite or
+    LengthMismatch for a bad a_dot."""
+    a1_dot, a2_dot = _velocity(a_dot, "a_dot", 2, complex).tolist()
+    v = a.a1 * a2_dot - a1_dot * a.a2
+    spin_rate = (a.a1.conjugate() * a1_dot + a.a2.conjugate() * a2_dot).imag
+    x, y, z = _spin_vector(fv)
+    return float(-2.0 * (x * v.imag - y * v.real + z * spin_rate))

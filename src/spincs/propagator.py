@@ -52,7 +52,7 @@ from scipy.linalg import expm
 from .coherent import FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes, _grid_gram
 from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotFinite, NotHermitian,
                      NotNormalized, NumericalFailure, OrthogonalPair)
-from .geometry import geometric_phase, kinetic_term
+from .geometry import geometric_phase, kinetic_term, _trapezoid, _velocity
 from .spin_core import Spin, spin_operators, _angles_of
 
 _ZERO_OVERLAP = 1e-12
@@ -589,13 +589,19 @@ def transition_amplitude(fv: FiducialVector, spec: HamiltonianSpec, ket_i, ket_f
                      grid_ends=True)[0]
 
 
-def infinitesimal_overlap(fv: FiducialVector, omega, delta_omega) -> complex:
+def infinitesimal_overlap(fv: FiducialVector, omega, delta_omega) -> complex | np.ndarray:
     """First-order overlap <Omega + dOmega|Omega> = 1 + i kappa(dOmega), with
-    geometry.kinetic_term at the displaced (bra) point.  Raw angles are
-    accepted and not folded, so the deviation from the exact overlap is
-    O(|dOmega|^2) for every theta."""
-    bra = np.add(_angles_of(omega), delta_omega)
-    return complex(1.0, kinetic_term(fv, bra, delta_omega))
+    geometry.kinetic_term at the displaced (bra) point.  omega and
+    delta_omega are points or (..., 3) stacks that broadcast: a complex for
+    one pair, an array for a stack.  Raw angles are accepted and not
+    folded, so the deviation from the exact overlap is O(|dOmega|^2) for
+    every theta.  Raises NotFinite or LengthMismatch for a bad
+    delta_omega."""
+    delta_omega = _velocity(delta_omega, "delta_omega")
+    with np.errstate(over="ignore"):
+        bra = np.stack(np.broadcast_arrays(*_angles_of(omega)), axis=-1) + delta_omega
+    kappa = kinetic_term(fv, bra, delta_omega)
+    return complex(1.0, kappa) if np.ndim(kappa) == 0 else 1.0 + 1j * kappa
 
 
 def action_along_path(fv: FiducialVector, spec: HamiltonianSpec, path,
@@ -605,10 +611,17 @@ def action_along_path(fv: FiducialVector, spec: HamiltonianSpec, path,
     row from one h_expectation call on the stacked angles and times.
     Raises PathTooShort below 2 samples, NotFinite for a non-finite row or
     hbar, ValueError for hbar <= 0, TimesNotMonotone unless the times are
-    strictly monotone and LengthMismatch unless the spec's spin is the
-    fiducial's."""
+    strictly monotone, LengthMismatch unless the spec's spin is the
+    fiducial's, and NumericalFailure when a velocity, the phase, the
+    energy integral or the action overflows."""
     _check_hbar(hbar)
     path = np.asarray(path, dtype=float)
     kinetic = geometric_phase(fv, path)
     energies = h_expectation(fv, spec, path[:, 1:], path[:, 0])
-    return float(hbar * kinetic - np.trapezoid(energies, path[:, 0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = _trapezoid(energies, path[:, 0])
+        action = hbar * kinetic - energy
+    if not math.isfinite(action):
+        raise NumericalFailure(f"the action overflows to {action} (hbar * phase = "
+                               f"{hbar} * {kinetic}, energy integral {energy})")
+    return action

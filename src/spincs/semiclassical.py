@@ -2,25 +2,28 @@
 
 Stationarity of the action integral of hbar*kinetic_term - <H> gives a
 linear system for the angular velocities whose matrix is hbar d(kappa), the
-kinetic two-form of geometry.two_form:
+kinetic two-form of geometry.two_form with components w_tp = w_theta_phi,
+w_pp = w_phi_psi and w_pt = w_psi_theta:
 
-    hbar * [[C,          0,   a1        ],     [[dphi  ],    [[-dH/dtheta],
-            [0,          C,   -a4 sin(theta)],  [dtheta],  =  [ dH/dphi  ],
-            [a4 sin(theta), a1, 0        ]]     [dpsi  ]]     [ dH/dpsi  ]]
+    hbar * [[-w_tp,  0,     w_pt],     [[dphi  ],    [[-dH/dtheta],
+            [0,     -w_tp,  w_pp],      [dtheta],  =  [ dH/dphi  ],
+            [-w_pp,  w_pt,  0   ]]      [dpsi  ]]     [ dH/dpsi  ]]
 
-with C = -w_theta_phi, a4 sin(theta) = -w_phi_psi, a1 = w_psi_theta, and the
-exact gradient of h_gradient.  Reordered to rows (phi, theta, psi) with the
-theta row negated (VelocitySystem.antisymmetric), the system is the cross
-product hbar (omega_dot x n) = grad H with the kernel vector n = (-a1,
-a4 sin(theta), C) of VelocitySystem.kernel.  Both nonzero singular values
-are hbar |n|, so the rank is 2 unless n = 0, and a velocity exists only
-when grad H annihilates n.  It does for single-m fiducial vectors (psi
-shifts are pure phases, so dH/dpsi = 0) and for every H of monomial degree
-<= 1 (linear generators move coherent states rigidly along group orbits); a
-multi-component fiducial vector with degree >= 2 terms generically admits
-none, which solve_velocities reports as InconsistentSystem.  The
-minimum-norm velocity, (n x grad H) / (hbar |n|^2), is returned; the
-component along n is left undetermined.
+with the exact gradient of h_gradient.  Reordered to rows (phi, theta, psi)
+with the theta row negated (VelocitySystem.antisymmetric), the system is
+the cross product hbar (omega_dot x n) = grad H with the kernel vector
+n = -(w_pt, w_pp, w_tp) of VelocitySystem.kernel.  Since d kappa(u, v) =
+-n_fv . (omega_u x omega_v), the components of n are the fiducial vector's
+spin vector n_fv against the body-frame cross products omega_psi x
+omega_theta, omega_phi x omega_psi and omega_theta x omega_phi.  Both
+nonzero singular values are hbar |n|, so the rank is 2 unless n = 0, and a
+velocity exists only when grad H annihilates n.  It does for single-m
+fiducial vectors (psi shifts are pure phases, so dH/dpsi = 0) and for every
+H of monomial degree <= 1 (linear generators move coherent states rigidly
+along group orbits); a multi-component fiducial vector with degree >= 2
+terms generically admits none, which solve_velocities reports as
+InconsistentSystem.  The minimum-norm velocity, (n x grad H) / (hbar |n|^2),
+is returned; the component along n is left undetermined.
 """
 
 from dataclasses import dataclass, field
@@ -102,10 +105,10 @@ def build_system(fv: FiducialVector, spec: HamiltonianSpec, omega, t: float = 0.
     A non-finite hbar raises NotFinite, hbar <= 0 ValueError."""
     _check_hbar(hbar)
     w = two_form(fv, omega)
-    c, a4_sin, a1 = -w.w_theta_phi, -w.w_phi_psi, w.w_psi_theta
-    m = hbar * np.array([[c, 0.0, a1],
-                         [0.0, c, -a4_sin],
-                         [a4_sin, a1, 0.0]])
+    tp, pp, pt = w.w_theta_phi, w.w_phi_psi, w.w_psi_theta
+    m = hbar * np.array([[-tp, 0.0, pt],
+                         [0.0, -tp, pp],
+                         [-pp, pt, 0.0]])
     grad, energy, h_norm = _gradient_and_energy(fv, spec, omega, t)
     sys = VelocitySystem(m=m, b=np.array([-grad[1], grad[0], grad[2]]), rank=0)
     hbar_n = sys.kernel()

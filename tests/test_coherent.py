@@ -207,6 +207,29 @@ def test_build_grid_shares_read_only_gauss_legendre_rule():
     assert_allclose(first.theta_weights, w, atol=0)
 
 
+class _RuleReached(Exception):
+    pass
+
+
+def test_build_grid_refuses_a_rule_past_the_budget(monkeypatch):
+    # oversample=1e9 raised a bare MemoryError, and oversample=3000 took 88 s
+    # in leggauss, whose dense n_theta x n_theta companion matrix was 1.15 GB
+    # at n_theta = 12000.  At two_s = 2, n_theta = ceil(4 oversample) passes
+    # 2**30 bytes at 11586 nodes: the smallest failing oversample is the
+    # float after 2896.25.  leggauss is replaced, so nothing is allocated
+    def reached(n):
+        raise _RuleReached(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", reached)
+    for oversample in (math.nextafter(2896.25, math.inf), 3000.0, 1e9):
+        with pytest.raises(AmplitudesTooLarge, match="Gauss-Legendre"):
+            build_grid(Spin(2), oversample)
+    # one node fewer fits the budget and reaches leggauss (which raises, so
+    # the rule cache keeps nothing)
+    with pytest.raises(_RuleReached, match="11585"):
+        build_grid(Spin(2), 2896.25)
+
+
 @pytest.mark.parametrize("two_s", [1, 2, 3])
 def test_resolution_residual_at_roundoff(two_s):
     rng = rng_for(26, two_s)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from spincs import (ACoords, EulerAngles, FiducialVector, FockVector, HamiltonianSpec,
-                    MonomialTerm, NotFinite, NotHermitian, NotNormalized, NotUnitary,
-                    RotationMatrix, Spin, SubsidiaryViolation, ZCoords, action_along_path,
-                    build_grid, canonical_cs, ccs_canonical_rhs, ccs_kinetic_term,
-                    coherent_state, displacement_matrix, dns_amplitudes, euler_from_su2,
-                    hp_contract_state, integrate_trajectory, make_fiducial, make_fock,
-                    normal_ordered_matrix, overlap, random_fiducial, transition_amplitude)
+                    LengthMismatch, MonomialTerm, NotFinite, NotHermitian, NotNormalized,
+                    NotUnitary, RotationMatrix, Spin, SubsidiaryViolation, ZCoords,
+                    action_along_path, build_grid, canonical_cs, ccs_canonical_rhs,
+                    ccs_kinetic_term, coherent_state, displacement_matrix, dns_amplitudes,
+                    euler_from_su2, gauge_potential, hp_contract_state, infinitesimal_overlap,
+                    integrate_trajectory, kinetic_term, kinetic_term_a, kinetic_term_z,
+                    make_fiducial, make_fock, normal_ordered_matrix, omega_to_a, omega_to_z,
+                    overlap, random_fiducial, transition_amplitude)
 
 nan, inf = math.nan, math.inf
 
@@ -41,6 +43,7 @@ def _action(hbar):
 
 _FV = make_fiducial(Spin(1), [0.6, 0.8])
 _FOCK = FockVector(np.array([0.6, 0.8j]))
+_OMEGA = EulerAngles(0.3, 1.1, 0.7)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -88,6 +91,20 @@ _FOCK = FockVector(np.array([0.6, 0.8j]))
     (lambda: ccs_kinetic_term(nan, 0.1j, _FOCK), NotFinite, "alpha"),
     (lambda: ccs_kinetic_term(0.3, complex(nan, 1.0), _FOCK), NotFinite, "alpha_dot"),
     (lambda: ccs_canonical_rhs([(1, 1, 1.5)], nan, _FOCK), NotFinite, "alpha"),
+    # velocities of the kinetic terms: NaN or inf results, a bare ValueError
+    # for a 2-vector; gauge_potential returned NaN components or raised a
+    # bare RuntimeWarning
+    (lambda: kinetic_term(_FV, _OMEGA, (0.1, nan, 0.2)), NotFinite, "omega_dot"),
+    (lambda: kinetic_term(_FV, _OMEGA, (0.1, 0.2, inf)), NotFinite, "omega_dot"),
+    (lambda: kinetic_term(_FV, _OMEGA, (0.1, 0.2)), LengthMismatch, r"shape \(2,\)"),
+    (lambda: kinetic_term_a(_FV, omega_to_a(_OMEGA), (nan, 0.1j)), NotFinite, "a_dot"),
+    (lambda: kinetic_term_a(_FV, omega_to_a(_OMEGA), (0.1, complex(0.0, inf))), NotFinite,
+     "a_dot"),
+    (lambda: kinetic_term_z(_FV, omega_to_z(_OMEGA), (nan, 0.1j)), NotFinite, "z_dot"),
+    (lambda: kinetic_term_z(_FV, omega_to_z(_OMEGA), (0.1, inf)), NotFinite, "z_dot"),
+    (lambda: gauge_potential(_FV, nan, 0.1, 0.2), NotFinite, "finite"),
+    (lambda: gauge_potential(_FV, 0.3, inf, 0.2), NotFinite, "finite"),
+    (lambda: infinitesimal_overlap(_FV, _OMEGA, (nan, 0.0, 0.0)), NotFinite, "delta_omega"),
 ], ids=["FiducialVector", "make_fiducial", "FockVector", "make_fock", "RotationMatrix",
         "ZCoords", "ACoords", "HamiltonianSpec", "normal_ordered_matrix", "euler_from_su2",
         "transition_amplitude", "EulerAngles", "EulerAngles_inf", "overlap_raw",
@@ -99,7 +116,9 @@ _FOCK = FockVector(np.array([0.6, 0.8j]))
         "ccs_kinetic_term_hbar_zero", "ccs_canonical_rhs_hbar_nan",
         "ccs_canonical_rhs_hbar_zero", "hp_contract_state", "canonical_cs",
         "dns_amplitudes", "displacement_matrix", "ccs_kinetic_term", "ccs_kinetic_term_dot",
-        "ccs_canonical_rhs"])
+        "ccs_canonical_rhs", "kinetic_term_nan", "kinetic_term_inf", "kinetic_term_length",
+        "kinetic_term_a_nan", "kinetic_term_a_inf", "kinetic_term_z_nan", "kinetic_term_z_inf",
+        "gauge_potential_nan", "gauge_potential_inf", "infinitesimal_overlap_nan"])
 def test_nan_input_raises_named_error(call, error, match):
     # the first rows' checks read `defect > bound`, which a NaN defect
     # passes; make_fiducial raised IndexError, transition_amplitude a

@@ -5,10 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import basis_fv, random_fv, random_omega, rng_for
-from spincs import (HamiltonianSpec, MonomialTerm, NotFinite, PathTooShort, Spin,
-                    TimesNotMonotone, action_along_path, coherent_state, gauge_potential,
-                    geometric_phase, kinetic_term, make_fiducial, one_form, path_velocities,
-                    structure_pair, two_form)
+from spincs import (HamiltonianSpec, MonomialTerm, NotFinite, NumericalFailure, PathTooShort,
+                    Spin, TimesNotMonotone, ZCoords, action_along_path, coherent_state,
+                    gauge_potential, geometric_phase, kinetic_term, kinetic_term_z,
+                    make_fiducial, one_form, path_velocities, random_fiducial, structure_pair,
+                    two_form)
 
 
 def _fd_kinetic(fv, omega, omega_dot, h=1e-6):
@@ -206,3 +207,48 @@ def test_geometric_phase_requires_path():
     fv = make_fiducial(Spin(1), [1.0, 0.0])
     with pytest.raises(PathTooShort):
         geometric_phase(fv, np.array([[0.0, 0.0, 1.0, 0.0]]))
+
+
+# the overflow probes: under the RuntimeWarning filter of the test run, each
+# raised the bare warning (and otherwise returned inf or nan)
+_OVERFLOW_FV = random_fiducial(Spin(2), np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("path, row", [
+    ([[0.0, 0.1, 0.2, 0.3], [1e-300, 1e300, 0.2, 0.3]], 0),
+    ([[0.0, 1e308, 0.2, 0.3], [1.0, -1e308, 0.2, 0.3], [2.0, 1e308, 0.2, 0.3]], 0),
+], ids=["step_1e300", "phi_pm_1e308"])
+def test_overflowed_velocity_raises_numerical_failure(path, row):
+    spec = HamiltonianSpec(Spin(2), (MonomialTerm(0, 1, 0, 1.0),))
+    for call in (path_velocities, lambda p: geometric_phase(_OVERFLOW_FV, p),
+                 lambda p: action_along_path(_OVERFLOW_FV, spec, p)):
+        with pytest.raises(NumericalFailure, match=f"velocity at path row {row}"):
+            call(path)
+
+
+def test_overflowed_kinetic_term_raises_numerical_failure():
+    # finite velocities whose contraction with n_fv, or whose z-chart map
+    # dz/z near the origin, passes the float range
+    with pytest.raises(NumericalFailure, match="omega_dot"):
+        kinetic_term(_OVERFLOW_FV, (0.1, 0.2, 0.3), (1e308, 1e308, 1e308))
+    with pytest.raises(NumericalFailure, match="z_dot"):
+        kinetic_term_z(_OVERFLOW_FV, ZCoords(2e-9, 2e-9), (1e308, 0.0))
+    path = [[0.0, 0.0, 0.2, 0.3], [1.0, 1.7e308, 0.2, 1.7e308]]
+    with pytest.raises(NumericalFailure):
+        geometric_phase(_OVERFLOW_FV, path)
+
+
+def test_action_over_a_1e308_step():
+    # the spacing 2 dt of np.gradient overflowed, though the angles do not
+    # move: the phase is 0 and the action is minus the energy trapezoid,
+    # 1e308 <H> with <H> = c at |m=1>, theta = 0.  At c = 2 it passes the
+    # float range
+    fv = basis_fv(Spin(2), 0)
+    path = np.array([[0.0, 0.1, 0.0, 0.3], [1e308, 0.1, 0.0, 0.3]])
+    assert geometric_phase(fv, path) == 0.0
+    for coeff in (1.0, -1.0):
+        spec = HamiltonianSpec(Spin(2), (MonomialTerm(0, 1, 0, coeff),))
+        assert_allclose(action_along_path(fv, spec, path), -coeff * 1e308, rtol=1e-14)
+    spec = HamiltonianSpec(Spin(2), (MonomialTerm(0, 1, 0, 2.0),))
+    with pytest.raises(NumericalFailure, match="action overflows"):
+        action_along_path(fv, spec, path)
