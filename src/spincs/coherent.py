@@ -15,6 +15,7 @@ fiducial vector.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+import cmath
 import math
 import warnings
 
@@ -23,7 +24,8 @@ from scipy.linalg import expm
 
 from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotFinite,
                      NotNormalized, ZeroVector)
-from .spin_core import Spin, spin_operators, _angles_of, _ladder, _rotate, _s2_eigensystem
+from .spin_core import (Spin, spin_operators, _angles_of, _cayley_klein, _ladder, _rotate,
+                        _s2_eigensystem)
 
 __all__ = [
     "FiducialVector",
@@ -158,11 +160,26 @@ def coherent_state(fv: FiducialVector, omega) -> CoherentState:
 
 
 def overlap(fv: FiducialVector, omega2, omega1) -> complex:
-    """<Omega2|Omega1> for a shared fiducial vector, computed as
-    conj(amplitudes(Omega2)) . amplitudes(Omega1), with both states from
-    one coherent_state call at the angles given."""
-    bra, ket = coherent_state(fv, (omega2, omega1)).amplitudes
-    return complex(np.vdot(bra, ket))
+    """<Omega2|Omega1> = <Psi0| R(g) |Psi0> for a shared fiducial vector,
+    with g = g2^-1 g1 the group product of the spin-1/2 rotations at the
+    angles given: one rotated row a pair, not two states.  g's first column
+    a = conj(a2) a1 + conj(b2) b1, b = a2 b1 - b2 a1 (see _cayley_klein) is
+    read back as the raw angles theta = 2 atan2(|b|, |a|), phi = arg b -
+    arg a, psi = -arg a - arg b, which rebuild g itself, so the half-integer
+    sheet is kept with no sign flag or pole cutoff.  Agrees with the vdot of
+    two coherent_state calls to roundoff, not bit for bit.  Each side is one
+    point: LengthMismatch for a stack."""
+    angles2, angles1 = _angles_of(omega2), _angles_of(omega1)
+    if isinstance(angles2[0], np.ndarray) or isinstance(angles1[0], np.ndarray):  # a stack
+        raise LengthMismatch(f"overlap takes one point a side, got Euler angles of shapes "
+                             f"{np.shape(angles2[0]) + (3,)} and {np.shape(angles1[0]) + (3,)}")
+    (a2, b2), (a1, b1) = _cayley_klein(*angles2), _cayley_klein(*angles1)
+    a = a2.conjugate() * a1 + b2.conjugate() * b1
+    b = a2 * b1 - b2 * a1
+    arg_a, arg_b = cmath.phase(a), cmath.phase(b)
+    c = fv.coeffs
+    ket = _rotate(fv.spin.two_s, arg_b - arg_a, 2.0 * math.atan2(abs(b), abs(a)), -arg_a - arg_b, c)
+    return complex(np.vdot(c, ket))
 
 
 def structure_pair(fv: FiducialVector) -> tuple:

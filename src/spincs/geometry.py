@@ -19,7 +19,7 @@ import numpy as np
 
 from .coherent import FiducialVector, _spin_vector
 from .errors import LengthMismatch, NotFinite, NumericalFailure, PathTooShort, TimesNotMonotone
-from .spin_core import _angles_of, _finite
+from .spin_core import _angles_of
 
 __all__ = [
     "OneForm",
@@ -75,8 +75,13 @@ class GaugePotential:
 def _velocity(value, name: str, length: int = 3, dtype=float) -> np.ndarray:
     """value as an array with a last axis of the given length, checked
     finite: LengthMismatch quoting the shape given, or NotFinite naming the
-    argument.  Every velocity argument of a kinetic term enters here."""
-    v = np.asarray(value, dtype=dtype)
+    argument.  A complex value where dtype is float raises TypeError naming
+    the argument, where a cast would drop its imaginary part.  Every
+    velocity argument of a kinetic term enters here."""
+    v = np.asarray(value)
+    if dtype is float and np.iscomplexobj(v):
+        raise TypeError(f"{name} must be real, got complex entries: {v.tolist()}")
+    v = np.asarray(v, dtype=dtype)
     if v.shape[-1:] != (length,):
         raise LengthMismatch(f"{name} needs a last axis of length {length}, got shape {v.shape}")
     if not np.isfinite(v).all():
@@ -137,7 +142,8 @@ def gauge_potential(fv: FiducialVector, theta: float, xi: float, eta: float) -> 
     monopole divergence, so all three stay finite at theta = 0 and pi for
     every fiducial vector.  Raises NotFinite for a NaN or infinite angle.
     """
-    theta, xi, eta = _finite(theta, xi, eta)
+    if not (math.isfinite(theta) and math.isfinite(xi) and math.isfinite(eta)):
+        raise NotFinite(f"(theta, xi, eta) = ({theta}, {xi}, {eta}) must be finite")
     x, y, z = _spin_vector(fv)
     psi = 0.5 * xi - 0.5 * eta
     ch, sh, sp, cp = math.cos(0.5 * theta), math.sin(0.5 * theta), math.sin(psi), math.cos(psi)

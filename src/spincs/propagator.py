@@ -269,7 +269,9 @@ def _cf4_product(spec: HamiltonianSpec, t_i: float, t_f: float, n_steps: int,
     the scheme is only second order.  H comes from two stacked
     hamiltonian_matrix calls per block of at most _H_BLOCK_ENTRIES entries
     each, and both factors of every step in the block from one eigh on the
-    stacked Hermitian exponents, as V diag(exp(-i eps lam/hbar)) V^H."""
+    stacked Hermitian exponents, as V diag(exp(-i eps lam/hbar)) V^H.  A
+    block's factors, in time order, are multiplied pairwise in stacked
+    products, the later factor of each pair on the left, until one is left."""
     eps = (t_f - t_i) / n_steps
     dim = spec.spin.dim
     block = max(1, _H_BLOCK_ENTRIES // dim ** 2)
@@ -280,9 +282,13 @@ def _cf4_product(spec: HamiltonianSpec, t_i: float, t_f: float, n_steps: int,
         h1, h2 = hamiltonian_matrix(spec, t + c1 * eps), hamiltonian_matrix(spec, t + c2 * eps)
         # per step, the right factor's exponent, then the left one's
         lam, v = np.linalg.eigh(np.stack((a2 * h1 + a1 * h2, a1 * h1 + a2 * h2), axis=1))
-        factors = (v * np.exp((-1j * eps / hbar) * lam)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        for f in factors.reshape(-1, dim, dim):
-            u = f @ u
+        f = ((v * np.exp((-1j * eps / hbar) * lam)[..., None, :])
+             @ v.conj().swapaxes(-1, -2)).reshape(-1, dim, dim)
+        while len(f) > 1:
+            even = len(f) // 2 * 2
+            # an odd count carries its last (latest) factor to the next round
+            f = np.concatenate((f[1:even:2] @ f[0:even:2], f[even:]))
+        u = f[0] @ u
     return u
 
 

@@ -27,6 +27,7 @@ Conventions used throughout the package:
 
 from dataclasses import dataclass
 from functools import lru_cache
+import cmath
 import math
 
 import numpy as np
@@ -302,21 +303,28 @@ def _angles_of(omega) -> tuple:
     return a[..., 0], a[..., 1], a[..., 2]
 
 
+def _cayley_klein(phi: float, theta: float, psi: float) -> tuple:
+    """The first column (a, b) of the spin-1/2 rotation at raw scalar angles,
+
+        a = cos(t/2) e^{-i phi/2} e^{-i psi/2},  b = sin(t/2) e^{+i phi/2} e^{-i psi/2},
+
+    each half-angle phase its own factor: a sum phi + psi would lose psi
+    to rounding once |phi| dwarfs it (at |phi| ~ 1e300, say)."""
+    e_phi, e_psi = cmath.exp(-0.5j * phi), cmath.exp(-0.5j * psi)
+    return math.cos(0.5 * theta) * e_phi * e_psi, math.sin(0.5 * theta) * e_phi.conjugate() * e_psi
+
+
 def su2_matrix(omega) -> np.ndarray:
     """The 2x2 special-unitary matrix of the spin-1/2 representation,
 
-        [[cos(t/2) e^{-i(phi+psi)/2}, -sin(t/2) e^{-i(phi-psi)/2}],
-         [sin(t/2) e^{+i(phi-psi)/2},  cos(t/2) e^{+i(phi+psi)/2}]]
+        [[a, -conj(b)],    a = cos(t/2) e^{-i(phi+psi)/2}
+         [b,  conj(a)]],   b = sin(t/2) e^{+i(phi-psi)/2}
 
-    evaluated at raw (unnormalized) angles, so it is usable as the exact
-    double-cover lift in compositions.
+    with (a, b) from _cayley_klein, evaluated at raw (unnormalized) angles,
+    so it is usable as the exact double-cover lift in compositions.
     """
-    phi, theta, psi = _angles_of(omega)
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    ep = np.exp(-0.5j * (phi + psi))
-    em = np.exp(-0.5j * (phi - psi))
-    return np.array([[c * ep, -s * em], [s * em.conjugate(), c * ep.conjugate()]])
+    a, b = _cayley_klein(*_angles_of(omega))
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
 _DEGENERATE_CUTOFF = 1e-9

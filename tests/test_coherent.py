@@ -13,6 +13,7 @@ from spincs import (AmplitudesTooLarge, EulerAngles, GridCoarseWarning, LengthMi
                     generating_function, grid_amplitudes, make_fiducial,
                     euler_from_su2, matrix_elements, overlap, resolution_residual,
                     spin_operators, structure_pair, su2_matrix)
+from spincs import coherent
 from spincs.coherent import _grid_gram
 
 
@@ -114,6 +115,60 @@ def test_overlap_matches_composed_rotation_route(two_s):
         om3, sign = euler_from_su2(u)
         composed = sign ** two_s * np.vdot(fv.coeffs, big_r(spin, om3).entries @ fv.coeffs)
         assert abs(overlap(fv, om2, om1) - composed) < 1e-10
+
+
+def test_overlap_takes_one_rotated_row(monkeypatch):
+    # <Psi0| R(g2^-1 g1) |Psi0>: one _rotate call at one scalar angle triple,
+    # not the two states' rows
+    rng = rng_for(64)
+    fv = random_fv(Spin(3), rng)
+    calls = []
+    rotate = coherent._rotate
+
+    def counting(*args):
+        calls.append(args)
+        return rotate(*args)
+
+    monkeypatch.setattr(coherent, "_rotate", counting)
+    overlap(fv, random_omega(rng), random_omega(rng))
+    assert len(calls) == 1
+    assert all(np.ndim(angle) == 0 for angle in calls[0][1:4])
+    assert np.shape(calls[0][4]) == (fv.spin.dim,)
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 7, 16, 26, 31, 34, 51, 64])
+def test_overlap_matches_two_states_at_raw_angles(two_s):
+    # the group-law overlap against the vdot of two states, at raw angles
+    # off the canonical ranges (which keep the half-integer sheet), at both
+    # poles and for near-identity pairs
+    rng = rng_for(24, two_s)
+    fv = random_fv(Spin(two_s), rng)
+    pairs = [(rng.uniform(-7.0, 7.0, 3), rng.uniform(-7.0, 7.0, 3)) for _ in range(20)]
+    for theta in (0.0, math.pi, -math.pi, 2.0 * math.pi):
+        pairs += [((0.3, theta, 1.2), (1.1, theta, -0.4)),
+                  ((0.3, theta, 1.2), tuple(rng.uniform(-7.0, 7.0, 3))),
+                  ((0.3, theta, 1.2), (0.3 + 1e-9, theta - 1e-12, 1.2 - 1e-9))]
+    om = rng.uniform(-7.0, 7.0, 3)
+    pairs += [(om, om), (om, om + 1e-15), (om, om + [0.0, 1e-8, 0.0])]
+    for om2, om1 in pairs:
+        states = coherent_state(fv, [om2, om1]).amplitudes
+        assert abs(overlap(fv, om2, om1) - np.vdot(*states)) <= 1e-13
+
+
+def test_overlap_at_overflow_sized_angles():
+    # R(Omega) c at phi = 1e308 overflowed the phases e^{-i m phi}: nan+nanj,
+    # or a RuntimeWarning; only the half angles enter the group law
+    rng = rng_for(24, 1)
+    fv = random_fv(Spin(4), rng)
+    for om in ((1e308, 0.2, 0.1), (0.3, 1e308, 0.1), (0.3, 0.2, -1e308), (1e308, -1e308, 1e308)):
+        value = overlap(fv, om, (0.1, 0.2, 0.3))
+        assert math.isfinite(value.real) and math.isfinite(value.imag)
+        assert abs(value) <= 1.0 + 1e-12
+        assert abs(overlap(fv, om, om) - 1.0) <= 1e-13
+    # at phi = 1e300 the states were still finite: the value they gave.  A
+    # phase e^{-i(phi + psi)/2}, psi lost to rounding, gives another
+    expected = -0.22555091606390515 + 0.15788394393619204j
+    assert abs(overlap(fv, (1e300, 0.2, 0.1), (0.1, 0.2, 0.3)) - expected) <= 1e-13
 
 
 def test_structure_pair_against_operator_expectations():

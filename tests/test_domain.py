@@ -62,6 +62,10 @@ _OMEGA = EulerAngles(0.3, 1.1, 0.7)
     (lambda: EulerAngles(nan, 0.2, 0.1), NotFinite, "Euler angles"),
     (lambda: EulerAngles(0.3, inf, 0.1), NotFinite, "Euler angles"),
     (lambda: overlap(_FV, (nan, 0.2, 0.1), (0.1, 0.2, 0.3)), NotFinite, "Euler angles"),
+    # two stacks of points: the sum of the pairwise overlaps, |value| > 1
+    (lambda: overlap(make_fiducial(Spin(2), [0.6, 0.0, 0.8]), [[0.1, 0.2, 0.3], [0.4, 1.5, 0.6]],
+                     [[0.7, 0.8, 0.9], [1.0, 2.1, 1.2]]), LengthMismatch,
+     r"shapes \(2, 3\) and \(2, 3\)"),
     (lambda: coherent_state(_FV, [[0.1, 0.2, 0.3], [0.4, -inf, 0.6]]), NotFinite,
      "Euler angles"),
     # integrate_trajectory raised "cannot convert float NaN to integer",
@@ -102,14 +106,15 @@ _OMEGA = EulerAngles(0.3, 1.1, 0.7)
      "a_dot"),
     (lambda: kinetic_term_z(_FV, omega_to_z(_OMEGA), (nan, 0.1j)), NotFinite, "z_dot"),
     (lambda: kinetic_term_z(_FV, omega_to_z(_OMEGA), (0.1, inf)), NotFinite, "z_dot"),
-    (lambda: gauge_potential(_FV, nan, 0.1, 0.2), NotFinite, "finite"),
-    (lambda: gauge_potential(_FV, 0.3, inf, 0.2), NotFinite, "finite"),
+    (lambda: gauge_potential(_FV, nan, 0.1, 0.2), NotFinite, r"\(theta, xi, eta\)"),
+    (lambda: gauge_potential(_FV, 0.3, inf, 0.2), NotFinite, r"\(theta, xi, eta\)"),
     (lambda: infinitesimal_overlap(_FV, _OMEGA, (nan, 0.0, 0.0)), NotFinite, "delta_omega"),
 ], ids=["FiducialVector", "make_fiducial", "FockVector", "make_fock", "RotationMatrix",
         "ZCoords", "ACoords", "HamiltonianSpec", "normal_ordered_matrix", "euler_from_su2",
         "transition_amplitude", "EulerAngles", "EulerAngles_inf", "overlap_raw",
-        "coherent_state_stack", "integrate_trajectory_dt", "integrate_trajectory_t_span",
-        "integrate_trajectory_t_span_inf", "integrate_trajectory_omega0",
+        "overlap_stacks", "coherent_state_stack", "integrate_trajectory_dt",
+        "integrate_trajectory_t_span", "integrate_trajectory_t_span_inf",
+        "integrate_trajectory_omega0",
         "integrate_trajectory_hbar_zero", "integrate_trajectory_hbar_nan",
         "integrate_trajectory_hbar_negative", "action_along_path_hbar_nan",
         "action_along_path_hbar_zero", "ccs_kinetic_term_hbar_nan",

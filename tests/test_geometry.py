@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from conftest import basis_fv, random_fv, random_omega, rng_for
 from spincs import (HamiltonianSpec, MonomialTerm, NotFinite, NumericalFailure, PathTooShort,
                     Spin, TimesNotMonotone, ZCoords, action_along_path, coherent_state,
-                    gauge_potential, geometric_phase, kinetic_term, kinetic_term_z,
-                    make_fiducial, one_form, path_velocities, random_fiducial, structure_pair,
-                    two_form)
+                    gauge_potential, geometric_phase, infinitesimal_overlap, kinetic_term,
+                    kinetic_term_z, make_fiducial, one_form, path_velocities, random_fiducial,
+                    structure_pair, two_form)
 
 
 def _fd_kinetic(fv, omega, omega_dot, h=1e-6):
@@ -236,6 +236,19 @@ def test_overflowed_kinetic_term_raises_numerical_failure():
     path = [[0.0, 0.0, 0.2, 0.3], [1.0, 1.7e308, 0.2, 1.7e308]]
     with pytest.raises(NumericalFailure):
         geometric_phase(_OVERFLOW_FV, path)
+
+
+@pytest.mark.parametrize("velocity", [
+    np.array([0.1, 0.2 + 0.5j, 0.3]), [0.1, 0.2 + 0.5j, 0.3], [0.1, np.complex128(0.2), 0.3],
+], ids=["array", "list", "zero_imaginary"])
+def test_complex_velocity_raises_type_error(velocity):
+    # a complex numpy velocity lost its imaginary part to a cast, with only
+    # a ComplexWarning; a list of complex values met numpy's float() message
+    fv = random_fv(Spin(2), rng_for(23))
+    with pytest.raises(TypeError, match="omega_dot must be real"):
+        kinetic_term(fv, (0.3, 1.1, 0.7), velocity)
+    with pytest.raises(TypeError, match="delta_omega must be real"):
+        infinitesimal_overlap(fv, (0.3, 1.1, 0.7), velocity)
 
 
 def test_action_over_a_1e308_step():

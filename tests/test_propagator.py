@@ -166,11 +166,10 @@ def test_h_ratio_builds_each_state_once(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda fv, a, b: overlap(fv, a, b),
     lambda fv, a, b: generating_function(fv, a, b, 0.1, 0.2j, -0.3),
     lambda fv, a, b: discrete_cspi(fv, HamiltonianSpec(fv.spin), a, b, 0.0, 1.0, 2,
                                    build_grid(fv.spin)),
-], ids=["overlap", "generating_function", "discrete_cspi"])
+], ids=["generating_function", "discrete_cspi"])
 def test_state_pairs_take_one_rotation(monkeypatch, call):
     rng = rng_for(64)
     fv = random_fv(Spin(3), rng)
@@ -952,6 +951,25 @@ def test_cf4_product_is_fourth_order():
     e1 = np.linalg.norm(propagator._cf4_product(spec, 0.0, 1.5, 8, 1.0) - exact)
     e2 = np.linalg.norm(propagator._cf4_product(spec, 0.0, 1.5, 16, 1.0) - exact)
     assert 12.0 <= e1 / e2 <= 20.0
+
+
+@pytest.mark.parametrize("n_steps", [1, 5, 7, 16])
+def test_cf4_product_matches_the_step_loop(monkeypatch, n_steps):
+    # the pairwise product of the factors against one step at a time, later
+    # steps on the left; blocks of three steps, so blocks and factor counts
+    # come odd and even
+    spin = Spin(2)
+    spec = HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0),
+                                  MonomialTerm(1, 0, 0, 0.4, ("cosine", 2.0, 0.3)),
+                                  MonomialTerm(0, 0, 1, 0.4, ("cosine", 2.0, 0.3))))
+    monkeypatch.setattr(propagator, "_H_BLOCK_ENTRIES", 3 * spin.dim ** 2)
+    eps = 1.5 / n_steps
+    (c1, c2), (a1, a2) = propagator._CF4_NODES, propagator._CF4_WEIGHTS
+    u = np.eye(spin.dim)
+    for j in range(n_steps):
+        h1, h2 = (hamiltonian_matrix(spec, (j + c) * eps) for c in (c1, c2))
+        u = expm(-1j * eps * (a1 * h1 + a2 * h2)) @ expm(-1j * eps * (a2 * h1 + a1 * h2)) @ u
+    assert_allclose(propagator._cf4_product(spec, 0.0, 1.5, n_steps, 1.0), u, rtol=0, atol=1e-13)
 
 
 def _counted_cf4(monkeypatch):

@@ -111,6 +111,14 @@ def test_su2_roundtrip_and_double_cover():
         assert_allclose(sign3 * su2_matrix(om3), -u, atol=1e-12)
 
 
+def test_su2_matrix_keeps_psi_next_to_a_huge_phi():
+    # e^{-i(phi + psi)/2} from the sum lost psi = 0.1 to rounding at
+    # phi = 1e300; each half-angle phase is its own factor
+    u0, u = su2_matrix((1e300, 0.2, 0.0)), su2_matrix((1e300, 0.2, 0.1))
+    assert_allclose(u[:, 0], u0[:, 0] * np.exp(-0.05j), rtol=0, atol=1e-15)
+    assert_allclose(u[:, 1], u0[:, 1] * np.exp(0.05j), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("theta, tol", [(0.0, 1e-14), (1e-10, 1e-9), (1e-9, 1e-9),
                                         (math.pi, 1e-14), (math.pi - 1e-10, 1e-9),
                                         (math.pi - 1e-9, 1e-9)])
