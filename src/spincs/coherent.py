@@ -15,7 +15,6 @@ fiducial vector.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-import cmath
 import math
 import warnings
 
@@ -24,8 +23,8 @@ from scipy.linalg import expm
 
 from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotFinite,
                      NotNormalized, ZeroVector)
-from .spin_core import (Spin, spin_operators, _angles_of, _cayley_klein, _ladder, _rotate,
-                        _s2_eigensystem)
+from .spin_core import (Spin, spin_operators, _angles_of, _cayley_klein, _euler_of, _ladder,
+                        _rotate, _s2_eigensystem)
 
 __all__ = [
     "FiducialVector",
@@ -164,22 +163,18 @@ def overlap(fv: FiducialVector, omega2, omega1) -> complex:
     with g = g2^-1 g1 the group product of the spin-1/2 rotations at the
     angles given: one rotated row a pair, not two states.  g's first column
     a = conj(a2) a1 + conj(b2) b1, b = a2 b1 - b2 a1 (see _cayley_klein) is
-    read back as the raw angles theta = 2 atan2(|b|, |a|), phi = arg b -
-    arg a, psi = -arg a - arg b, which rebuild g itself, so the half-integer
-    sheet is kept with no sign flag or pole cutoff.  Agrees with the vdot of
-    two coherent_state calls to roundoff, not bit for bit.  Each side is one
-    point: LengthMismatch for a stack."""
+    read back as raw angles by _euler_of, which rebuild g itself, so the
+    half-integer sheet is kept with no sign flag or pole cutoff.  Agrees
+    with the vdot of two coherent_state calls to roundoff, not bit for bit.
+    Each side is one point: LengthMismatch for a stack."""
     angles2, angles1 = _angles_of(omega2), _angles_of(omega1)
     if isinstance(angles2[0], np.ndarray) or isinstance(angles1[0], np.ndarray):  # a stack
         raise LengthMismatch(f"overlap takes one point a side, got Euler angles of shapes "
                              f"{np.shape(angles2[0]) + (3,)} and {np.shape(angles1[0]) + (3,)}")
     (a2, b2), (a1, b1) = _cayley_klein(*angles2), _cayley_klein(*angles1)
-    a = a2.conjugate() * a1 + b2.conjugate() * b1
-    b = a2 * b1 - b2 * a1
-    arg_a, arg_b = cmath.phase(a), cmath.phase(b)
+    angles = _euler_of(a2.conjugate() * a1 + b2.conjugate() * b1, a2 * b1 - b2 * a1)
     c = fv.coeffs
-    ket = _rotate(fv.spin.two_s, arg_b - arg_a, 2.0 * math.atan2(abs(b), abs(a)), -arg_a - arg_b, c)
-    return complex(np.vdot(c, ket))
+    return complex(np.vdot(c, _rotate(fv.spin.two_s, *angles, c)))
 
 
 def structure_pair(fv: FiducialVector) -> tuple:

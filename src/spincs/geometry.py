@@ -42,9 +42,13 @@ class OneForm:
     k_theta: float
     k_psi: float
 
-    def contract(self, omega_dot) -> float:
-        dphi, dtheta, dpsi = (float(x) for x in omega_dot)
-        return self.k_phi * dphi + self.k_theta * dtheta + self.k_psi * dpsi
+    def contract(self, omega_dot) -> float | np.ndarray:
+        """kappa(omega_dot): a float for one velocity, an array of shape
+        (...) for a (..., 3) stack.  Raises TypeError, NotFinite or
+        LengthMismatch for a bad omega_dot, as kinetic_term does."""
+        dphi, dtheta, dpsi = np.moveaxis(_velocity(omega_dot, "omega_dot"), -1, 0)
+        k = self.k_phi * dphi + self.k_theta * dtheta + self.k_psi * dpsi
+        return float(k) if np.ndim(k) == 0 else k
 
 
 @dataclass(frozen=True)

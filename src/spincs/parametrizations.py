@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import cmath
 import math
 
-import numpy as np
-
 from .coherent import FiducialVector, structure_pair, _spin_vector
 from .errors import NotUnitary, NumericalFailure, SubsidiaryViolation, ZOriginSingular
 from .geometry import kinetic_term, _velocity
-from .spin_core import EulerAngles, Spin, euler_from_su2, gaussian_decompose, su2_matrix
+from .spin_core import EulerAngles, Spin, gaussian_decompose, _cayley_klein, _folded, _point_of
 
 __all__ = [
     "ZCoords",
@@ -74,9 +72,9 @@ class ACoords:
         object.__setattr__(self, "a2", complex(self.a2))
 
 
-def omega_to_z(omega: EulerAngles) -> ZCoords:
-    """(z_plus, z_minus) of the Gaussian decomposition at omega.  Raises
-    DecompositionPole within 1e-9 of theta = pi."""
+def omega_to_z(omega) -> ZCoords:
+    """(z_plus, z_minus) of the Gaussian decomposition at one point, taken
+    as given.  Raises DecompositionPole within 1e-9 of theta = pi."""
     z_plus, _, z_minus = gaussian_decompose(omega)
     return ZCoords(z_plus, z_minus)
 
@@ -111,16 +109,16 @@ def z3_of(z: ZCoords) -> complex:
 
 
 def omega_to_a(omega) -> ACoords:
-    """(a1, a2), the first column of su2_matrix(omega), at the angles given."""
-    return ACoords(*su2_matrix(omega)[:, 0])
+    """(a1, a2), the _cayley_klein pair and first column of su2_matrix, at
+    one point taken as given, so the spinor keeps the SU(2) sheet."""
+    return ACoords(*_cayley_klein(*_point_of(omega)))
 
 
 def a_to_omega(a: ACoords) -> tuple:
     """Euler angles of the spinor pair, with the double-cover sign flag:
-    returns (omega, sign) with [[a1,-a2*],[a2,a1*]] = sign * R^(1/2)(omega).
-    """
-    u = np.array([[a.a1, -np.conj(a.a2)], [a.a2, np.conj(a.a1)]])
-    return euler_from_su2(u)
+    returns (omega, sign) with [[a1,-a2*],[a2,a1*]] = sign * R^(1/2)(omega),
+    read back from (a1, a2) as in euler_from_su2, exact at the poles."""
+    return _folded(a.a1, a.a2)
 
 
 def z_measure_weight(z: ZCoords, spin: Spin) -> float:

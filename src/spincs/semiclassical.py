@@ -35,7 +35,7 @@ from .errors import InconsistentSystem, LengthMismatch, NotFinite
 from .geometry import two_form
 from .propagator import (HamiltonianSpec, hamiltonian_matrix, _check_hbar, _check_spin,
                          _monomial_matrix)
-from .spin_core import _angles_of, _rotate
+from .spin_core import _angles_of, _point_of, _rotate
 
 _CONSISTENCY_REL = 1e-8
 _RANK_TOL = 1e-10
@@ -193,12 +193,9 @@ def integrate_trajectory(fv: FiducialVector, spec: HamiltonianSpec, omega0,
     raises ValueError.
     """
     try:
-        y0 = np.array(_angles_of(omega0))
-    except NotFinite as exc:
-        raise NotFinite(f"omega0: {exc}") from None
-    if y0.shape != (3,):
-        raise LengthMismatch(f"omega0 must be one point, got Euler angles of shape "
-                             f"{y0.shape[1:] + (3,)}")
+        y0 = np.array(_point_of(omega0))
+    except (NotFinite, LengthMismatch) as exc:
+        raise type(exc)(f"omega0: {exc}") from None
     t0, t1 = float(t_span[0]), float(t_span[1])
     for name, value in (("t_span", (t0, t1)), ("dt", dt)):
         if not np.isfinite(value).all():

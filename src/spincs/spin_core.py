@@ -33,7 +33,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import DecompositionPole, NotFinite, NotUnitary
+from .errors import DecompositionPole, LengthMismatch, NotFinite, NotUnitary
 
 __all__ = [
     "Spin",
@@ -107,9 +107,11 @@ class EulerAngles:
             theta = TWO_PI - theta
             phi += math.pi
             psi += math.pi
-        object.__setattr__(self, "phi", phi % TWO_PI)
+        # x % 2pi rounds up to 2pi for a tiny negative x; the second % maps
+        # that one value to 0 and leaves every other unchanged
+        object.__setattr__(self, "phi", phi % TWO_PI % TWO_PI)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "psi", psi % TWO_PI)
+        object.__setattr__(self, "psi", psi % TWO_PI % TWO_PI)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.phi, self.theta, self.psi])
@@ -268,12 +270,14 @@ def little_d(spin: Spin, theta: float) -> np.ndarray:
     return ((u * np.exp(-1j * float(theta) * m)) @ u.conj().T).real
 
 
-def big_r(spin: Spin, omega: EulerAngles) -> RotationMatrix:
+def big_r(spin: Spin, omega) -> RotationMatrix:
     """Full rotation matrix R(phi, theta, psi) = exp(-i phi S3) r(theta)
-    exp(-i psi S3)."""
+    exp(-i psi S3) at one point, taken as given (see _point_of), so a raw
+    triple keeps its SU(2) sheet."""
+    phi, theta, psi = _point_of(omega)
     m = 0.5 * spin.two_m_values()
-    r = little_d(spin, omega.theta)
-    entries = np.exp(-1j * omega.phi * m)[:, None] * r * np.exp(-1j * omega.psi * m)[None, :]
+    r = little_d(spin, theta)
+    entries = np.exp(-1j * phi * m)[:, None] * r * np.exp(-1j * psi * m)[None, :]
     return RotationMatrix(spin, entries)
 
 
@@ -303,6 +307,16 @@ def _angles_of(omega) -> tuple:
     return a[..., 0], a[..., 1], a[..., 2]
 
 
+def _point_of(omega) -> tuple:
+    """_angles_of for an argument that takes one point: three floats, or
+    LengthMismatch quoting the shape of a stack."""
+    angles = _angles_of(omega)
+    if isinstance(angles[0], np.ndarray):
+        raise LengthMismatch(f"expected one point, got Euler angles of shape "
+                             f"{np.shape(angles[0]) + (3,)}")
+    return angles
+
+
 def _cayley_klein(phi: float, theta: float, psi: float) -> tuple:
     """The first column (a, b) of the spin-1/2 rotation at raw scalar angles,
 
@@ -323,11 +337,27 @@ def su2_matrix(omega) -> np.ndarray:
     with (a, b) from _cayley_klein, evaluated at raw (unnormalized) angles,
     so it is usable as the exact double-cover lift in compositions.
     """
-    a, b = _cayley_klein(*_angles_of(omega))
+    a, b = _cayley_klein(*_point_of(omega))
     return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
-_DEGENERATE_CUTOFF = 1e-9
+def _euler_of(a: complex, b: complex) -> tuple:
+    """The raw angles whose _cayley_klein pair is the unit pair (a, b):
+    theta = 2 atan2(|b|, |a|), phi = arg b - arg a, psi = -arg a - arg b, on
+    both sheets and at every theta, with no cutoff.  A zero has arg 0 (+ 0.0
+    clears a signed zero), so b = 0 gives phi = psi = -arg a and a = 0 gives
+    phi = -psi = arg b.  Every Euler angle read from SU(2) data comes here."""
+    arg_a, arg_b = cmath.phase(a + 0.0), cmath.phase(b + 0.0)
+    return arg_b - arg_a, 2.0 * math.atan2(abs(b), abs(a)), -arg_a - arg_b
+
+
+def _folded(a: complex, b: complex) -> tuple:
+    """(omega, sign) of the unit pair (a, b): omega the angles of _euler_of
+    folded into an EulerAngles, and sign = +1 or -1 with (a, b) = sign *
+    the pair of omega, read from Re <pair of omega, (a, b)> > 0."""
+    omega = EulerAngles(*_euler_of(a, b))
+    fa, fb = _cayley_klein(omega.phi, omega.theta, omega.psi)
+    return omega, 1 if (fa.conjugate() * a + fb.conjugate() * b).real > 0.0 else -1
 
 
 def euler_from_su2(u: np.ndarray) -> tuple:
@@ -341,9 +371,10 @@ def euler_from_su2(u: np.ndarray) -> tuple:
     Raises NotUnitary unless ``||u^dag u - 1|| <= 1e-10`` and
     ``|det u - 1| <= 1e-10``.
 
-    When sin(theta) is degenerate (theta within 1e-9 of 0 or pi) only one
-    angle combination survives; the convention here puts it entirely in psi
-    (theta ~ 0) or phi (theta ~ pi), zeroing the other angle.
+    The angles are read from the first column (a, b) by _euler_of and then
+    folded, exact to roundoff at every theta, the poles included.  Before
+    folding, theta = 0 (b = 0) gives phi = psi = -arg a, and theta = pi
+    (a = 0) gives phi = -psi = arg b.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -352,27 +383,10 @@ def euler_from_su2(u: np.ndarray) -> tuple:
         raise NotUnitary("matrix is not unitary to 1e-10")
     if not abs(np.linalg.det(u) - 1.0) <= 1e-10:
         raise NotUnitary("matrix determinant differs from 1 by more than 1e-10")
-
-    a, c = u[0, 0], u[1, 0]
-    theta = 2.0 * math.atan2(abs(c), abs(a))
-    if abs(c) < _DEGENERATE_CUTOFF:
-        # diagonal: only phi + psi defined; store it in psi
-        omega = EulerAngles(0.0, 0.0, -2.0 * np.angle(a))
-    elif abs(a) < _DEGENERATE_CUTOFF:
-        # anti-diagonal: only phi - psi defined; store it in phi
-        omega = EulerAngles(2.0 * np.angle(c), math.pi, 0.0)
-    else:
-        half_sum = -np.angle(a)   # (phi + psi)/2 mod 2pi
-        half_dif = np.angle(c)    # (phi - psi)/2 mod 2pi
-        omega = EulerAngles(half_sum + half_dif, theta, half_sum - half_dif)
-
-    ref = su2_matrix(omega)
-    k = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
-    sign = 1 if (u[k] / ref[k]).real > 0.0 else -1
-    return omega, sign
+    return _folded(*u[:, 0].tolist())
 
 
-def compose_euler(omega2: EulerAngles, omega1: EulerAngles) -> tuple:
+def compose_euler(omega2, omega1) -> tuple:
     """Euler angles of the composed rotation R(omega2) R(omega1).
 
     Returns ``(omega, sign)`` such that at any spin
@@ -380,43 +394,53 @@ def compose_euler(omega2: EulerAngles, omega1: EulerAngles) -> tuple:
         big_r(spin, omega2) @ big_r(spin, omega1)
             == sign**two_s * big_r(spin, omega).
 
-    The composition is done by multiplying the two spin-1/2 matrices and
-    extracting angles, which reduces repeated composition to 2x2 products.
+    Each side is one point, taken as given (see _point_of).  The product is
+    the first column (a2 a1 - conj(b2) b1, b2 a1 + conj(a2) b1) of the two
+    spin-1/2 matrices, multiplied as scalars, and read back as in
+    euler_from_su2: exact to roundoff at every theta, the poles included.
     """
-    return euler_from_su2(su2_matrix(omega2) @ su2_matrix(omega1))
+    (a2, b2), (a1, b1) = _cayley_klein(*_point_of(omega2)), _cayley_klein(*_point_of(omega1))
+    return _folded(a2 * a1 - b2.conjugate() * b1, b2 * a1 + a2.conjugate() * b1)
 
 
-def invert_euler(omega: EulerAngles) -> EulerAngles:
-    """Euler angles of the inverse rotation, normalize(-psi, -theta, -phi).
+def invert_euler(omega) -> EulerAngles:
+    """Euler angles of the inverse rotation, normalize(-psi, -theta, -phi),
+    of one point taken as given (see _point_of).
 
     Exact at the SO(3) level; at half-integer spin the representation of the
     result may differ from R(omega)^dag by an overall sign (the canonical
     ranges cover half of SU(2)).
     """
-    return EulerAngles(-omega.psi, -omega.theta, -omega.phi)
+    phi, theta, psi = _point_of(omega)
+    return EulerAngles(-psi, -theta, -phi)
 
 
-def gaussian_decompose(omega: EulerAngles) -> tuple:
+_DEGENERATE_CUTOFF = 1e-9
+
+
+def gaussian_decompose(omega) -> tuple:
     """Coordinates (z_plus, z3, z_minus) of the Gaussian decomposition
 
         R(omega) = exp(z_plus S+) exp(z3 S3) exp(z_minus S-)
 
-    with z_plus = -tan(theta/2) e^{-i phi}, z3 = -2 Log(cos(theta/2)
-    e^{i(phi+psi)/2}) (principal branch), z_minus = tan(theta/2) e^{-i psi}.
+    read from the _cayley_klein pair (a, b) of one point taken as given
+    (see _point_of): z_plus = -conj(b)/conj(a) = -tan(theta/2) e^{-i phi},
+    z3 = -2 Log(conj(a)) (principal branch) and z_minus = b/conj(a) =
+    tan(theta/2) e^{-i psi}.
 
     Any 2pi i ambiguity in the log branch drops out of exp(z3 S3) for both
-    integer and half-integer spin, so the product identity is exact.
+    integer and half-integer spin, so the product identity is exact, and a
+    raw triple keeps its sheet.
 
-    Raises DecompositionPole within 1e-9 of theta = pi, where tan(theta/2)
-    diverges.
+    Raises DecompositionPole where |a| = |cos(theta/2)| < 0.5e-9, within
+    1e-9 of theta = pi, where tan(theta/2) diverges.
     """
-    if abs(omega.theta - math.pi) < _DEGENERATE_CUTOFF:
-        raise DecompositionPole(f"theta = {omega.theta} is within 1e-9 of the pole at pi")
-    t = math.tan(0.5 * omega.theta)
-    z_plus = -t * np.exp(-1j * omega.phi)
-    z3 = -2.0 * np.log(math.cos(0.5 * omega.theta) * np.exp(0.5j * (omega.phi + omega.psi)))
-    z_minus = t * np.exp(-1j * omega.psi)
-    return complex(z_plus), complex(z3), complex(z_minus)
+    a, b = _cayley_klein(*_point_of(omega))
+    if abs(a) < 0.5 * _DEGENERATE_CUTOFF:
+        raise DecompositionPole(f"|cos(theta/2)| = {abs(a):.3e}: theta is within 1e-9 of "
+                                f"the pole at pi")
+    a_bar = a.conjugate()
+    return -b.conjugate() / a_bar, -2.0 * cmath.log(a_bar), b / a_bar
 
 
 def spin_operators(spin: Spin) -> SpinOperators:
@@ -427,7 +451,7 @@ def spin_operators(spin: Spin) -> SpinOperators:
     return SpinOperators(spin, s3, s_plus, s_plus.conj().T)
 
 
-def conjugate_spin_ops(spin: Spin, omega: EulerAngles) -> SpinOperators:
+def conjugate_spin_ops(spin: Spin, omega) -> SpinOperators:
     """Rotated generators R^dag S R in closed form:
 
         R^dag S3 R  = cos(t) S3 - (1/2) sin(t) [e^{i psi} S+ + e^{-i psi} S-]
@@ -435,14 +459,16 @@ def conjugate_spin_ops(spin: Spin, omega: EulerAngles) -> SpinOperators:
                         + (1/2) [(cos(t) +- 1) e^{i psi} S+
                                  + (cos(t) -+ 1) e^{-i psi} S-] }
 
-    with t = theta.  Matches the explicit triple product to 1e-12.
+    with t = theta, at one point taken as given (see _point_of).  Matches
+    the explicit triple product to 1e-12.
     """
+    phi, theta, psi = _point_of(omega)
     ops = spin_operators(spin)
-    ct, st = math.cos(omega.theta), math.sin(omega.theta)
-    ep, em = np.exp(1j * omega.psi), np.exp(-1j * omega.psi)
+    ct, st = math.cos(theta), math.sin(theta)
+    ep, em = np.exp(1j * psi), np.exp(-1j * psi)
     s3 = ct * ops.s3 - 0.5 * st * (ep * ops.s_plus + em * ops.s_minus)
-    s_plus = np.exp(1j * omega.phi) * (
+    s_plus = np.exp(1j * phi) * (
         st * ops.s3 + 0.5 * ((ct + 1.0) * ep * ops.s_plus + (ct - 1.0) * em * ops.s_minus))
-    s_minus = np.exp(-1j * omega.phi) * (
+    s_minus = np.exp(-1j * phi) * (
         st * ops.s3 + 0.5 * ((ct - 1.0) * ep * ops.s_plus + (ct + 1.0) * em * ops.s_minus))
     return SpinOperators(spin, s3, s_plus, s_minus)

@@ -8,12 +8,14 @@ import pytest
 from spincs import (ACoords, EulerAngles, FiducialVector, FockVector, HamiltonianSpec,
                     LengthMismatch, MonomialTerm, NotFinite, NotHermitian, NotNormalized,
                     NotUnitary, RotationMatrix, Spin, SubsidiaryViolation, ZCoords,
-                    action_along_path, build_grid, canonical_cs, ccs_canonical_rhs,
-                    ccs_kinetic_term, coherent_state, displacement_matrix, dns_amplitudes,
-                    euler_from_su2, gauge_potential, hp_contract_state, infinitesimal_overlap,
-                    integrate_trajectory, kinetic_term, kinetic_term_a, kinetic_term_z,
-                    make_fiducial, make_fock, normal_ordered_matrix, omega_to_a, omega_to_z,
-                    overlap, random_fiducial, transition_amplitude)
+                    action_along_path, big_r, build_grid, canonical_cs, ccs_canonical_rhs,
+                    ccs_kinetic_term, coherent_state, compose_euler, conjugate_spin_ops,
+                    displacement_matrix, dns_amplitudes, euler_from_su2, gauge_potential,
+                    gaussian_decompose, hp_contract_state, infinitesimal_overlap,
+                    integrate_trajectory, invert_euler, kinetic_term, kinetic_term_a,
+                    kinetic_term_z, make_fiducial, make_fock, normal_ordered_matrix,
+                    omega_to_a, omega_to_z, one_form, overlap, random_fiducial, su2_matrix,
+                    transition_amplitude)
 
 nan, inf = math.nan, math.inf
 
@@ -44,6 +46,7 @@ def _action(hbar):
 _FV = make_fiducial(Spin(1), [0.6, 0.8])
 _FOCK = FockVector(np.array([0.6, 0.8j]))
 _OMEGA = EulerAngles(0.3, 1.1, 0.7)
+_STACK = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -109,6 +112,19 @@ _OMEGA = EulerAngles(0.3, 1.1, 0.7)
     (lambda: gauge_potential(_FV, nan, 0.1, 0.2), NotFinite, r"\(theta, xi, eta\)"),
     (lambda: gauge_potential(_FV, 0.3, inf, 0.2), NotFinite, r"\(theta, xi, eta\)"),
     (lambda: infinitesimal_overlap(_FV, _OMEGA, (nan, 0.0, 0.0)), NotFinite, "delta_omega"),
+    # OneForm.contract returned nan, or raised a bare ValueError
+    (lambda: one_form(_FV, _OMEGA).contract((nan, 0.0, 0.0)), NotFinite, "omega_dot"),
+    (lambda: one_form(_FV, _OMEGA).contract((0.1, 0.2)), LengthMismatch, r"shape \(2,\)"),
+    # a stack where one point is taken: a bare TypeError from math.cos, or
+    # an AttributeError
+    (lambda: su2_matrix(_STACK), LengthMismatch, r"\(2, 3\)"),
+    (lambda: compose_euler(_OMEGA, _STACK), LengthMismatch, r"\(2, 3\)"),
+    (lambda: omega_to_a(_STACK), LengthMismatch, r"\(2, 3\)"),
+    (lambda: big_r(Spin(1), _STACK), LengthMismatch, r"\(2, 3\)"),
+    (lambda: invert_euler(_STACK), LengthMismatch, r"\(2, 3\)"),
+    (lambda: conjugate_spin_ops(Spin(1), _STACK), LengthMismatch, r"\(2, 3\)"),
+    (lambda: gaussian_decompose(_STACK), LengthMismatch, r"\(2, 3\)"),
+    (lambda: omega_to_z(_STACK), LengthMismatch, r"\(2, 3\)"),
 ], ids=["FiducialVector", "make_fiducial", "FockVector", "make_fock", "RotationMatrix",
         "ZCoords", "ACoords", "HamiltonianSpec", "normal_ordered_matrix", "euler_from_su2",
         "transition_amplitude", "EulerAngles", "EulerAngles_inf", "overlap_raw",
@@ -123,7 +139,10 @@ _OMEGA = EulerAngles(0.3, 1.1, 0.7)
         "dns_amplitudes", "displacement_matrix", "ccs_kinetic_term", "ccs_kinetic_term_dot",
         "ccs_canonical_rhs", "kinetic_term_nan", "kinetic_term_inf", "kinetic_term_length",
         "kinetic_term_a_nan", "kinetic_term_a_inf", "kinetic_term_z_nan", "kinetic_term_z_inf",
-        "gauge_potential_nan", "gauge_potential_inf", "infinitesimal_overlap_nan"])
+        "gauge_potential_nan", "gauge_potential_inf", "infinitesimal_overlap_nan",
+        "contract_nan", "contract_length", "su2_matrix_stack", "compose_euler_stack",
+        "omega_to_a_stack", "big_r_stack", "invert_euler_stack", "conjugate_spin_ops_stack",
+        "gaussian_decompose_stack", "omega_to_z_stack"])
 def test_nan_input_raises_named_error(call, error, match):
     # the first rows' checks read `defect > bound`, which a NaN defect
     # passes; make_fiducial raised IndexError, transition_amplitude a

@@ -251,6 +251,18 @@ def test_complex_velocity_raises_type_error(velocity):
         infinitesimal_overlap(fv, (0.3, 1.1, 0.7), velocity)
 
 
+def test_one_form_contract_reads_the_velocity_rule():
+    # a complex velocity lost its imaginary part with only a ComplexWarning
+    fv = random_fv(Spin(2), rng_for(23))
+    k = one_form(fv, (0.3, 1.1, 0.7))
+    with pytest.raises(TypeError, match="omega_dot must be real"):
+        k.contract(np.array([0.5j, 0.0, 0.0]))
+    value = k.contract((0.1, 0.2, 0.3))
+    assert isinstance(value, float)
+    assert_allclose(value, kinetic_term(fv, (0.3, 1.1, 0.7), (0.1, 0.2, 0.3)), rtol=1e-14)
+    assert_allclose(k.contract(np.eye(3)), [k.k_phi, k.k_theta, k.k_psi], rtol=0, atol=0)
+
+
 def test_action_over_a_1e308_step():
     # the spacing 2 dt of np.gradient overflowed, though the angles do not
     # move: the phase is 0 and the action is minus the energy trapezoid,

@@ -7,9 +7,9 @@ from scipy.linalg import expm
 
 from conftest import random_omega, rng_for
 from spincs import (DecompositionPole, EulerAngles, NotUnitary, RotationMatrix,
-                    Spin, big_r, compose_euler, conjugate_spin_ops, euler_from_su2,
-                    gaussian_decompose, invert_euler, ladder_factor, little_d,
-                    spin_operators, su2_matrix)
+                    Spin, a_to_omega, big_r, compose_euler, conjugate_spin_ops,
+                    euler_from_su2, gaussian_decompose, invert_euler, ladder_factor,
+                    little_d, omega_to_a, spin_operators, su2_matrix)
 
 
 def test_spin_validation():
@@ -119,18 +119,50 @@ def test_su2_matrix_keeps_psi_next_to_a_huge_phi():
     assert_allclose(u[:, 1], u0[:, 1] * np.exp(0.05j), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("theta, tol", [(0.0, 1e-14), (1e-10, 1e-9), (1e-9, 1e-9),
-                                        (math.pi, 1e-14), (math.pi - 1e-10, 1e-9),
-                                        (math.pi - 1e-9, 1e-9)])
+@pytest.mark.parametrize("theta, tol", [(0.0, 1e-14), (1e-10, 1e-14), (1e-9, 1e-14),
+                                        (math.pi, 1e-14), (math.pi - 1e-10, 1e-14),
+                                        (math.pi - 1e-9, 1e-14)])
 def test_su2_roundtrip_at_degenerate_theta(theta, tol):
-    # within 1e-9 of a pole one angle is zeroed and the dropped entry of
-    # size sin(theta/2) or cos(theta/2) is the reconstruction error
+    # the angles are read from (a, b) with no pole cutoff, so the
+    # reconstruction is exact to roundoff within 1e-9 of either pole too
     rng = rng_for(16)
     for _ in range(10):
         phi, psi = rng.uniform(-2 * math.pi, 2 * math.pi, 2)
         for u in (su2_matrix((phi, theta, psi)), -su2_matrix((phi, theta, psi))):
             om, sign = euler_from_su2(u)
             assert_allclose(sign * su2_matrix(om), u, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("theta", [5e-10, 9e-10, math.pi - 5e-10])
+def test_compose_euler_near_the_poles(theta):
+    # a 1e-9 pole cutoff dropped the entry of size sin(theta/2) or
+    # cos(theta/2): errors of 2.5e-10 at two_s=1 up to 9.2e-9 at two_s=40
+    om1, om2 = EulerAngles(0.3, theta, 0.1), EulerAngles(0.7, 0.0, 0.4)
+    om12, sign = compose_euler(om2, om1)
+    for two_s in (1, 8, 40):
+        spin = Spin(two_s)
+        assert_allclose(sign ** two_s * big_r(spin, om12).entries,
+                        big_r(spin, om2).entries @ big_r(spin, om1).entries, rtol=0, atol=1e-12)
+    a = omega_to_a(om1)
+    back, sign = a_to_omega(a)
+    b = omega_to_a(back)
+    assert_allclose(sign * np.array([b.a1, b.a2]), [a.a1, a.a2], rtol=0, atol=1e-14)
+
+
+def test_big_r_takes_a_raw_triple_on_its_sheet():
+    # a raw triple raised AttributeError; 2pi in phi is the other sheet at
+    # half-integer spin
+    spin = Spin(3)
+    entries = big_r(spin, EulerAngles(0.4, 1.1, 2.2)).entries
+    assert_allclose(big_r(spin, (0.4, 1.1, 2.2)).entries, entries, rtol=0, atol=1e-14)
+    assert_allclose(big_r(spin, (0.4 + 2 * math.pi, 1.1, 2.2)).entries, -entries,
+                    rtol=0, atol=1e-14)
+
+
+def test_euler_angles_never_reach_two_pi():
+    # x % 2pi rounded -1e-17 and -1e-300 up to 2pi, outside [0, 2pi)
+    om = EulerAngles(-1e-17, 0.5, -1e-300)
+    assert (om.phi, om.theta, om.psi) == (0.0, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("u, error", [
