@@ -45,10 +45,13 @@ class OneForm:
     def contract(self, omega_dot) -> float | np.ndarray:
         """kappa(omega_dot): a float for one velocity, an array of shape
         (...) for a (..., 3) stack.  Raises TypeError, NotFinite or
-        LengthMismatch for a bad omega_dot, as kinetic_term does."""
-        dphi, dtheta, dpsi = np.moveaxis(_velocity(omega_dot, "omega_dot"), -1, 0)
-        k = self.k_phi * dphi + self.k_theta * dtheta + self.k_psi * dpsi
-        return float(k) if np.ndim(k) == 0 else k
+        LengthMismatch for a bad omega_dot, and NumericalFailure when a
+        finite velocity overflows the result, as kinetic_term does."""
+        omega_dot = _velocity(omega_dot, "omega_dot")
+        dphi, dtheta, dpsi = np.moveaxis(omega_dot, -1, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = self.k_phi * dphi + self.k_theta * dtheta + self.k_psi * dpsi
+        return _finite_kinetic(k, omega_dot)
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,12 @@ def kinetic_term(fv: FiducialVector, omega, omega_dot) -> float | np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         w1, w2, w3 = _body_velocity(theta, psi, omega_dot)
         k = x * w1 + y * w2 + z * w3
+    return _finite_kinetic(k, omega_dot)
+
+
+def _finite_kinetic(k, omega_dot: np.ndarray) -> float | np.ndarray:
+    """k as a float for one velocity or an array for a stack, or
+    NumericalFailure naming omega_dot unless every entry is finite."""
     if not np.isfinite(k).all():
         raise NumericalFailure(f"the kinetic term overflows at omega_dot {omega_dot.tolist()}")
     return float(k) if np.ndim(k) == 0 else k

@@ -46,14 +46,13 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import matrix_power
 from scipy.linalg import expm
 
 from .coherent import FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes, _grid_gram
 from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotFinite, NotHermitian,
                      NotNormalized, NumericalFailure, OrthogonalPair)
 from .geometry import geometric_phase, kinetic_term, _trapezoid, _velocity
-from .spin_core import Spin, spin_operators, _angles_of
+from .spin_core import Spin, _angles_of, _ladder
 
 _ZERO_OVERLAP = 1e-12
 _M3_GUARD = 0.5
@@ -138,8 +137,10 @@ class HamiltonianSpec:
             _, h = parts.setdefault(term.profile, (term, np.zeros((self.spin.dim,) * 2, complex)))
             h += term.coeff * _monomial_matrix(self.spin.two_s, term.p, term.q, term.r)
         for term, h in parts.values():
-            defect = np.linalg.norm(h - h.conj().T)
-            if not defect <= _HERMITICITY_TOL * max(1.0, np.linalg.norm(h)):
+            # Frobenius norms as sqrt(vdot), a third of np.linalg.norm's cost
+            defect = h - h.conj().T
+            defect = math.sqrt(np.vdot(defect, defect).real)
+            if not defect <= _HERMITICITY_TOL * max(1.0, math.sqrt(np.vdot(h, h).real)):
                 raise NotHermitian(f"profile {term.profile!r}: Hermitian defect {defect:.3e}")
         h_parts = np.array([h.ravel() for _, h in parts.values()], dtype=complex)
         h_parts.shape = (len(parts), self.spin.dim ** 2)
@@ -188,11 +189,35 @@ class PropagatorResult:
         return float(np.linalg.svd(self.projector - eye, compute_uv=False)[0])
 
 
-@lru_cache(maxsize=None)
+# Bounded, each entry one diagonal of O(dim) floats: specs are often built
+# afresh for every call, and a warm entry spares them the diagonal's build.
+@lru_cache(maxsize=256)
+def _monomial_diagonal(two_s: int, p: int, q: int, r: int) -> np.ndarray:
+    """The one nonzero diagonal of S+^p S3^q S-^r in descending-m order.
+
+    S-^r takes level j (m_j = s - j) down to level k = j + r, S3^q scales
+    it by (s - k)^q = (m_j - r)^q, and S+^p takes it up to row k - p; each
+    step passes one ladder value f(s, m_l) = <l|S+|l+1>.  So the entry at
+    (k - p, k - r), column minus row p - r, is (s - k)^q times the ladder
+    values of levels k - r .. k - 1 and k - p .. k - 1, for
+    max(p, r) <= k <= 2s.  Read-only, as every caller shares it.
+    """
+    f, lo = _ladder(two_s), max(p, r)
+    values = (0.5 * two_s - np.arange(lo, two_s + 1)) ** q
+    for l in [*range(1, r + 1), *range(1, p + 1)]:
+        values = values * f[lo - l:two_s + 1 - l]
+    values.flags.writeable = False
+    return values
+
+
 def _monomial_matrix(two_s: int, p: int, q: int, r: int) -> np.ndarray:
-    ops = spin_operators(Spin(two_s))
-    m = matrix_power(ops.s_plus, p) @ matrix_power(ops.s3, q) @ matrix_power(ops.s_minus, r)
-    m.flags.writeable = False
+    """Dense S+^p S3^q S-^r, its diagonal written from (max(p, r) - p,
+    max(p, r) - r) on: a step of dim + 1 in the flat matrix is one step down
+    the diagonal."""
+    dim, lo = two_s + 1, max(p, r)
+    values = _monomial_diagonal(two_s, p, q, r)
+    m = np.zeros((dim, dim))
+    m.reshape(-1)[(lo - p) * dim + lo - r::dim + 1][:values.size] = values
     return m
 
 

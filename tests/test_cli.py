@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import basis_fv, dense_gram
 from spincs import (EulerAngles, HamiltonianSpec, MonomialTerm, Spin, action_along_path,
-                    build_grid, little_d, make_fiducial, overlap)
+                    build_grid, coherent_state, little_d, make_fiducial, overlap)
 from spincs import cli
 from spincs.cli import main
 
@@ -269,8 +269,9 @@ def test_semiclassical_precession(tmp_path):
 
 
 def test_semiclassical_equilibrium_at_pole(tmp_path):
-    # the lowest state at theta = 0 is an S3 eigenstate: n = 0, and the
-    # gradient of <S3> is roundoff that the velocity solve must accept
+    # the lowest state at theta = 0 is an S3 eigenstate: the lab system has
+    # rank 2 there, the gradient of <S3> is roundoff that the velocity solve
+    # must accept, and the state only gains a phase
     cfg = _config(tmp_path, {
         "two_s": 2, "fv": "lowest",
         "hamiltonian": {"terms": [{"q": 1, "coeff": 1.0}]},
@@ -279,8 +280,12 @@ def test_semiclassical_equilibrium_at_pole(tmp_path):
     rc = main(["semiclassical", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0
     (report,) = _reports(tmp_path)
-    assert report["outputs"]["ranks"] == [0]
-    assert_allclose(report["outputs"]["final_point"], [0.3, 0.0, 0.7], atol=1e-12)
+    assert report["outputs"]["ranks"] == [2]
+    fv = basis_fv(Spin(2), 2)
+    start = coherent_state(fv, (0.3, 0.0, 0.7)).amplitudes
+    final = coherent_state(fv, report["outputs"]["final_point"]).amplitudes
+    phase = np.vdot(start, final)
+    assert np.linalg.norm(final - phase / abs(phase) * start) <= 1e-12
 
 
 def test_semiclassical_reversed_span_rows(tmp_path):

@@ -233,6 +233,10 @@ def test_overflowed_kinetic_term_raises_numerical_failure():
         kinetic_term(_OVERFLOW_FV, (0.1, 0.2, 0.3), (1e308, 1e308, 1e308))
     with pytest.raises(NumericalFailure, match="z_dot"):
         kinetic_term_z(_OVERFLOW_FV, ZCoords(2e-9, 2e-9), (1e308, 0.0))
+    # OneForm.contract returned -inf here, with a bare overflow warning
+    lowest = make_fiducial(Spin(8), [0.0] * 8 + [1.0])
+    with pytest.raises(NumericalFailure, match="omega_dot"):
+        one_form(lowest, (0.3, 1.1, 0.7)).contract((0.0, 0.0, 1.7e308))
     path = [[0.0, 0.0, 0.2, 0.3], [1.0, 1.7e308, 0.2, 1.7e308]]
     with pytest.raises(NumericalFailure):
         geometric_phase(_OVERFLOW_FV, path)

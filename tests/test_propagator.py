@@ -99,6 +99,21 @@ def test_hamiltonian_matrix_monomials():
     assert_allclose(hamiltonian_matrix(spec), expected, atol=1e-13)
 
 
+def test_monomial_matrix_matches_dense_powers():
+    # the closed-form diagonal against the dense matrix_power product it
+    # replaced, kept here as the reference
+    for two_s in range(12):
+        ops = spin_operators(Spin(two_s))
+        for p in range(4):
+            for q in range(3):
+                for r in range(4):
+                    ref = (np.linalg.matrix_power(ops.s_plus, p)
+                           @ np.linalg.matrix_power(ops.s3, q)
+                           @ np.linalg.matrix_power(ops.s_minus, r))
+                    got = propagator._monomial_matrix(two_s, p, q, r)
+                    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), (two_s, p, q, r)
+
+
 def test_hamiltonian_matrix_time_dependence():
     spin = Spin(1)
     ops = spin_operators(spin)

@@ -7,13 +7,13 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from conftest import basis_fv, lowest_fv, random_fv, random_omega, rng_for
-import spincs.coherent
 import spincs.propagator
 import spincs.semiclassical
 from spincs import (EulerAngles, HamiltonianSpec, InconsistentSystem, LengthMismatch,
-                    MonomialTerm, Spin, build_system, h_expectation, h_gradient,
-                    hamiltonian_matrix, integrate_trajectory, make_fiducial, solve_velocities,
-                    spin_operators, two_form)
+                    MonomialTerm, Spin, build_system, coherent_state, exact_propagator,
+                    h_expectation, h_gradient, hamiltonian_matrix, integrate_trajectory,
+                    make_fiducial, solve_velocities, spin_operators, two_form)
+from spincs.spin_core import _cayley_klein, _euler_of
 
 
 def _field_spec(spin, bz=1.0, bx=0.0):
@@ -132,12 +132,34 @@ def test_single_m_trajectory_near_stationary_latitude():
     assert traj.residuals.max() <= 1e-14
 
 
+def _cross_matrix(n):
+    """The matrix of xi -> n x xi."""
+    return np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+
+
+def _space_velocities(omega):
+    """Columns: the lab angular velocities of unit steps in phi, theta, psi."""
+    phi, theta, _ = omega
+    return np.array([[0.0, -math.sin(phi), math.sin(theta) * math.cos(phi)],
+                     [0.0, math.cos(phi), math.sin(theta) * math.sin(phi)],
+                     [1.0, 0.0, math.cos(theta)]])
+
+
+def _phase_distance(u, v):
+    """||u - e^{i a} v|| at the phase a that aligns v with u."""
+    o = np.vdot(v, u)
+    return float(np.linalg.norm(u - o / abs(o) * v))
+
+
 def test_system_matrix_is_reordered_two_form():
+    # the lab system hbar (n x xi) = G, pulled back to (phi, theta, psi) by
+    # the lab velocities of unit steps, is hbar d(kappa) of two_form
     rng = rng_for(62)
     fv = random_fv(Spin(3), rng)
     om = random_omega(rng)
     sys = build_system(fv, _field_spec(Spin(3)), om)
-    w = sys.antisymmetric()
+    jac = _space_velocities(om.as_array())
+    w = jac.T @ (sys.hbar * _cross_matrix(sys.n)) @ jac
     assert_allclose(w, -w.T, atol=1e-14)
     f = two_form(fv, om)
     # contraction pairing: w[i, j] integrates coordinate order (phi, theta, psi)
@@ -148,83 +170,105 @@ def test_system_matrix_is_reordered_two_form():
 
 def test_system_rank_is_two_and_kernel():
     rng = rng_for(63)
+    ops = spin_operators(Spin(2))
     for _ in range(10):
         fv = random_fv(Spin(2), rng)
         om = random_omega(rng, theta_margin=0.1)
         sys = build_system(fv, _field_spec(Spin(2)), om)
-        assert sys.rank <= 2
-        # odd antisymmetric matrices are singular; the kernel is annihilated
-        # build the kernel from the documented direction (-a1, a4 sin t, C)
-        a1 = sys.m[0, 2]
-        a4_sin = sys.m[2, 0]
-        c = sys.m[0, 0]
-        kernel = np.array([-a1, a4_sin, c])
-        assert np.linalg.norm(sys.m @ kernel) < 1e-12 * max(1.0, np.abs(sys.m).max())
+        a = sys.hbar * _cross_matrix(sys.n)
+        tol = 1e-10 * max(1.0, np.abs(a).max())
+        assert sys.rank == np.linalg.matrix_rank(a, tol=tol) == 2
+        # the kernel is n = <Omega|S|Omega>, which the cross product annihilates
+        v = coherent_state(fv, om).amplitudes
+        lab_n = [np.vdot(v, s @ v).real for s in (ops.s1, ops.s2, ops.s3)]
+        assert_allclose(sys.n, lab_n, atol=1e-12)
+        assert np.linalg.norm(a @ sys.n) < 1e-12 * max(1.0, np.abs(a).max())
 
 
 def test_solve_full_consistency_hand_built():
-    # rank-2 consistent system: solution must satisfy the normal equations
+    # rank-2 consistent system: the solution must satisfy hbar (n x xi) = G
     rng = rng_for(64)
     fv = lowest_fv(Spin(2))
     spec = _field_spec(Spin(2), bz=1.0, bx=0.4)
     om = random_omega(rng, theta_margin=0.2)
     sys = build_system(fv, spec, om)
-    omega_dot = solve_velocities(sys)
+    xi = solve_velocities(sys)
     assert sys.residual < 1e-10
-    assert_allclose(sys.m @ omega_dot, sys.b, atol=1e-10)
+    assert_allclose(sys.hbar * np.cross(sys.n, xi), sys.gradient, atol=1e-10)
 
 
-def test_minimum_norm_solution_has_no_kernel_component():
+def test_lambda_minimizes_the_schrodinger_residual():
+    # McLachlan: the component lambda of xi along n minimizes
+    # ||(i hbar d/dt - H)|Omega>|| = ||hbar xi.S v - H v|| on the line
+    # xi_perp + lambda n-hat; a constant term in H makes the fit nontrivial
     rng = rng_for(65)
-    fv = lowest_fv(Spin(3))
-    spec = _field_spec(Spin(3), bz=0.7, bx=0.2)
-    om = random_omega(rng, theta_margin=0.2)
-    sys = build_system(fv, spec, om)
-    omega_dot = solve_velocities(sys)
-    # kernel direction of the coefficient matrix
-    _, _, vt = np.linalg.svd(sys.m)
-    kernel = vt[-1]
-    assert abs(np.dot(omega_dot, kernel)) < 1e-10
+    spin = Spin(3)
+    fv = random_fv(spin, rng)
+    spec = HamiltonianSpec(spin, _field_spec(spin, bz=0.7, bx=0.2).terms
+                           + (MonomialTerm(0, 0, 0, 0.9),))
+    ops = spin_operators(spin)
+    for hbar in (1.0, 2.0):
+        om = random_omega(rng, theta_margin=0.2)
+        sys = build_system(fv, spec, om, hbar=hbar)
+        xi = solve_velocities(sys)
+        v = coherent_state(fv, om).amplitudes
+        x = np.array([s @ v for s in (ops.s1, ops.s2, ops.s3)])
+        n_hat = sys.n / np.linalg.norm(sys.n)
+        lam = xi @ n_hat
+        rest = hbar * (xi - lam * n_hat) @ x - hamiltonian_matrix(spec) @ v
+        column = hbar * n_hat @ x
+        expected = np.linalg.lstsq(np.concatenate([column.real, column.imag])[:, None],
+                                   -np.concatenate([rest.real, rest.imag]), rcond=None)[0][0]
+        assert abs(lam - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 @pytest.mark.parametrize("hbar", [1.0, 2.0])
 @pytest.mark.parametrize("n_norm", [1.0, 1e-3, 1e-9, 0.0])
-def test_closed_form_matches_lstsq(monkeypatch, hbar, n_norm):
-    # structure_pair is replaced so that the kernel vector n = (-a1,
-    # a4 sin(theta), C) points in a random direction with the given length;
-    # b is random, so the system is generically inconsistent
+def test_closed_form_matches_lstsq(hbar, n_norm):
+    # n is set to a random direction with the given length and G is random,
+    # so the system hbar (n x xi) = G is generically inconsistent
     rng = rng_for(69, int(hbar))
     spin = Spin(2)
     fv = random_fv(spin, rng)
     for _ in range(50):
         theta, psi = rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.0, 2 * math.pi)
         direction = rng.normal(size=3)
-        x, y, z = n_norm * direction / np.linalg.norm(direction)
-        a1, a4 = -x, y / math.sin(theta)
-        a0 = (z - a1 * math.cos(theta)) / math.sin(theta)
-        pair = (a0, complex(np.exp(-1j * psi) * (a1 + 1j * a4)))
-        monkeypatch.setattr(spincs.coherent, "structure_pair", lambda fv, pair=pair: pair)
         sys = build_system(fv, _field_spec(spin, bx=0.4), (0.3, theta, psi), hbar=hbar)
-        tol = 1e-10 * max(1.0, np.abs(sys.m).max())
-        assert sys.rank == np.linalg.matrix_rank(sys.m, tol=tol)
-        sys.b = rng.normal(size=3)
-        expected = np.linalg.lstsq(sys.m, sys.b, rcond=None)[0]
+        sys.n = n_norm * direction / np.linalg.norm(direction)
+        a = hbar * _cross_matrix(sys.n)
+        tol = 1e-10 * max(1.0, np.abs(a).max())
+        assert sys.rank == np.linalg.matrix_rank(a, tol=tol)
+        sys.gradient = rng.normal(size=3)
+        expected = np.linalg.lstsq(a, sys.gradient, rcond=None)[0]
         with pytest.raises(InconsistentSystem):
             solve_velocities(sys)
-        assert_allclose(sys.residual, np.linalg.norm(sys.m @ expected - sys.b), rtol=1e-12)
-        # the part of b in the column space of m has the same minimum-norm
-        # solution and is consistent
-        sys.b = sys.m @ expected
-        assert_allclose(solve_velocities(sys), expected, rtol=1e-12, atol=0)
+        assert_allclose(sys.residual, np.linalg.norm(a @ expected - sys.gradient), rtol=1e-12)
+        # the part of G in the range of the system is consistent: the part of
+        # xi normal to n is its minimum-norm solution, and at rank 0 all of
+        # xi is the least-squares fit
+        sys.gradient = a @ expected
+        xi = solve_velocities(sys)
+        if sys.rank:
+            n_hat = sys.n / np.linalg.norm(sys.n)
+            assert_allclose(xi - (xi @ n_hat) * n_hat, expected, rtol=1e-12, atol=0)
+        else:
+            fit = np.linalg.pinv(hbar * sys.metric, rcond=1e-10) @ sys.fit
+            assert np.abs(xi - fit).max() <= 1e-12 * np.abs(fit).max()
 
 
-def test_equilibrium_state_has_zero_velocity():
-    # |m=0> under S3: n = 0 and grad H is pure roundoff, which the relative
-    # bound 1e-8 ||b|| alone rejected
+def test_zero_spin_vector_state_follows_expm():
+    # |m=0> has n_fv = 0, so the lab system is empty (rank 0) and the
+    # velocity is the least-squares fit, where a zero velocity kept the
+    # state in place.  The fit drops the turn about the fiducial's own axis,
+    # so xi varies along the path and the error is RKMK4's fourth-order one:
+    # 7.2e-8 at dt = 0.1, 4.5e-13 at dt = 0.005
     spin = Spin(2)
-    sys = build_system(basis_fv(spin, 1), _field_spec(spin), (0.3, 1.1, 0.7))
-    assert sys.rank == 0
-    assert np.array_equal(solve_velocities(sys), np.zeros(3))
+    fv, spec, om0 = basis_fv(spin, 1), _field_spec(spin), (0.3, 1.1, 0.7)
+    assert build_system(fv, spec, om0).rank == 0
+    traj = integrate_trajectory(fv, spec, om0, (0.0, 1.0), 0.005)
+    assert set(traj.ranks.tolist()) == {0}
+    exact = expm(-1j * hamiltonian_matrix(spec)) @ coherent_state(fv, om0).amplitudes
+    assert _phase_distance(coherent_state(fv, traj.path[-1, 1:]).amplitudes, exact) <= 1e-12
 
 
 def test_single_m_equilibrium_stays_put():
@@ -234,7 +278,12 @@ def test_single_m_equilibrium_stays_put():
     om0 = np.array([0.3, math.pi / 2, 0.7])
     traj = integrate_trajectory(basis_fv(spin, 0), spec, om0, (0.0, 1.0), 0.1)
     assert len(traj.path) == 11
-    assert np.abs(traj.path[:, 1:] - om0).max() <= 1e-12
+    assert np.abs(traj.path[:, 1:3] - om0[:2]).max() <= 1e-12
+    # the fit turns |m> about n at E/(hbar m), which gives it the phase
+    # e^{-iEt/hbar} of the Schrodinger state: psi moves at that constant rate
+    energy, m = traj.energies[0], 2.0
+    assert abs(energy - 1.0) <= 1e-14
+    assert np.abs(traj.path[:, 3] - (om0[2] + energy / m * traj.path[:, 0])).max() <= 1e-12
 
 
 def test_inconsistent_system_raises():
@@ -267,23 +316,41 @@ def test_precession_benchmark():
 
 
 def test_rk4_reuses_recorded_solution_as_first_stage(monkeypatch):
-    # classic RK4 with its own first-stage solve, as the reference
+    # RKMK4 on the Cayley-Klein pair with its own first-stage solve, written
+    # out by hand as the reference: closed-form exponentials, dexp^-1 to
+    # [u, [u, k]]/12 with the cross product as the bracket
     spin = Spin(3)
     fv = random_fv(spin, rng_for(41))
     spec = _field_spec(spin, bz=0.8, bx=0.6)
     om0, dt, n = np.array([0.3, 1.0, 0.5]), 0.05, 10
 
-    def velocity(y, t):
-        return solve_velocities(build_system(fv, spec, y, t))
+    def velocity(g, t):
+        return solve_velocities(build_system(fv, spec, _euler_of(*g), t))
 
-    y = om0.copy()
+    def cross(u, w):
+        (u1, u2, u3), (w1, w2, w3) = u.tolist(), w.tolist()
+        return np.array([u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1])
+
+    def dexpinv(u, k):
+        return k - 0.5 * cross(u, k) + cross(u, cross(u, k)) / 12.0
+
+    def exp_times(w, g):
+        w1, w2, w3 = w.tolist()
+        angle = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
+        s = 0.5 if angle == 0.0 else math.sin(0.5 * angle) / angle
+        alpha, beta = complex(math.cos(0.5 * angle), -s * w3), complex(s * w2, -s * w1)
+        return alpha * g[0] - beta.conjugate() * g[1], beta * g[0] + alpha.conjugate() * g[1]
+
+    g = _cayley_klein(*om0)
     for j in range(n):
         t = j * dt
-        k1 = velocity(y, t)
-        k2 = velocity(y + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = velocity(y + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = velocity(y + dt * k3, t + dt)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = velocity(g, t)
+        k2 = dexpinv(0.5 * dt * k1, velocity(exp_times(0.5 * dt * k1, g), t + 0.5 * dt))
+        k3 = dexpinv(0.5 * dt * k2, velocity(exp_times(0.5 * dt * k2, g), t + 0.5 * dt))
+        k4 = dexpinv(dt * k3, velocity(exp_times(dt * k3, g), t + dt))
+        a, b = exp_times((dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), g)
+        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        g = (a / norm, b / norm)
 
     calls = []
 
@@ -296,7 +363,7 @@ def test_rk4_reuses_recorded_solution_as_first_stage(monkeypatch):
     # 11 recorded samples whose solutions serve as k1, 3 more solves per
     # step, and 4 per step of the 20-step half-step rerun
     assert len(calls) == 11 + 3 * 10 + 4 * 20
-    assert np.array_equal(traj.path[-1, 1:], y)
+    assert np.array_equal(traj.elements[-1], g)
 
 
 def test_rk4_energies_come_from_the_velocity_solve(monkeypatch):
@@ -413,3 +480,65 @@ def test_stacked_omega0_is_refused(omega0, shape):
     spec = HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0),))
     with pytest.raises(LengthMismatch, match=re.escape(f"shape {shape}")):
         integrate_trajectory(fv, spec, omega0, (0.0, 0.2), 0.05)
+
+
+def _tilted_spec(spin, bx, driven):
+    """S3 + bx (S+ + S-), the transverse pair under cos(3t + 0.2) if driven."""
+    profile = ("cosine", 3.0, 0.2) if driven else None
+    return HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0), MonomialTerm(1, 0, 0, bx, profile),
+                                  MonomialTerm(0, 0, 1, bx, profile)))
+
+
+def _check_follows_schrodinger(fv, spec, om0, traj, times):
+    """1 - F <= 1e-10 against expm (static H) or exact_propagator (driven)
+    at each of the given times, and every row rebuilding its stepped
+    element, on the same sheet, to 1e-15."""
+    start = coherent_state(fv, om0).amplitudes
+    for t in times:
+        (row,) = np.flatnonzero(np.isclose(traj.path[:, 0], t, rtol=0, atol=1e-12))
+        u = (exact_propagator(spec, 0.0, t) if spec.time_dependent
+             else expm(-1j * t * hamiltonian_matrix(spec)))
+        v = coherent_state(fv, traj.path[row, 1:]).amplitudes
+        assert 1.0 - abs(np.vdot(u @ start, v)) ** 2 <= 1e-10, f"t={t}"
+    rebuilt = np.array([_cayley_klein(*row) for row in traj.path[:, 1:].tolist()])
+    assert np.abs(rebuilt - traj.elements).max() <= 1e-15
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+@pytest.mark.parametrize("two_s", [1, 2, 4, 8])
+def test_dense_fiducial_follows_schrodinger(two_s, driven):
+    # the chart's minimum-norm velocity dropped the turn about n: fidelity
+    # 0.930 / 0.998 / 0.257 at two_s 2 / 4 / 8 by t = 0.5 under the static H
+    spin = Spin(two_s)
+    fv = random_fv(spin, np.random.default_rng(7))
+    spec = _tilted_spec(spin, 0.3, driven)
+    om0 = (0.4, 1.1, 0.7)
+    traj = integrate_trajectory(fv, spec, om0, (0.0, 3.0), 0.02)
+    _check_follows_schrodinger(fv, spec, om0, traj, (0.5, 3.0))
+
+
+@pytest.mark.parametrize("theta0", [0.0, 0.3], ids=["from_pole", "across_pole"])
+def test_lowest_weight_at_the_pole_follows_schrodinger(theta0):
+    # the chart's n vanished at theta = 0, so a pole start never left it
+    # (fidelity 0.593 at t = 1), and from theta = 0.3 the path crossed the
+    # pole with fidelity 1 - 2.4e-5
+    spin = Spin(2)
+    fv = lowest_fv(spin)
+    spec = HamiltonianSpec(spin, (MonomialTerm(1, 0, 0, 0.5), MonomialTerm(0, 0, 1, 0.5)))
+    om0 = (math.pi / 2, theta0, 0.0)
+    traj = integrate_trajectory(fv, spec, om0, (0.0, 3.0), 0.02)
+    assert set(traj.ranks.tolist()) == {2}
+    assert traj.error_estimate <= 1e-12
+    _check_follows_schrodinger(fv, spec, om0, traj, (1.0, 3.0))
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+def test_zero_spin_vector_follows_schrodinger(driven):
+    # |m=0>, n_fv = 0: the chart left it in place (fidelity 0.532 at t = 1)
+    spin = Spin(2)
+    fv = basis_fv(spin, 1)
+    spec = _tilted_spec(spin, 0.3, driven)
+    om0 = (0.1, 0.7, 0.2)
+    traj = integrate_trajectory(fv, spec, om0, (0.0, 3.0), 0.02)
+    assert set(traj.ranks.tolist()) == {0}
+    _check_follows_schrodinger(fv, spec, om0, traj, (1.0, 3.0))
