@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotFinite,
                      NotNormalized, ZeroVector)
 from .spin_core import (Spin, spin_operators, _angles_of, _cayley_klein, _euler_of, _ladder,
-                        _rotate, _s2_eigensystem)
+                        _point_of, _rotate, _s2_eigensystem)
 
 __all__ = [
     "FiducialVector",
@@ -153,7 +153,8 @@ def coherent_state(fv: FiducialVector, omega) -> CoherentState:
     in the cached S2 eigenbasis, O(dim^2) a point, with no matrix built.
     omega is an EulerAngles, a raw triple, a sequence of those or an array
     of shape (..., 3), and the (..., dim) amplitudes come from one _rotate
-    call.  Raw angles are not folded, so they keep the SU(2) sheet."""
+    call.  Raw angles are not folded, so they keep the SU(2) sheet; at
+    |angle| >= 4pi they are reduced exactly modulo 4pi (see _angles_of)."""
     amps = _rotate(fv.spin.two_s, *_angles_of(omega), fv.coeffs)
     return CoherentState(fv, omega, amps)
 
@@ -166,15 +167,18 @@ def overlap(fv: FiducialVector, omega2, omega1) -> complex:
     read back as raw angles by _euler_of, which rebuild g itself, so the
     half-integer sheet is kept with no sign flag or pole cutoff.  Agrees
     with the vdot of two coherent_state calls to roundoff, not bit for bit.
-    Each side is one point: LengthMismatch for a stack."""
-    angles2, angles1 = _angles_of(omega2), _angles_of(omega1)
-    if isinstance(angles2[0], np.ndarray) or isinstance(angles1[0], np.ndarray):  # a stack
-        raise LengthMismatch(f"overlap takes one point a side, got Euler angles of shapes "
-                             f"{np.shape(angles2[0]) + (3,)} and {np.shape(angles1[0]) + (3,)}")
-    (a2, b2), (a1, b1) = _cayley_klein(*angles2), _cayley_klein(*angles1)
+    Each side is one point (see _point_of): LengthMismatch for a stack."""
+    w2, w1 = _point_of(omega2, omega1)
+    (a2, b2), (a1, b1) = _cayley_klein(*w2), _cayley_klein(*w1)
     angles = _euler_of(a2.conjugate() * a1 + b2.conjugate() * b1, a2 * b1 - b2 * a1)
     c = fv.coeffs
     return complex(np.vdot(c, _rotate(fv.spin.two_s, *angles, c)))
+
+
+def _pair_states(fv: FiducialVector, omega2, omega1) -> np.ndarray:
+    """The states at two single points (see _point_of), the rows of one
+    _rotate call."""
+    return _rotate(fv.spin.two_s, *zip(*_point_of(omega2, omega1)), fv.coeffs)
 
 
 def structure_pair(fv: FiducialVector) -> tuple:
@@ -201,10 +205,11 @@ def matrix_elements(fv: FiducialVector, omega) -> tuple:
         <S3> = a0 cos(t) - a1(psi) sin(t)
         <S+> = a0 sin(t) e^{i phi} + a2(Omega),  <S-> = conj(<S+>)
 
-    ``omega`` may be an EulerAngles or a raw (phi, theta, psi) triple; the
-    values are 2pi-periodic and fold-invariant, so raw angles are safe.
+    ``omega`` is one point, an EulerAngles or a raw (phi, theta, psi)
+    triple (see _point_of); the values are 2pi-periodic and fold-invariant,
+    so raw angles are safe.
     """
-    phi, theta, psi = _angles_of(omega)
+    phi, theta, psi = _point_of(omega)
     a0, b0 = structure_pair(fv)
     b = np.exp(1j * psi) * b0
     a1, a4 = float(b.real), float(b.imag)
@@ -219,10 +224,11 @@ def generating_function(fv: FiducialVector, omega2, omega1,
                         z_plus: complex, z3: complex, z_minus: complex) -> complex:
     """<Omega2| exp(z+ S+) exp(z3 S3) exp(z- S-) |Omega1>, evaluated by dense
     matrix exponentials.  Differentiating at z = 0 generates matrix elements
-    of arbitrary generator monomials between coherent states."""
+    of arbitrary generator monomials between coherent states.  Each side
+    is one point (see _point_of)."""
+    bra, ket = _pair_states(fv, omega2, omega1)
     ops = spin_operators(fv.spin)
     middle = expm(z_plus * ops.s_plus) @ expm(z3 * ops.s3) @ expm(z_minus * ops.s_minus)
-    bra, ket = coherent_state(fv, (omega2, omega1)).amplitudes
     return complex(np.vdot(bra, middle @ ket))
 
 
@@ -293,6 +299,15 @@ class QuadratureGrid:
 _AMPLITUDE_BYTES_MAX = 2 ** 30
 
 
+def _check_budget(n_bytes: int, needs: str):
+    """AmplitudesTooLarge when an allocation of n_bytes would exceed
+    _AMPLITUDE_BYTES_MAX, called before it; the message is needs, which
+    names the object and its sizes, then the two sizes in GB."""
+    if n_bytes > _AMPLITUDE_BYTES_MAX:
+        raise AmplitudesTooLarge(f"{needs} {n_bytes / 1e9:.2f} GB, above the "
+                                 f"{_AMPLITUDE_BYTES_MAX / 1e9:.2f} GB budget")
+
+
 @lru_cache(maxsize=64)
 def _gauss_legendre(n: int) -> tuple:
     """The n-node Gauss-Legendre rule on [-1, 1]: nodes x, weights w and the
@@ -303,11 +318,8 @@ def _gauss_legendre(n: int) -> tuple:
     Raises AmplitudesTooLarge, before allocating, when the n x n float
     companion matrix of leggauss would exceed ``_AMPLITUDE_BYTES_MAX`` bytes.
     """
-    n_bytes = n * n * np.dtype(float).itemsize
-    if n_bytes > _AMPLITUDE_BYTES_MAX:
-        raise AmplitudesTooLarge(
-            f"the {n}-node Gauss-Legendre rule needs a {n} x {n} companion matrix of "
-            f"{n_bytes / 1e9:.2f} GB, above the {_AMPLITUDE_BYTES_MAX / 1e9:.2f} GB budget")
+    _check_budget(n * n * np.dtype(float).itemsize,
+                  f"the {n}-node Gauss-Legendre rule needs a {n} x {n} companion matrix of")
     x, w = np.polynomial.legendre.leggauss(n)
     rule = x, w, np.arccos(x)
     for arr in rule:
@@ -349,11 +361,8 @@ def grid_amplitudes(fv: FiducialVector, grid: QuadratureGrid) -> np.ndarray:
     """
     spin = fv.spin
     dim = spin.dim
-    n_bytes = grid.n_points * dim * np.dtype(complex).itemsize
-    if n_bytes > _AMPLITUDE_BYTES_MAX:
-        raise AmplitudesTooLarge(
-            f"amplitudes of {grid.n_points} grid points x {dim} states need "
-            f"{n_bytes / 1e9:.2f} GB, above the {_AMPLITUDE_BYTES_MAX / 1e9:.2f} GB budget")
+    _check_budget(grid.n_points * dim * np.dtype(complex).itemsize,
+                  f"amplitudes of {grid.n_points} grid points x {dim} states need")
     # phases of shape (n_phi, 1, dim), (n_theta, 1, 1, dim) and (n_psi, dim)
     # broadcast to (n_theta, n_phi, n_psi, dim)
     amps = _rotate(spin.two_s, grid.phi[:, None], grid.theta[:, None, None], grid.psi,

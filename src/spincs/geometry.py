@@ -19,7 +19,7 @@ import numpy as np
 
 from .coherent import FiducialVector, _spin_vector
 from .errors import LengthMismatch, NotFinite, NumericalFailure, PathTooShort, TimesNotMonotone
-from .spin_core import _angles_of
+from .spin_core import _angles_of, _point_of
 
 __all__ = [
     "OneForm",
@@ -130,19 +130,21 @@ def _finite_kinetic(k, omega_dot: np.ndarray) -> float | np.ndarray:
 
 
 def one_form(fv: FiducialVector, omega) -> OneForm:
-    """kappa at a point: kinetic_term on the three unit velocities."""
-    return OneForm(*kinetic_term(fv, omega, np.eye(3)).tolist())
+    """kappa at one point (see _point_of): kinetic_term on the three unit
+    velocities."""
+    return OneForm(*kinetic_term(fv, _point_of(omega), np.eye(3)).tolist())
 
 
 def two_form(fv: FiducialVector, omega) -> TwoForm:
-    """d kappa(u, v) = -n_fv . (omega_u x omega_v) by Maurer-Cartan, for the
-    body velocities omega_u of unit coordinate steps:
+    """d kappa(u, v) = -n_fv . (omega_u x omega_v) by Maurer-Cartan at one
+    point (see _point_of), for the body velocities omega_u of unit
+    coordinate steps:
 
         omega_theta x omega_phi = (cos t cos psi, -cos t sin psi, sin t),
         omega_phi x omega_psi   = sin t (sin psi, cos psi, 0),
         omega_psi x omega_theta = (-cos psi, sin psi, 0).
     """
-    _, theta, psi = _angles_of(omega)
+    _, theta, psi = _point_of(omega)
     x, y, z = _spin_vector(fv)
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
     return TwoForm(-(z * st + ct * (x * cp - y * sp)), -st * (x * sp + y * cp), x * cp - y * sp)

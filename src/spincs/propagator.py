@@ -48,7 +48,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from .coherent import FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes, _grid_gram
+from .coherent import (FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes,
+                       _grid_gram, _pair_states)
 from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotFinite, NotHermitian,
                      NotNormalized, NumericalFailure, OrthogonalPair)
 from .geometry import geometric_phase, kinetic_term, _trapezoid, _velocity
@@ -130,23 +131,29 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         terms = tuple(self.terms)
-        parts = {}
+        rows = {}  # profile -> (its row of h_parts, its first term)
         for term in terms:
             if not isinstance(term, MonomialTerm):
                 raise ValueError(f"terms must be MonomialTerm, got {type(term).__name__}")
-            _, h = parts.setdefault(term.profile, (term, np.zeros((self.spin.dim,) * 2, complex)))
-            h += term.coeff * _monomial_matrix(self.spin.two_s, term.p, term.q, term.r)
-        for term, h in parts.values():
+            rows.setdefault(term.profile, (len(rows), term))
+        dim = self.spin.dim
+        h_parts = np.zeros((len(rows), dim * dim), complex)
+        for term in terms:
+            # the one diagonal of S+^p S3^q S-^r starts at (lo - p, lo - r),
+            # lo = max(p, r): flat index p - r or (r - p) dim, and a step of
+            # dim + 1 in the flat matrix is one step down it
+            values = _monomial_diagonal(self.spin.two_s, term.p, term.q, term.r)
+            start = max(term.p - term.r, (term.r - term.p) * dim)
+            h_parts[rows[term.profile][0], start::dim + 1][:values.size] += term.coeff * values
+        for (_, term), h in zip(rows.values(), h_parts.reshape(-1, dim, dim)):
             # Frobenius norms as sqrt(vdot), a third of np.linalg.norm's cost
             defect = h - h.conj().T
             defect = math.sqrt(np.vdot(defect, defect).real)
             if not defect <= _HERMITICITY_TOL * max(1.0, math.sqrt(np.vdot(h, h).real)):
                 raise NotHermitian(f"profile {term.profile!r}: Hermitian defect {defect:.3e}")
-        h_parts = np.array([h.ravel() for _, h in parts.values()], dtype=complex)
-        h_parts.shape = (len(parts), self.spin.dim ** 2)
         h_parts.flags.writeable = False
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_profiles", tuple(term for term, _ in parts.values()))
+        object.__setattr__(self, "_profiles", tuple(term for _, term in rows.values()))
         object.__setattr__(self, "_h_parts", h_parts)
 
     @property
@@ -210,17 +217,6 @@ def _monomial_diagonal(two_s: int, p: int, q: int, r: int) -> np.ndarray:
     return values
 
 
-def _monomial_matrix(two_s: int, p: int, q: int, r: int) -> np.ndarray:
-    """Dense S+^p S3^q S-^r, its diagonal written from (max(p, r) - p,
-    max(p, r) - r) on: a step of dim + 1 in the flat matrix is one step down
-    the diagonal."""
-    dim, lo = two_s + 1, max(p, r)
-    values = _monomial_diagonal(two_s, p, q, r)
-    m = np.zeros((dim, dim))
-    m.reshape(-1)[(lo - p) * dim + lo - r::dim + 1][:values.size] = values
-    return m
-
-
 def hamiltonian_matrix(spec: HamiltonianSpec, t=0.0) -> np.ndarray:
     """Dense matrix of H(t) = sum_p f_p(t) H_p in the m-descending basis.
 
@@ -249,14 +245,14 @@ def h_expectation(fv: FiducialVector, spec: HamiltonianSpec, omega, t=0.0):
 
 
 def h_ratio(fv: FiducialVector, spec: HamiltonianSpec, omega2, omega1, t: float = 0.0) -> complex:
-    """<Omega2|H(t)|Omega1> / <Omega2|Omega1>, both states from one
-    coherent_state call at the angles given.
+    """<Omega2|H(t)|Omega1> / <Omega2|Omega1>, both states from one rotation
+    call at the angles given, one point a side (see _point_of).
 
     Raises OrthogonalPair when the overlap magnitude is at or below 1e-12,
     LengthMismatch unless the spec's spin is the fiducial's.
     """
     _check_spin(fv, spec)
-    v2, v1 = coherent_state(fv, (omega2, omega1)).amplitudes
+    v2, v1 = _pair_states(fv, omega2, omega1)
     o = complex(np.vdot(v2, v1))
     if abs(o) <= _ZERO_OVERLAP:
         raise OrthogonalPair(f"|<Omega2|Omega1>| = {abs(o):.3e} is too small to divide by")
@@ -588,12 +584,13 @@ def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
     fiducial spin (GridTooCoarse otherwise).  Pass the exact_propagator
     matrix as oracle to attach |amplitude - exact| as error_estimate.
 
-    The endpoint states are built at the angles given, so with the zero
+    The endpoint states are built at the angles given, one point each (see
+    _point_of), from one rotation call, so with the zero
     Hamiltonian every mode collapses to overlap(fv, omega_f, omega_i) up to
     roundoff for any slice count and spin, since each grid sum is an exact
     resolution of unity.
     """
-    amps_i, amps_f = coherent_state(fv, (omega_i, omega_f)).amplitudes
+    amps_i, amps_f = _pair_states(fv, omega_i, omega_f)
     amplitude, n_zeroed, fallback, p = _path_sum(fv, spec, grid, amps_i, amps_f, t_i, t_f,
                                                  n_slices, mode, hbar, grid_ends=False)
     error = None if oracle is None else float(abs(amplitude - np.vdot(amps_f, oracle @ amps_i)))
@@ -629,8 +626,8 @@ def infinitesimal_overlap(fv: FiducialVector, omega, delta_omega) -> complex | n
     every theta.  Raises NotFinite or LengthMismatch for a bad
     delta_omega."""
     delta_omega = _velocity(delta_omega, "delta_omega")
-    with np.errstate(over="ignore"):
-        bra = np.stack(np.broadcast_arrays(*_angles_of(omega)), axis=-1) + delta_omega
+    # the angles are below 4pi (see _angles_of), so no sum overflows
+    bra = np.stack(np.broadcast_arrays(*_angles_of(omega)), axis=-1) + delta_omega
     kappa = kinetic_term(fv, bra, delta_omega)
     return complex(1.0, kappa) if np.ndim(kappa) == 0 else 1.0 + 1j * kappa
 

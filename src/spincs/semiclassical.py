@@ -176,9 +176,10 @@ def integrate_trajectory(fv: FiducialVector, spec: HamiltonianSpec, omega0,
     """Fixed-step RKMK4 (Munthe-Kaas, BIT 38:92, 1998) on g' = (-i xi.sigma/2) g
     over t_span from omega0 (EulerAngles or a raw triple), with closed-form
     exponentials, so every static H of degree <= 1 is integrated exactly.
-    Row 0 is omega0 as given; later rows are read from g by _euler_of, with
-    arg a = -(phi + psi)/2 and arg b = (phi - psi)/2 unwrapped from omega0's,
-    so phi and psi stay continuous and on the sheet of g (theta in [0, pi]).
+    Every row, row 0 included, is read from its element g by _euler_of
+    (theta in [0, pi]), with arg a = -(phi + psi)/2 and arg b = (phi - psi)/2
+    unwrapped from row 0's, so phi and psi stay continuous and on the sheet
+    of g, and _cayley_klein of a row rebuilds its element.
 
     A reversed span (t1 < t0) integrates backward, with steps no longer than
     dt.  InconsistentSystem names the failure time, NotFinite a NaN or
@@ -186,7 +187,7 @@ def integrate_trajectory(fv: FiducialVector, spec: HamiltonianSpec, omega0,
     dt <= 0 or hbar <= 0 raises ValueError.
     """
     try:
-        y0 = _point_of(omega0)
+        g0 = _cayley_klein(*_point_of(omega0))
     except (NotFinite, LengthMismatch) as exc:
         raise type(exc)(f"omega0: {exc}") from None
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -196,14 +197,12 @@ def integrate_trajectory(fv: FiducialVector, spec: HamiltonianSpec, omega0,
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = max(1, int(np.ceil(abs(t1 - t0) / dt - 1e-12)))
-    g0 = _cayley_klein(*y0)
     samples, (a, b) = _rkmk4_path(fv, spec, g0, t0, t1, n_steps, hbar)
     _, (a_half, b_half) = _rkmk4_path(fv, spec, g0, t0, t1, 2 * n_steps, hbar, record=False)
     times, elements, systems = zip(*samples)
-    phi, theta, psi = np.array([y0] + [_euler_of(*g) for g in elements[1:]]).T
+    phi, theta, psi = np.array([_euler_of(*g) for g in elements]).T
     arg_a, arg_b = np.unwrap(-0.5 * phi - 0.5 * psi), np.unwrap(0.5 * phi - 0.5 * psi)
     path = np.column_stack([times, arg_b - arg_a, theta, -arg_a - arg_b])
-    path[0, 1:] = y0
     energies, ranks, residuals = (np.array([getattr(sys, name) for sys in systems])
                                   for name in ("energy", "rank", "residual"))
     return Trajectory(path, energies, ranks, residuals,

@@ -14,8 +14,11 @@ Conventions used throughout the package:
   ``psi in [0, 2pi)`` label rotations (SO(3) elements).  They cover half of
   SU(2), so functions that extract angles from a 2x2 special-unitary matrix
   also return a sign flag: ``u = sign * R^(1/2)(angles)``.  At spin s the
-  flag enters as ``sign**two_s``.  Only ``EulerAngles`` fold: point and
-  stack angle arguments enter through ``_angles_of`` as given.
+  flag enters as ``sign**two_s``.  Only ``EulerAngles`` fold: every other
+  angle argument enters through ``_angles_of`` (a point or a stack) or
+  ``_point_of`` (one point) as given, reduced there modulo 4pi, the period
+  of the SU(2) element, by ``_reduced``, exactly and only where
+  |angle| >= 4pi, so the sheet is kept and no phase overflows.
 * Every rotation of a whole state comes from one S2 eigenbasis per spin,
   cached and checked orthogonal once.  States are rotated vectors, R(Omega)
   applied at O(dim^2) a vector with no matrix built; ``little_d`` and
@@ -53,6 +56,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_FOUR_PI = 4.0 * math.pi
 
 @dataclass(frozen=True)
 class Spin:
@@ -89,7 +93,9 @@ class EulerAngles:
 
     Out-of-range input angles are folded with the identity
     ``(phi, -theta, psi) ~ (phi + pi, theta, psi + pi)`` and 2pi shifts,
-    which preserve the rotation (the SO(3) element).  At half-integer spin
+    which preserve the rotation (the SO(3) element), after an angle of
+    size 4pi or more is reduced modulo 2pi exactly by _reduced, so the fold
+    names the rotation of the raw triple at any size.  At half-integer spin
     the folded representative may differ from the raw one by an overall
     sign of the representation matrix; raw triples, which every state
     takes as given, keep the sheet, as does :func:`euler_from_su2`'s sign.
@@ -101,7 +107,7 @@ class EulerAngles:
     psi: float
 
     def __post_init__(self):
-        phi, theta, psi = _finite(float(self.phi), float(self.theta), float(self.psi))
+        phi, theta, psi = _reduced((float(self.phi), float(self.theta), float(self.psi)), 1.0)
         theta = theta % TWO_PI
         if theta > math.pi:
             theta = TWO_PI - theta
@@ -204,7 +210,8 @@ def _rotate(two_s: int, phi, theta, psi, x) -> np.ndarray:
 
     R x = e^{-i phi S3} U diag(e^{-i theta m}) U^H e^{-i psi S3} x costs two
     products with the cached basis U and three diagonal phases, O(dim^2) a
-    row, and builds no matrix.  The angles are taken raw, unfolded.  Each
+    row, and builds no matrix.  The angles are taken raw, unfolded, as the
+    entry helpers reduce them (below 4pi, so no phase overflows).  Each
     may be an array: its phases, of shape angle.shape + (dim,), broadcast
     against the rows where they act (psi first, then theta, then phi), so
     angle arrays of different shapes make a product grid.
@@ -281,40 +288,54 @@ def big_r(spin: Spin, omega) -> RotationMatrix:
     return RotationMatrix(spin, entries)
 
 
-def _finite(phi: float, theta: float, psi: float) -> tuple:
-    """The three angles, or NotFinite unless each is finite."""
-    if not (math.isfinite(phi) and math.isfinite(theta) and math.isfinite(psi)):
-        raise NotFinite(f"Euler angles ({phi}, {theta}, {psi}) must be finite")
-    return phi, theta, psi
+def _reduced(x, k: float = 0.5) -> tuple:
+    """(phi, theta, psi) of one point given as a tuple of three floats, as
+    floats, or of a (..., 3) array, as arrays of shape (...), with each
+    angle kept where |angle| < 4pi and set to atan2(sin(k angle),
+    cos(k angle)) / k elsewhere: the angle modulo 4pi for k = 1/2, which
+    keeps the SU(2) sheet, or modulo 2pi for k = 1.  Exact to roundoff at
+    any size, as k angle is exact and sin and cos reduce their argument
+    exactly; fmod by the rounded 4pi would move an angle of 1e300 to another
+    rotation.  A NaN or infinite angle raises NotFinite."""
+    # one point's floats are checked with no numpy call (a NaN fails each <)
+    if (isinstance(x, tuple)
+            and abs(x[0]) < _FOUR_PI and abs(x[1]) < _FOUR_PI and abs(x[2]) < _FOUR_PI):
+        return x
+    a = np.asarray(x)
+    if not np.abs(a).max(initial=0.0) < _FOUR_PI:
+        if not np.isfinite(a).all():
+            where = x if isinstance(x, tuple) else f"of shape {a.shape}"
+            raise NotFinite(f"Euler angles {where} must be finite")
+        a = np.where(np.abs(a) < _FOUR_PI, a, np.arctan2(np.sin(k * a), np.cos(k * a)) / k)
+    return tuple(a.tolist()) if isinstance(x, tuple) else (a[..., 0], a[..., 1], a[..., 2])
 
 
 def _angles_of(omega) -> tuple:
-    """(phi, theta, psi) as given, unfolded, from an EulerAngles, a raw
-    triple, a sequence of those or an array of shape (..., 3): floats for
-    one point, arrays of shape (...) for a stack.  Every point or stack
-    angle argument enters here, and a NaN or infinite one raises NotFinite."""
+    """(phi, theta, psi) as given, unfolded and reduced by _reduced, from an
+    EulerAngles, a raw triple, a sequence of those or an array of shape
+    (..., 3): floats for one point, arrays of shape (...) for a stack.
+    Every point or stack angle argument enters here or through _point_of,
+    and a NaN or infinite one raises NotFinite (see _reduced)."""
     if isinstance(omega, EulerAngles):
         return omega.phi, omega.theta, omega.psi
-    if not isinstance(omega, np.ndarray) and any(isinstance(o, EulerAngles) for o in omega):
+    if not isinstance(omega, np.ndarray) and EulerAngles in map(type, omega):
         return tuple(np.array([_angles_of(o) for o in omega]).T)
     a = np.asarray(omega, dtype=float)
     if a.shape[-1:] != (3,):
         raise ValueError(f"Euler angles need a last axis of length 3, got shape {a.shape}")
-    if a.ndim == 1:  # three math.isfinite cost less than one np.isfinite
-        return _finite(*a.tolist())
-    if not np.isfinite(a).all():
-        raise NotFinite(f"Euler angles of shape {a.shape} hold a NaN or infinite angle")
-    return a[..., 0], a[..., 1], a[..., 2]
+    return _reduced(tuple(a.tolist()) if a.ndim == 1 else a)
 
 
-def _point_of(omega) -> tuple:
-    """_angles_of for an argument that takes one point: three floats, or
-    LengthMismatch quoting the shape of a stack."""
-    angles = _angles_of(omega)
-    if isinstance(angles[0], np.ndarray):
-        raise LengthMismatch(f"expected one point, got Euler angles of shape "
-                             f"{np.shape(angles[0]) + (3,)}")
-    return angles
+def _point_of(omega, other=None) -> tuple:
+    """_angles_of for arguments that take one point each: three floats for
+    omega alone, or the two triples of omega and other, or LengthMismatch
+    quoting the shape of each argument when one is a stack."""
+    sides = (_angles_of(omega),) if other is None else (_angles_of(omega), _angles_of(other))
+    if isinstance(sides[0][0], np.ndarray) or isinstance(sides[-1][0], np.ndarray):
+        raise LengthMismatch(f"expected one point each, got Euler angles of shape"
+                             f"{'s' * (len(sides) > 1)} " + " and ".join(
+                                 str(np.shape(side[0]) + (3,)) for side in sides))
+    return sides[0] if other is None else sides
 
 
 def _cayley_klein(phi: float, theta: float, psi: float) -> tuple:
@@ -399,7 +420,8 @@ def compose_euler(omega2, omega1) -> tuple:
     spin-1/2 matrices, multiplied as scalars, and read back as in
     euler_from_su2: exact to roundoff at every theta, the poles included.
     """
-    (a2, b2), (a1, b1) = _cayley_klein(*_point_of(omega2)), _cayley_klein(*_point_of(omega1))
+    w2, w1 = _point_of(omega2, omega1)
+    (a2, b2), (a1, b1) = _cayley_klein(*w2), _cayley_klein(*w1)
     return _folded(a2 * a1 - b2.conjugate() * b1, b2 * a1 + a2.conjugate() * b1)
 
 

@@ -311,3 +311,42 @@ def test_ccs_canonical_rhs_degree_four_against_finite_differences(terms):
 def test_ccs_canonical_rhs_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         ccs_canonical_rhs([(1, 0, 1.0)], 0.5)
+
+
+def _hermitian_term_sets(rng, count):
+    """The degree-four sets above, the oscillator, and random Hermitian sets
+    of degree <= 4 with coefficients of size 1e-3 to 1e3."""
+    sets = [[(1, 1, 1.5)], [(3, 1, 0.2j), (1, 3, -0.2j), (2, 2, 0.05), (1, 1, 1.0)],
+            [(4, 0, 0.1), (0, 4, 0.1), (2, 1, 0.3 - 0.1j), (1, 2, 0.3 + 0.1j)]]
+    for _ in range(count):
+        terms = []
+        for _ in range(rng.integers(1, 5)):
+            p, q = (int(k) for k in rng.integers(0, 5, 2))
+            c = complex(rng.normal(), rng.normal()) * 10.0 ** int(rng.integers(-3, 4))
+            terms += [(p, p, c.real)] if p == q else [(p, q, c), (q, p, c.conjugate())]
+        sets.append(terms)
+    return sets
+
+
+def test_ccs_canonical_rhs_rejects_what_the_dense_check_rejects():
+    # the Hermiticity check on the merged (p, q) coefficients against the
+    # dense matrix check it replaced, on the levels that check used: every
+    # perturbed set the dense check rejects is still rejected, and no
+    # Hermitian set is
+    rng = rng_for(42)
+    fiducials = (None, make_fock([0.6, 0.0, 0.8j]))
+    for terms in _hermitian_term_sets(rng, 12):
+        deg = max(max(p, q) for p, q, _ in terms)
+        for fock in fiducials:
+            n_max = deg + (0 if fock is None else fock.n_max)
+            normal_ordered_matrix(terms, n_max)
+            ccs_canonical_rhs(terms, 0.3 - 0.2j, fock)
+            for k, (p, q, c) in enumerate(terms):
+                for size in 10.0 ** -np.arange(6, 13):
+                    for unit in (1.0, 1j):
+                        perturbed = terms[:k] + [(p, q, c + unit * size)] + terms[k + 1:]
+                        try:
+                            normal_ordered_matrix(perturbed, n_max)
+                        except NotHermitian:
+                            with pytest.raises(NotHermitian):
+                                ccs_canonical_rhs(perturbed, 0.3 - 0.2j, fock)

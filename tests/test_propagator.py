@@ -101,7 +101,8 @@ def test_hamiltonian_matrix_monomials():
 
 def test_monomial_matrix_matches_dense_powers():
     # the closed-form diagonal against the dense matrix_power product it
-    # replaced, kept here as the reference
+    # replaced, kept here as the reference: ref is zero off the diagonal at
+    # offset p - r, and equal to the closed form on it
     for two_s in range(12):
         ops = spin_operators(Spin(two_s))
         for p in range(4):
@@ -110,8 +111,15 @@ def test_monomial_matrix_matches_dense_powers():
                     ref = (np.linalg.matrix_power(ops.s_plus, p)
                            @ np.linalg.matrix_power(ops.s3, q)
                            @ np.linalg.matrix_power(ops.s_minus, r))
-                    got = propagator._monomial_matrix(two_s, p, q, r)
-                    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), (two_s, p, q, r)
+                    on = np.diagonal(ref, p - r)
+                    off = ref - np.diagflat(on, p - r) if on.size else ref
+                    assert not off.any(), (two_s, p, q, r)
+                    got = propagator._monomial_diagonal(two_s, p, q, r)
+                    # the closed form ends where S-^r runs off the lowest
+                    # level; the diagonal is zero past it
+                    assert got.size <= on.size and not on[got.size:].any()
+                    assert np.abs(got - on[:got.size]).max(initial=0.0) \
+                        <= 1e-15 * np.abs(ref).max(), (two_s, p, q, r)
 
 
 def test_hamiltonian_matrix_time_dependence():
