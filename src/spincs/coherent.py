@@ -289,13 +289,18 @@ class QuadratureGrid:
         return (spin.dim / (8.0 * math.pi ** 2)) * self.weights()
 
 
-# Budget for the (n_points, dim) complex array of grid_amplitudes, which
-# only M3 and explicit amplitude maps build (grid sums of two states go
-# through _grid_gram), and for the dense n x n companion matrix that
-# leggauss builds for an n-node rule.  It lets through every grid this
-# package's tests and benchmark map (the largest, two_s = 36 on an
-# oversample-1 grid, is 0.13 GB) and stops two_s = 60 on the default grid
-# (1.6 GB), or a rule past 11585 nodes, before numpy runs out of memory.
+# The package's one byte budget, checked by _check_budget before each
+# allocation it guards: the (n_points, dim) complex array of
+# grid_amplitudes, which only M3 and explicit amplitude maps build (grid
+# sums of two states go through _grid_gram); the dense n x n companion
+# matrix that leggauss builds for an n-node rule; the contraction's column
+# block; and the G x G pair block of the M3 kernel, 10 float64 per entry
+# (propagator._m3_chain).  It lets through every grid this package's tests
+# and benchmark map (the largest, two_s = 36 on an oversample-1 grid, is
+# 0.13 GB) and every M3 kernel up to G = 3663 (two_s = 6 on the default
+# grid, 0.84 GB), and stops two_s = 60 amplitudes on the default grid
+# (1.6 GB), an M3 kernel at two_s = 7 on it (1.88 GB) or a rule past 11585
+# nodes before numpy runs out of memory.
 _AMPLITUDE_BYTES_MAX = 2 ** 30
 
 

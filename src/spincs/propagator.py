@@ -29,15 +29,17 @@ cost a dim x dim product per slice.  P is summed factorized, once per call
 (coherent._grid_gram): O(dim^3) for any grid size.  M2 never divides by the
 overlap.  The M3 kernel does not factorize through the spin space, so its
 chain runs over grid-indexed vectors; it falls back to the product form
-wherever |eps*h/o| is not small (see _kernel_entries).  When its G x G
-kernel fits in one row block, what H does not touch (the overlaps, the
-guard bound |o|/2 and 1/o) is computed once per call with the scratch
-arrays every slice reuses, all views of one allocation whose pages the
-allocator keeps for the next call.  Each slice costs one matmul for the
-H elements and a few float64 passes per entry, with no complex exp or
-complex division (_exp_small takes exp(y) from real tan and exp); a
-time-independent H builds the kernel itself once per call.  Larger kernels
-are built in row blocks at every slice, overlaps included (see _m3_chain).
+wherever |eps*h/o| is not small (see _kernel_entries).  Every M3 kernel is
+one block: what H does not touch (the overlaps, the guard bound |o|/2 and
+1/o) is computed once per call with the scratch arrays every slice reuses,
+all views of one allocation whose pages the allocator keeps for the next
+call.  The grid-to-grid block holds 10 float64 per kernel entry, and a
+grid whose block would pass the package's one byte budget
+(coherent._AMPLITUDE_BYTES_MAX: G > 3663 points) raises AmplitudesTooLarge
+before allocating it.  Each slice costs one matmul for the H elements and
+a few float64 passes per entry, with no complex exp or complex division
+(_exp_small takes exp(y) from real tan and exp); a time-independent H
+builds the kernel itself once per call.
 """
 
 from dataclasses import dataclass, field
@@ -49,7 +51,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .coherent import (FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes,
-                       _grid_gram, _pair_states)
+                       _check_budget, _grid_gram, _pair_states)
 from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotFinite, NotHermitian,
                      NotNormalized, NumericalFailure, OrthogonalPair)
 from .geometry import geometric_phase, kinetic_term, _trapezoid, _velocity
@@ -59,7 +61,6 @@ _ZERO_OVERLAP = 1e-12
 _M3_GUARD = 0.5
 _HERMITICITY_TOL = 1e-12
 _MODES = ("M1", "M2", "M3")
-_KERNEL_BLOCK_ENTRIES = 1 << 21
 # bound on the entries of one stacked block of midpoint H(t) matrices
 _H_BLOCK_ENTRIES = 1 << 16
 # exact_propagator's refinement and unitarity tolerance
@@ -263,20 +264,16 @@ def midpoint_product(spec: HamiltonianSpec, t_i: float, t_f: float, n_steps: int
                      hbar: float = 1.0) -> np.ndarray:
     """Product of n_steps midpoint-sampled matrix exponentials from scipy
     expm: the second-order reference that exact_propagator is checked
-    against, independent of its eigh exponentials.  H at the midpoints comes
-    from stacked hamiltonian_matrix calls, in blocks of at most
-    _H_BLOCK_ENTRIES entries.  Raises NotFinite for a non-finite time or
-    hbar, ValueError for hbar <= 0 or n_steps < 1."""
+    against, independent of its eigh exponentials, with one
+    hamiltonian_matrix call and one expm per step.  Raises NotFinite for a
+    non-finite time or hbar, ValueError for hbar <= 0 or n_steps < 1."""
     _check_times(t_i, t_f, hbar)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     eps = (t_f - t_i) / n_steps
-    block = max(1, _H_BLOCK_ENTRIES // spec.spin.dim ** 2)
     u = np.eye(spec.spin.dim, dtype=complex)
-    for start in range(0, n_steps, block):
-        j = np.arange(start, min(start + block, n_steps))
-        for h in hamiltonian_matrix(spec, t_i + (j + 0.5) * eps):
-            u = expm(-1j * eps / hbar * h) @ u
+    for j in range(n_steps):
+        u = expm(-1j * eps / hbar * hamiltonian_matrix(spec, t_i + (j + 0.5) * eps)) @ u
     return u
 
 
@@ -429,60 +426,48 @@ def _kernel_entries(pair: _PairTerms, x: np.ndarray):
     return x, len(fall)
 
 
-def _kernel_step(dst: np.ndarray, src: np.ndarray, h: np.ndarray, c: np.ndarray,
-                 eps_over_hbar: float, pair=None):
-    """One chain step c -> K @ c, with K[g, g'] the M3 kernel of h from the
-    state src[g'] to the state dst[g] (rows of amplitudes), built in row
-    blocks of at most _KERNEL_BLOCK_ENTRIES entries to bound memory.  pair
-    is the _pair_terms of (dst, src) computed by the caller, given only when
-    K fits in one block; without it each block computes its own.  K is
-    built in the pair's scratch x.  Returns K @ c, the fallback count and
-    the last row block of K (all of K when it fit in one block)."""
-    h_src = ((-1j * eps_over_hbar) * h) @ src.T
-    out = np.empty(len(dst), dtype=complex)
-    zeroed = 0
-    block = max(1, _KERNEL_BLOCK_ENTRIES // len(src))
-    for start in range(0, len(dst), block):
-        terms = pair if pair is not None else _pair_terms(dst[start:start + block], src)
-        k, z = _kernel_entries(terms, np.matmul(terms.bra, h_src, out=terms.x))
-        zeroed += z
-        out[start:start + block] = k @ c
-    return out, zeroed, k
-
-
 def _m3_chain(nodes, hs, c: np.ndarray, eps_over_hbar: float, static: bool):
     """Apply c -> K_j @ (w_j * c) for each slice Hamiltonian hs[j], with K_j
     its M3 kernel from the node set nodes[j] = (amplitudes, weights) to
     nodes[j + 1]; return c on the last node set, the summed fallback count
     and the number of kernel entries applied.
 
-    What H does not touch is computed once per call: when the grid-to-grid
-    kernel fits in one row block, the pair terms (overlaps, guard bound,
-    1/o, scratch) of the grid with itself are built at the first
-    grid-to-grid step and serve every later one.  Per slice there remain
-    one matmul for the scaled H elements and the entry passes of
-    _kernel_entries, all in that scratch.  When static (every hs[j] is the
-    same H) a one-block grid-to-grid kernel is itself reused, with its
-    fallback count, at the rest of the steps; no later step rebuilds it, so
-    it can stay in the pair's scratch.  Above one row block every step
-    builds its kernel, pair terms included, block by block.  A reused
-    kernel counts its entries and fallbacks once per use.
+    Every kernel is built whole in the scratch of its _pair_terms block.
+    An endpoint step (one row or column of entries) builds its own pair
+    terms; the grid-to-grid pair terms (overlaps, guard bound, 1/o,
+    scratch) are built at the first grid-to-grid step and serve every later
+    one.  Per slice there remain one matmul for the scaled H elements and
+    the entry passes of _kernel_entries, all in that scratch.  When static
+    (every hs[j] is the same H) the grid-to-grid kernel is itself reused,
+    with its fallback count, at the rest of the steps; no later step
+    rebuilds it, so it can stay in the pair's scratch.  A reused kernel
+    counts its entries and fallbacks once per use.
+
+    The grid pair block holds 10 float64 per entry; past the package budget
+    (coherent._check_budget) it raises AmplitudesTooLarge, naming G, before
+    allocating it.
     """
-    zeroed, entries, pair, kept = 0, 0, None, None
+    zeroed, entries, grid_pair, kept = 0, 0, None, None
     for (src, w), (dst, _), h in zip(nodes, nodes[1:], hs):
-        if src is not dst:  # an endpoint step: one row or column of entries
-            c, z, _ = _kernel_step(dst, src, h, w * c, eps_over_hbar)
-        elif kept is not None:
+        if src is dst and kept is not None:
             k, z = kept
-            c = k @ (w * c)
         else:
-            if pair is None and len(src) ** 2 <= _KERNEL_BLOCK_ENTRIES:
-                pair = _pair_terms(src, src)
-            c, z, k = _kernel_step(dst, src, h, w * c, eps_over_hbar, pair)
-            if static and pair is not None:
+            if src is not dst:  # an endpoint step: one row or column of entries
+                pair = _pair_terms(dst, src)
+            elif grid_pair is None:
+                g = len(src)
+                _check_budget(80 * g * g, f"the M3 kernel on G={g} grid points needs a "
+                                          f"{g} x {g} pair block of")
+                pair = grid_pair = _pair_terms(src, src)
+            else:
+                pair = grid_pair
+            h_src = ((-1j * eps_over_hbar) * h) @ src.T
+            k, z = _kernel_entries(pair, np.matmul(pair.bra, h_src, out=pair.x))
+            if static and src is dst:
                 kept = k, z
+        c = k @ (w * c)
         zeroed += z
-        entries += len(src) * len(dst)
+        entries += k.size
     return c, zeroed, entries
 
 

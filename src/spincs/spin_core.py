@@ -367,9 +367,11 @@ def _euler_of(a: complex, b: complex) -> tuple:
     theta = 2 atan2(|b|, |a|), phi = arg b - arg a, psi = -arg a - arg b, on
     both sheets and at every theta, with no cutoff.  A zero has arg 0 (+ 0.0
     clears a signed zero), so b = 0 gives phi = psi = -arg a and a = 0 gives
-    phi = -psi = arg b.  Every Euler angle read from SU(2) data comes here."""
+    phi = -psi = arg b.  psi is 0.0 - arg a - arg b, as -0.0 - 0.0 would be
+    -0.0 at arg a = arg b = 0.  Every Euler angle read from SU(2) data comes
+    here."""
     arg_a, arg_b = cmath.phase(a + 0.0), cmath.phase(b + 0.0)
-    return arg_b - arg_a, 2.0 * math.atan2(abs(b), abs(a)), -arg_a - arg_b
+    return arg_b - arg_a, 2.0 * math.atan2(abs(b), abs(a)), 0.0 - arg_a - arg_b
 
 
 def _folded(a: complex, b: complex) -> tuple:

@@ -563,9 +563,26 @@ def test_orthogonality_at_two_s_30_within_memory(tmp_path):
     ("overlap", {"two_s": 2, "fv": "lowest", "omega1": [10 ** 400, 1.0, 0.0],
                  "omega2": [0.1, 0.2, 0.3]},
      [], "overlap"),
+    # each parser's own raise
+    ("wigner", {"two_s": True, "theta": 0.3}, [], "little_d"),
+    ("contract", {"alpha": "x"}, [], "_contract_one"),
+    ("overlap", {"two_s": 2, "fv": "lowest", "omega1": [0.1, 0.2], "omega2": [0.1, 0.2, 0.3]},
+     [], "overlap"),
+    ("verify-resolution", {"two_s": [1.5]}, [], "build_grid"),
+    ("wigner", {"two_s": 1, "theta": 0.3, "suite": 3}, [], "little_d"),
+    ("action", {"two_s": 2, "fv": "lowest", "path": [[0.0, 0.1, 0.2, 0.3]]}, [],
+     "action_along_path"),
+    # a config that is a JSON list, and an fv node that is neither a
+    # keyword nor [re, im] pairs
+    ("wigner", [2, 0.3], [], "little_d"),
+    ("overlap", {"two_s": 2, "fv": "middle", "omega1": [0.1, 0.2, 0.3],
+                 "omega2": [0.4, 0.5, 0.6]},
+     [], "overlap"),
 ], ids=["oversample", "count", "two_s", "dt", "n_slices", "t_f", "fock_length",
         "t_span_string", "t_span_bool", "t_span_length", "modes_unknown", "modes_empty",
-        "dt_nan", "t_span_infinity", "omega1_nan", "omega1_past_float_range"])
+        "dt_nan", "t_span_infinity", "omega1_nan", "omega1_past_float_range", "int_bool",
+        "complex_string", "omega_length", "int_list_float", "str_number", "path_rows_short",
+        "config_list", "fv_keyword"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, monkeypatch,
                                             command, payload, flags, body):
     monkeypatch.setattr(cli, body, lambda *a, **k: pytest.fail("ran the command"))
@@ -575,6 +592,26 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, monkeypatch,
     assert main(argv) == 2
     assert "must be" in capsys.readouterr().err
     assert _reports(tmp_path) == []
+
+
+@pytest.mark.parametrize("config, message", [
+    (lambda tmp_path: str(tmp_path / "missing.json"), "cannot read config"),
+    (lambda tmp_path: _config(tmp_path, {"two_s": 1, "theta": 0.3, "suite": "bogus"}),
+     "unknown suite 'bogus'"),
+], ids=["missing_file", "unknown_suite"])
+def test_config_file_or_suite_error(tmp_path, capsys, monkeypatch, config, message):
+    monkeypatch.setattr(cli, "little_d", lambda *a: pytest.fail("ran the command"))
+    rc = main(["wigner", "--config", config(tmp_path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert _reports(tmp_path) == []
+
+
+def test_report_hook_refuses_other_types():
+    # json's default hook encodes complex and numpy values only
+    assert json.dumps([1j, np.float64(0.5)], default=cli._json_default) == "[[0.0, 1.0], 0.5]"
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        json.dumps({"x": object()}, default=cli._json_default)
 
 
 def test_missing_out_directory_is_created(tmp_path):

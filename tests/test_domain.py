@@ -1,21 +1,23 @@
-"""Non-finite input meets a named error, not a NaN result."""
+"""Non-finite and out-of-domain input meets a named error, not a NaN result."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from spincs import (ACoords, EulerAngles, FiducialVector, FockVector, HamiltonianSpec,
-                    LengthMismatch, MonomialTerm, NotFinite, NotHermitian, NotNormalized,
-                    NotUnitary, RotationMatrix, Spin, SubsidiaryViolation, ZCoords,
-                    action_along_path, big_r, build_grid, canonical_cs, ccs_canonical_rhs,
-                    ccs_kinetic_term, coherent_state, compose_euler, conjugate_spin_ops,
-                    displacement_matrix, dns_amplitudes, euler_from_su2, gauge_potential,
-                    gaussian_decompose, hp_contract_state, infinitesimal_overlap,
-                    integrate_trajectory, invert_euler, kinetic_term, kinetic_term_a,
-                    kinetic_term_z, make_fiducial, make_fock, normal_ordered_matrix,
-                    omega_to_a, omega_to_z, one_form, overlap, random_fiducial, su2_matrix,
-                    transition_amplitude)
+                    LengthMismatch, MonomialTerm, NoConvergence, NotFinite, NotHermitian,
+                    NotNormalized, NotUnitary, NumericalFailure, RotationMatrix, Spin,
+                    SubsidiaryViolation, ZCoords, ZeroVector, action_along_path, big_r,
+                    build_grid, canonical_cs, ccs_canonical_rhs, ccs_kinetic_term,
+                    ccs_resolution_residual, coherent_state, compose_euler,
+                    conjugate_spin_ops, displacement_matrix, dns_amplitudes, euler_from_su2,
+                    exact_propagator, gauge_potential, gaussian_decompose, geometric_phase,
+                    hp_contract_state, infinitesimal_overlap, integrate_trajectory,
+                    invert_euler, kinetic_term, kinetic_term_a, kinetic_term_z, make_fiducial,
+                    make_fock, normal_ordered_matrix, omega_to_a, omega_to_z, one_form, overlap,
+                    propagator, random_fiducial, su2_matrix, transition_amplitude)
 
 nan, inf = math.nan, math.inf
 
@@ -43,8 +45,18 @@ def _action(hbar):
                              hbar=hbar)
 
 
+def _oracle_from(product):
+    """exact_propagator with its Magnus product replaced by product(n_steps)."""
+    spin = Spin(1)
+    spec = HamiltonianSpec(spin, (MonomialTerm(0, 1, 0, 1.0),))
+    with mock.patch.object(propagator, "_cf4_product",
+                           lambda spec, t_i, t_f, n, hbar: product(n) * np.eye(spin.dim)):
+        return exact_propagator(spec, 0.0, 1.0)
+
+
 _FV = make_fiducial(Spin(1), [0.6, 0.8])
 _FOCK = FockVector(np.array([0.6, 0.8j]))
+_FOCK_2 = FockVector(np.array([0.6, 0.0, 0.8]))
 _OMEGA = EulerAngles(0.3, 1.1, 0.7)
 _STACK = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
 
@@ -125,6 +137,23 @@ _STACK = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
     (lambda: conjugate_spin_ops(Spin(1), _STACK), LengthMismatch, r"\(2, 3\)"),
     (lambda: gaussian_decompose(_STACK), LengthMismatch, r"\(2, 3\)"),
     (lambda: omega_to_z(_STACK), LengthMismatch, r"\(2, 3\)"),
+    # out-of-domain shapes, sizes and values
+    (lambda: RotationMatrix(Spin(1), np.eye(3)), ValueError, r"2x2, got \(3, 3\)"),
+    (lambda: coherent_state(_FV, [[0.1, 0.2]]), ValueError, r"last axis of length 3"),
+    (lambda: FiducialVector(Spin(1), [1.0, 0.0, 0.0]), LengthMismatch, "expected 2"),
+    (lambda: FockVector(np.array([[0.6, 0.8]])), LengthMismatch, "1-d"),
+    (lambda: FockVector(np.zeros(2)), ZeroVector, "identically zero"),
+    (lambda: displacement_matrix(0.3, 0), ValueError, "n_max must be >= 1"),
+    (lambda: canonical_cs(_FOCK_2, 0.3, 1), LengthMismatch, "n_max=1"),
+    (lambda: ccs_resolution_residual(_FOCK_2, n_max=1), LengthMismatch, "n_max=1"),
+    (lambda: dns_amplitudes(0.3, 5, 3), ValueError, "n=5, n_max=3"),
+    (lambda: geometric_phase(make_fiducial(Spin(4), [0, 0, 0, 0, 1]),
+                             [[0, 0, 0, 0], [1e308, 1e308, 0, 0]]),
+     NumericalFailure, "overflows to -inf"),
+    # the oracle's two NoConvergence raises: a settled product that is not
+    # unitary, and one that never settles
+    (lambda: _oracle_from(lambda n: 2.0), NoConvergence, "unitarity defect"),
+    (lambda: _oracle_from(float), NoConvergence, "24 doublings"),
 ], ids=["FiducialVector", "make_fiducial", "FockVector", "make_fock", "RotationMatrix",
         "ZCoords", "ACoords", "HamiltonianSpec", "normal_ordered_matrix", "euler_from_su2",
         "transition_amplitude", "EulerAngles", "EulerAngles_inf", "overlap_raw",
@@ -142,7 +171,11 @@ _STACK = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
         "gauge_potential_nan", "gauge_potential_inf", "infinitesimal_overlap_nan",
         "contract_nan", "contract_length", "su2_matrix_stack", "compose_euler_stack",
         "omega_to_a_stack", "big_r_stack", "invert_euler_stack", "conjugate_spin_ops_stack",
-        "gaussian_decompose_stack", "omega_to_z_stack"])
+        "gaussian_decompose_stack", "omega_to_z_stack", "RotationMatrix_shape",
+        "coherent_state_last_axis", "FiducialVector_shape", "FockVector_2d",
+        "FockVector_zero", "displacement_matrix_n_max", "canonical_cs_n_max",
+        "ccs_resolution_residual_n_max", "dns_amplitudes_n", "geometric_phase_overflow",
+        "exact_propagator_unitarity", "exact_propagator_doublings"])
 def test_nan_input_raises_named_error(call, error, match):
     # the first rows' checks read `defect > bound`, which a NaN defect
     # passes; make_fiducial raised IndexError, transition_amplitude a

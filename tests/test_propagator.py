@@ -10,7 +10,8 @@ from scipy.linalg import expm
 from conftest import (dense_gram, jittered_grid, lowest_fv, random_fv, random_omega,
                       rng_for)
 from spincs import coherent, propagator
-from spincs import (EulerAngles, GridCoarseWarning, GridTooCoarse, HamiltonianSpec,
+from spincs import (AmplitudesTooLarge, EulerAngles, GridCoarseWarning, GridTooCoarse,
+                    HamiltonianSpec,
                     LengthMismatch, MonomialTerm, NotFinite, NotHermitian, NotNormalized,
                     NumericalFailure, OrthogonalPair, QuadratureGrid, Spin, action_along_path,
                     build_grid, coherent_state, discrete_cspi, exact_propagator,
@@ -405,8 +406,8 @@ def test_m1_m2_chain_applies_the_grid_projector(two_s):
 def test_static_m3_kernel_reuse_matches_per_slice_build(two_s):
     # a zero-coefficient cosine term leaves H unchanged but marks the spec
     # time-dependent, which forces the kernel to be rebuilt at every slice;
-    # two_s=4 (G=1568) is past the one-block size, so both runs take the
-    # blocked per-slice build
+    # at two_s=4 (G=1568) too, the static spec builds its kernel once and
+    # reuses it
     rng = rng_for(58, two_s)
     spin = Spin(two_s)
     fv = random_fv(spin, rng)
@@ -561,8 +562,8 @@ def _dense_fallback_count(nodes, hs, eps):
 def test_m3_fallback_count_matches_dense_count(two_s, driven, monkeypatch):
     # at two_s=1 the lowest-weight fiducial gives antipodal grid pairs whose
     # overlap is zero up to roundoff while h is not, so those entries must
-    # take the linear form; at two_s=4 (G=1568) every kernel is built in two
-    # row blocks.  A reused static kernel counts once per use.
+    # take the linear form; at two_s=4 (G=1568) the kernel is one block of
+    # 2.5 million entries.  A reused static kernel counts once per use.
     rng = rng_for(63, two_s, driven)
     spin = Spin(two_s)
     fv = lowest_fv(spin) if two_s == 1 else random_fv(spin, rng)
@@ -625,6 +626,32 @@ def test_grid_kernel_builds_per_call(monkeypatch):
         builds.clear()
         transition_amplitude(fv, spec, ket_i, ket_f, 0.0, 2.0, grid, n, "M3")
         assert sum(builds) == via_transition
+
+
+@pytest.mark.parametrize("entry", ["discrete_cspi", "transition_amplitude"])
+def test_m3_kernel_past_the_budget_raises_before_allocating(entry):
+    # two_s=7 on the default grid has G=4851 points, whose pair block of 10
+    # float64 per kernel entry would take 1.88 GB: the budget check comes
+    # before it, so the call stays far below that
+    rng = rng_for(76)
+    spin = Spin(7)
+    fv = random_fv(spin, rng)
+    grid = build_grid(spin)
+    assert grid.n_points == 4851
+    spec = _precession_spec(spin)
+    ket_i, ket_f = random_fv(spin, rng).coeffs, random_fv(spin, rng).coeffs
+    call = {"discrete_cspi": lambda: discrete_cspi(fv, spec, random_omega(rng),
+                                                   random_omega(rng), 0.0, 1.0, 2, grid, "M3"),
+            "transition_amplitude": lambda: transition_amplitude(fv, spec, ket_i, ket_f, 0.0,
+                                                                 1.0, grid, 2, "M3")}[entry]
+    tracemalloc.start()
+    try:
+        with pytest.raises(AmplitudesTooLarge, match=r"G=4851 .*1\.88 GB"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("mode", ["M1", "M2"])

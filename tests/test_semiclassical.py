@@ -400,6 +400,17 @@ def test_euler_angles_start_matches_raw_triple():
     assert named.error_estimate == raw.error_estimate
 
 
+def test_zero_angles_read_back_without_a_negative_zero():
+    # arg a = arg b = 0 gave psi = -0.0 - 0.0 = -0.0, which the CLI's
+    # trajectory CSV printed as -0.0 in row 0
+    angles = _euler_of(*_cayley_klein(0.0, 1.0, 0.0))
+    assert angles == (0.0, 1.0, 0.0) and not np.signbit(angles).any()
+    spin = Spin(2)
+    traj = integrate_trajectory(lowest_fv(spin), _field_spec(spin), (0.0, 1.0, 0.0),
+                                (0.0, 1.0), 0.02)
+    assert not np.signbit(traj.path[0]).any()
+
+
 def test_precession_scales_with_hbar():
     spin = Spin(2)
     fv = lowest_fv(spin)
