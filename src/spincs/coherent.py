@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import (AmplitudesTooLarge, GridCoarseWarning, LengthMismatch, NotFinite,
-                     NotNormalized, ZeroVector)
+                     NotNormalized, ZeroVector, _finite)
 from .spin_core import (Spin, spin_operators, _angles_of, _cayley_klein, _euler_of, _ladder,
                         _point_of, _rotate, _s2_eigensystem)
 
@@ -225,7 +225,9 @@ def generating_function(fv: FiducialVector, omega2, omega1,
     """<Omega2| exp(z+ S+) exp(z3 S3) exp(z- S-) |Omega1>, evaluated by dense
     matrix exponentials.  Differentiating at z = 0 generates matrix elements
     of arbitrary generator monomials between coherent states.  Each side
-    is one point (see _point_of)."""
+    is one point (see _point_of); NotFinite names a NaN or infinite z."""
+    for name, z in (("z_plus", z_plus), ("z3", z3), ("z_minus", z_minus)):
+        _finite(name, z, complex)
     bra, ket = _pair_states(fv, omega2, omega1)
     ops = spin_operators(fv.spin)
     middle = expm(z_plus * ops.s_plus) @ expm(z3 * ops.s3) @ expm(z_minus * ops.s_minus)
@@ -241,8 +243,9 @@ class QuadratureGrid:
     matrices of spin <= s_max exactly when n_theta >= 2 s_max + 1 and
     n_phi, n_psi >= 4 s_max + 1; ``exact_two_s`` records the largest doubled
     spin for which that holds.  The node counts are the sizes of the node
-    arrays; LengthMismatch is raised unless theta_weights has one weight
-    per theta node.
+    arrays, each read by errors._finite (a float array is kept uncopied):
+    NotFinite names a NaN or infinite node or weight, and LengthMismatch is
+    raised unless theta_weights has one weight per theta node.
     """
 
     theta: np.ndarray
@@ -251,9 +254,9 @@ class QuadratureGrid:
     psi: np.ndarray
 
     def __post_init__(self):
-        if self.theta_weights.size != self.theta.size:
-            raise LengthMismatch(f"{self.theta_weights.size} theta weights for "
-                                 f"{self.theta.size} theta nodes")
+        for name in ("theta", "theta_weights", "phi", "psi"):
+            length = self.theta.size if name == "theta_weights" else None
+            object.__setattr__(self, name, _finite(name, getattr(self, name), length=length))
 
     @property
     def n_theta(self) -> int:
@@ -341,8 +344,7 @@ def build_grid(spin_max: Spin, oversample: float = 1.2) -> QuadratureGrid:
     AmplitudesTooLarge, before allocating, past 11585 theta nodes (see
     _gauss_legendre).
     """
-    if not math.isfinite(oversample):
-        raise NotFinite(f"oversample={oversample} must be finite")
+    oversample = _finite("oversample", oversample)
     if oversample < 1.0:
         raise ValueError("oversample must be >= 1")
     two_s = spin_max.two_s

@@ -14,11 +14,12 @@ the reindexed fiducial vector.  The spin state is built from the few
 columns of r(theta) that a Fock-like fiducial occupies, O(dim) each, so
 two_s in the tens of thousands takes milliseconds and no dim x dim basis.
 Every comparison here is at finite truncation with the tail accounted for.
-A NaN or infinite alpha (or alpha_dot) raises NotFinite naming it, and hbar
-follows the package's one rule (NotFinite, ValueError for hbar <= 0).
+Numbers enter by the package's rules (errors._finite, _count, _check_hbar):
+a NaN or infinite alpha, alpha_dot or radial_max raises NotFinite naming
+it, a truncation n_max or level n that is not an integer >= 0 (n_max >= 1
+for displacement_matrix) ValueError, and hbar <= 0 ValueError.
 """
 
-import cmath
 import warnings
 from dataclasses import dataclass
 
@@ -27,21 +28,12 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from .coherent import FiducialVector, _check_budget, _gauss_legendre, _normalized
-from .errors import (GridCoarseWarning, LengthMismatch, NotFinite, NotHermitian, NotNormalized,
-                     PoleMargin, ZeroVector)
+from .errors import (GridCoarseWarning, LengthMismatch, NotHermitian, NotNormalized, PoleMargin,
+                     ZeroVector, _check_hbar, _count, _finite)
 from .parametrizations import ZCoords, z_to_omega
-from .propagator import _check_hbar
 from .spin_core import Spin, _r_columns
 
 _NORM_TOL = 1e-12
-
-
-def _check_finite(name: str, z) -> complex:
-    """z as a complex, or NotFinite naming the argument unless finite."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise NotFinite(f"{name}={z} must be finite")
-    return z
 
 
 @dataclass(frozen=True)
@@ -99,16 +91,15 @@ class CanonicalCS:
 
 def fock_annihilation(n_max: int) -> np.ndarray:
     """Matrix of a on levels 0..n_max: a|n> = sqrt(n)|n-1>."""
+    n_max = _count("n_max", n_max, 0)
     return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
 
 
 def displacement_matrix(alpha: complex, n_max: int) -> np.ndarray:
     """exp(alpha a^+ - alpha^* a) on the truncated space; unitary up to the
     truncation tail."""
-    alpha = _check_finite("alpha", alpha)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    a = fock_annihilation(n_max)
+    alpha = _finite("alpha", alpha, complex)
+    a = fock_annihilation(_count("n_max", n_max, 1))
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
@@ -120,7 +111,7 @@ def canonical_cs(fv: FockVector, alpha: complex, n_max: int = None) -> Canonical
     genuinely measures the discarded tail (the truncated matrix exponential
     would be exactly unitary and hide it).
     """
-    n_max = fv.n_max if n_max is None else int(n_max)
+    n_max = fv.n_max if n_max is None else _count("n_max", n_max, 0)
     if n_max < fv.n_max:
         raise LengthMismatch(f"n_max={n_max} cannot hold a degree-{fv.n_max} fiducial vector")
     amps = np.zeros(n_max + 1, dtype=complex)
@@ -138,9 +129,10 @@ def dns_amplitudes(alpha: complex, n: int, n_max: int) -> np.ndarray:
     with generalized Laguerre polynomials L.  Factorial ratios go through
     log-gamma so large truncations stay finite.
     """
-    if not 0 <= n <= n_max:
+    n, n_max = _count("n", n, 0), _count("n_max", n_max, 0)
+    if n > n_max:
         raise ValueError(f"need 0 <= n <= n_max, got n={n}, n_max={n_max}")
-    alpha = _check_finite("alpha", alpha)
+    alpha = _finite("alpha", alpha, complex)
     m = np.arange(n_max + 1)
     x = abs(alpha) ** 2
     out = np.empty(n_max + 1, dtype=complex)
@@ -171,7 +163,7 @@ def dns_number_check(alpha: complex, n: int, n_max: int) -> float:
 def annihilation_degree_residual(fv: FockVector, alpha: complex, n_max: int = None) -> float:
     """Residual ||(a - alpha)^{N+1} D(alpha)|fv>|| with N the highest
     occupied fv level; exactly zero in the untruncated space."""
-    n_max = (fv.n_max + 24) if n_max is None else int(n_max)
+    n_max = (fv.n_max + 24) if n_max is None else _count("n_max", n_max, 0)
     state = canonical_cs(fv, alpha, n_max).amplitudes
     shifted = fock_annihilation(n_max) - alpha * np.eye(n_max + 1)
     v = state
@@ -198,7 +190,7 @@ def hp_contract_state(fv_spin: FiducialVector, alpha: complex) -> FockVector:
     of columns would exceed ``coherent._AMPLITUDE_BYTES_MAX`` bytes
     (``coherent._check_budget``).
     """
-    alpha = _check_finite("alpha", alpha)
+    alpha = _finite("alpha", alpha, complex)
     spin = fv_spin.spin
     root = np.sqrt(spin.two_s)
     if abs(alpha) >= root:
@@ -217,9 +209,11 @@ def hp_contract_state(fv_spin: FiducialVector, alpha: complex) -> FockVector:
 def hp_measure_ratio(alpha: complex, spin: Spin) -> float:
     """Pointwise ratio of the contracted spin-side measure density to the
     flat canonical density 1/pi at alpha: (2s+1)/(2s) (1+|alpha|^2/(2s))^-2,
-    which tends to 1 as s grows."""
-    u2 = abs(alpha) ** 2 / spin.two_s
-    return (spin.two_s + 1) / spin.two_s / (1.0 + u2) ** 2
+    which tends to 1 as s grows.  NotFinite for a NaN or infinite alpha,
+    ValueError at two_s = 0, where the density is undefined."""
+    two_s = _count("two_s", spin.two_s, 1)
+    u2 = abs(_finite("alpha", alpha, complex)) ** 2 / two_s
+    return (two_s + 1) / two_s / (1.0 + u2) ** 2
 
 
 def ccs_kinetic_term(alpha: complex, alpha_dot: complex, fv: FockVector,
@@ -228,7 +222,7 @@ def ccs_kinetic_term(alpha: complex, alpha_dot: complex, fv: FockVector,
     term A = 2 sum_n sqrt(n) (d_alpha c_n^* c_{n-1} - c.c.); both brackets
     are purely imaginary, so the result is real."""
     _check_hbar(hbar)
-    alpha, alpha_dot = _check_finite("alpha", alpha), _check_finite("alpha_dot", alpha_dot)
+    alpha, alpha_dot = _finite("alpha", alpha, complex), _finite("alpha_dot", alpha_dot, complex)
     c = fv.coeffs
     n = np.arange(1, c.size)
     cross = np.sum(np.sqrt(n) * alpha_dot * np.conj(c[1:]) * c[:-1])
@@ -245,8 +239,10 @@ def ccs_resolution_residual(fv: FockVector, radial_max: float = 8.0, n_max: int 
     times a uniform angular grid of 2*n_max + 2*degree + 3 nodes, enough to
     kill every phase mode present.  The amplitudes come from the closed
     displaced-number-state forms, so the residual measures only the radial
-    truncation and quadrature, not matrix exponentials.
+    truncation and quadrature, not matrix exponentials.  NotFinite names a
+    NaN or infinite radial_max.
     """
+    radial_max, n_max = _finite("radial_max", radial_max), _count("n_max", n_max, 0)
     if n_max < fv.n_max:
         raise LengthMismatch(f"n_max={n_max} cannot hold a degree-{fv.n_max} fiducial vector")
     k = n_max // 2
@@ -278,12 +274,13 @@ def ccs_resolution_residual(fv: FockVector, radial_max: float = 8.0, n_max: int 
 
 def normal_ordered_matrix(terms, n_max: int) -> np.ndarray:
     """Sum of coeff * (a^+)^p a^q on levels 0..n_max from (p, q, coeff)
-    triples; raises NotHermitian when the total is not Hermitian."""
+    triples; raises NotHermitian when the total is not Hermitian, and
+    ValueError for an exponent or n_max that is not an integer >= 0."""
     a = fock_annihilation(n_max)
     h = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for p, q, coeff in terms:
-        h += complex(coeff) * np.linalg.matrix_power(a.conj().T, int(p)) \
-            @ np.linalg.matrix_power(a, int(q))
+        h += complex(coeff) * np.linalg.matrix_power(a.conj().T, _count("p", p, 0)) \
+            @ np.linalg.matrix_power(a, _count("q", q, 0))
     defect = np.linalg.norm(h - h.conj().T)
     if not defect <= 1e-12 * max(1.0, np.linalg.norm(h)):
         raise NotHermitian(f"normal-ordered polynomial deviates from Hermitian by {defect:.3e}")
@@ -309,10 +306,10 @@ def ccs_canonical_rhs(h_terms, alpha: complex, fv: FockVector = None,
     1e-14 sum |coeff| in the sum of the defects, with no matrix built.
     """
     _check_hbar(hbar)
-    alpha = _check_finite("alpha", alpha)
+    alpha = _finite("alpha", alpha, complex)
     if fv is None:
         fv = FockVector(np.array([1.0 + 0j]))
-    terms = [(int(p), int(q), complex(c)) for p, q, c in h_terms]
+    terms = [(_count("p", p, 0), _count("q", q, 0), complex(c)) for p, q, c in h_terms]
     merged = {}
     for p, q, c in terms:
         merged[p, q] = merged.get((p, q), 0.0) + c

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .coherent import FiducialVector, _spin_vector
-from .errors import LengthMismatch, NotFinite, NumericalFailure, PathTooShort, TimesNotMonotone
+from .errors import NotFinite, NumericalFailure, PathTooShort, TimesNotMonotone, _finite
 from .spin_core import _angles_of, _point_of
 
 __all__ = [
@@ -45,9 +45,10 @@ class OneForm:
     def contract(self, omega_dot) -> float | np.ndarray:
         """kappa(omega_dot): a float for one velocity, an array of shape
         (...) for a (..., 3) stack.  Raises TypeError, NotFinite or
-        LengthMismatch for a bad omega_dot, and NumericalFailure when a
-        finite velocity overflows the result, as kinetic_term does."""
-        omega_dot = _velocity(omega_dot, "omega_dot")
+        LengthMismatch for a bad omega_dot (see errors._finite), and
+        NumericalFailure when a finite velocity overflows the result, as
+        kinetic_term does."""
+        omega_dot = _finite("omega_dot", omega_dot, length=3)
         dphi, dtheta, dpsi = np.moveaxis(omega_dot, -1, 0)
         with np.errstate(over="ignore", invalid="ignore"):
             k = self.k_phi * dphi + self.k_theta * dtheta + self.k_psi * dpsi
@@ -79,23 +80,6 @@ class GaugePotential:
     a_eta: float
 
 
-def _velocity(value, name: str, length: int = 3, dtype=float) -> np.ndarray:
-    """value as an array with a last axis of the given length, checked
-    finite: LengthMismatch quoting the shape given, or NotFinite naming the
-    argument.  A complex value where dtype is float raises TypeError naming
-    the argument, where a cast would drop its imaginary part.  Every
-    velocity argument of a kinetic term enters here."""
-    v = np.asarray(value)
-    if dtype is float and np.iscomplexobj(v):
-        raise TypeError(f"{name} must be real, got complex entries: {v.tolist()}")
-    v = np.asarray(v, dtype=dtype)
-    if v.shape[-1:] != (length,):
-        raise LengthMismatch(f"{name} needs a last axis of length {length}, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise NotFinite(f"{name} holds a NaN or infinite entry: {v.tolist()}")
-    return v
-
-
 def _body_velocity(theta, psi, omega_dot: np.ndarray) -> tuple:
     """omega_body = (dtheta sin psi - dphi sin t cos psi, dtheta cos psi +
     dphi sin t sin psi, dphi cos t + dpsi) of g = su2_matrix(phi, theta, psi)
@@ -110,10 +94,11 @@ def kinetic_term(fv: FiducialVector, omega, omega_dot) -> float | np.ndarray:
     """<Omega| i d/dt |Omega> = n_fv . omega_body at the angles given (raw
     angles are not folded): a float for one point, an array of shape (...)
     for (..., 3) stacks of points or velocities that broadcast.  Raises
-    NotFinite or LengthMismatch for a bad omega_dot, and NumericalFailure
-    when a finite velocity overflows the result."""
+    TypeError, NotFinite or LengthMismatch for a bad omega_dot (see
+    errors._finite), and NumericalFailure when a finite velocity overflows
+    the result."""
     _, theta, psi = _angles_of(omega)
-    omega_dot = _velocity(omega_dot, "omega_dot")
+    omega_dot = _finite("omega_dot", omega_dot, length=3)
     x, y, z = _spin_vector(fv)
     with np.errstate(over="ignore", invalid="ignore"):
         w1, w2, w3 = _body_velocity(theta, psi, omega_dot)
@@ -157,8 +142,7 @@ def gauge_potential(fv: FiducialVector, theta: float, xi: float, eta: float) -> 
     monopole divergence, so all three stay finite at theta = 0 and pi for
     every fiducial vector.  Raises NotFinite for a NaN or infinite angle.
     """
-    if not (math.isfinite(theta) and math.isfinite(xi) and math.isfinite(eta)):
-        raise NotFinite(f"(theta, xi, eta) = ({theta}, {xi}, {eta}) must be finite")
+    theta, xi, eta = _finite("(theta, xi, eta)", (theta, xi, eta), length=3).tolist()
     x, y, z = _spin_vector(fv)
     psi = 0.5 * xi - 0.5 * eta
     ch, sh, sp, cp = math.cos(0.5 * theta), math.sin(0.5 * theta), math.sin(psi), math.cos(psi)

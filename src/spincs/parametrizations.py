@@ -19,8 +19,8 @@ import cmath
 import math
 
 from .coherent import FiducialVector, structure_pair, _spin_vector
-from .errors import NotUnitary, NumericalFailure, SubsidiaryViolation, ZOriginSingular
-from .geometry import kinetic_term, _velocity
+from .errors import NotUnitary, NumericalFailure, SubsidiaryViolation, ZOriginSingular, _finite
+from .geometry import kinetic_term
 from .spin_core import EulerAngles, Spin, gaussian_decompose, _cayley_klein, _folded, _point_of
 
 __all__ = [
@@ -156,7 +156,7 @@ def kinetic_term_z(fv: FiducialVector, z: ZCoords, z_dot) -> float:
     limit depends on the direction of approach; for b0 = 0 the term
     vanishes with |z+| along constraint paths and 0.0 is returned.
     """
-    zp_dot, zm_dot = _velocity(z_dot, "z_dot", 2, complex).tolist()
+    zp_dot, zm_dot = _finite("z_dot", z_dot, complex, 2).tolist()
     u = abs(z.z_plus)
     if u * u < 1e-18:
         if abs(structure_pair(fv)[1]) > 0.0:
@@ -177,7 +177,7 @@ def kinetic_term_a(fv: FiducialVector, a: ACoords, a_dot) -> float:
     omega_body = (-2 Im v, 2 Re v, -2 Im(a1* da1 + a2* da2)), v = a1 da2 -
     da1 a2.  Globally regular on the sphere.  Raises NotFinite or
     LengthMismatch for a bad a_dot."""
-    a1_dot, a2_dot = _velocity(a_dot, "a_dot", 2, complex).tolist()
+    a1_dot, a2_dot = _finite("a_dot", a_dot, complex, 2).tolist()
     v = a.a1 * a2_dot - a1_dot * a.a2
     spin_rate = (a.a1.conjugate() * a1_dot + a.a2.conjugate() * a2_dot).imag
     x, y, z = _spin_vector(fv)

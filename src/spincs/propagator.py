@@ -52,9 +52,9 @@ from scipy.linalg import expm
 
 from .coherent import (FiducialVector, QuadratureGrid, coherent_state, grid_amplitudes,
                        _check_budget, _grid_gram, _pair_states)
-from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotFinite, NotHermitian,
-                     NotNormalized, NumericalFailure, OrthogonalPair)
-from .geometry import geometric_phase, kinetic_term, _trapezoid, _velocity
+from .errors import (GridTooCoarse, LengthMismatch, NoConvergence, NotHermitian, NotNormalized,
+                     NumericalFailure, OrthogonalPair, _check_hbar, _count, _finite)
+from .geometry import geometric_phase, kinetic_term, _trapezoid
 from .spin_core import Spin, _angles_of, _ladder
 
 _ZERO_OVERLAP = 1e-12
@@ -81,7 +81,9 @@ class MonomialTerm:
     """One normal-ordered monomial coeff * S+^p S3^q S-^r with a time profile.
 
     profile is None for a constant term, ("cosine", omega, phase) for a
-    cos(omega*t + phase) factor, or ("ramp",) for a factor t.
+    cos(omega*t + phase) factor, or ("ramp",) for a factor t.  The
+    exponents are counts and the profile parameters finite floats
+    (errors._count and _finite): ValueError or NotFinite otherwise.
     """
 
     p: int
@@ -92,17 +94,15 @@ class MonomialTerm:
 
     def __post_init__(self):
         for name in ("p", "q", "r"):
-            e = getattr(self, name)
-            if not isinstance(e, (int, np.integer)) or e < 0:
-                raise ValueError(f"exponent {name}={e!r} must be a non-negative integer")
-            object.__setattr__(self, name, int(e))
+            object.__setattr__(self, name, _count(f"exponent {name}", getattr(self, name), 0))
         object.__setattr__(self, "coeff", complex(self.coeff))
         if self.profile is not None:
             prof = tuple(self.profile)
             entry = _PROFILES.get(prof[0]) if prof and isinstance(prof[0], str) else None
             if entry is None or len(prof) != 1 + len(entry[0]):
                 raise ValueError(f"unknown time profile {self.profile!r}")
-            object.__setattr__(self, "profile", prof[:1] + tuple(float(x) for x in prof[1:]))
+            object.__setattr__(self, "profile", prof[:1] + tuple(
+                _finite(f"{prof[0]} {name}", x) for name, x in zip(entry[0], prof[1:])))
 
     def factor(self, t):
         """The profile value f(t): a float for a scalar t, an array of the
@@ -223,9 +223,10 @@ def hamiltonian_matrix(spec: HamiltonianSpec, t=0.0) -> np.ndarray:
 
     t may also be a 1-D array of times; the result is then the
     (len(t), dim, dim) stack of H at each time, from one contraction of the
-    profile values f_p(t) with the H_p.
+    profile values f_p(t) with the H_p.  NotFinite names a NaN or infinite
+    time (errors._finite); h_ratio, build_system and h_gradient read t here.
     """
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(_finite("t", t))
     f = np.array([term.factor(t) for term in spec._profiles], dtype=complex)
     h = f.reshape(len(f), t.size).T @ spec._h_parts
     return h.reshape(t.shape + (spec.spin.dim,) * 2)
@@ -236,8 +237,10 @@ def h_expectation(fv: FiducialVector, spec: HamiltonianSpec, omega, t=0.0):
     coherent_state), at a time or times that broadcast against the points:
     sum_p f_p(t) <Omega|H_p|Omega> over the per-profile H_p, with no stack
     of H(t) matrices.  A float for one point and time, else an array.
-    Raises LengthMismatch unless the spec's spin is the fiducial's."""
+    Raises LengthMismatch unless the spec's spin is the fiducial's, and
+    NotFinite for a NaN or infinite time."""
     _check_spin(fv, spec)
+    _finite("t", t)
     v = coherent_state(fv, omega).amplitudes
     e = np.zeros(np.broadcast_shapes(v.shape[:-1], np.shape(t)))
     for term, h in zip(spec._profiles, spec._h_parts):
@@ -266,10 +269,10 @@ def midpoint_product(spec: HamiltonianSpec, t_i: float, t_f: float, n_steps: int
     expm: the second-order reference that exact_propagator is checked
     against, independent of its eigh exponentials, with one
     hamiltonian_matrix call and one expm per step.  Raises NotFinite for a
-    non-finite time or hbar, ValueError for hbar <= 0 or n_steps < 1."""
+    non-finite time or hbar, ValueError for hbar <= 0 or an n_steps that is
+    not an integer >= 1."""
     _check_times(t_i, t_f, hbar)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    n_steps = _count("n_steps", n_steps, 1)
     eps = (t_f - t_i) / n_steps
     u = np.eye(spec.spin.dim, dtype=complex)
     for j in range(n_steps):
@@ -477,30 +480,10 @@ def _check_spin(fv: FiducialVector, spec: HamiltonianSpec):
 
 
 def _check_times(t_i: float, t_f: float, hbar: float):
-    if not (math.isfinite(t_i) and math.isfinite(t_f)):
-        raise NotFinite(f"t_i={t_i} and t_f={t_f} must be finite")
+    """t_i and t_f by errors._finite, hbar by errors._check_hbar."""
+    _finite("t_i", t_i)
+    _finite("t_f", t_f)
     _check_hbar(hbar)
-
-
-def _check_hbar(hbar: float):
-    """The one hbar rule: NotFinite unless finite, ValueError unless > 0."""
-    if not math.isfinite(hbar):
-        raise NotFinite(f"hbar={hbar} must be finite")
-    if hbar <= 0:
-        raise ValueError(f"hbar must be > 0, got {hbar}")
-
-
-def _check_grid(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid,
-                t_i: float, t_f: float, n_slices: int, mode: str, hbar: float):
-    _check_times(t_i, t_f, hbar)
-    _check_spin(fv, spec)
-    if grid.exact_two_s < fv.spin.two_s:
-        raise GridTooCoarse(
-            f"grid exact through two_s={grid.exact_two_s}, need {fv.spin.two_s}")
-    if n_slices < 1:
-        raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, ket_i, ket_f,
@@ -509,7 +492,14 @@ def _path_sum(fv: FiducialVector, spec: HamiltonianSpec, grid: QuadratureGrid, k
     chain, from ket_i to ket_f; grid_ends inserts the resolution at both ends
     too.  Returns the amplitude, the M3 fallback count and fraction, and the
     M1/M2 P."""
-    _check_grid(fv, spec, grid, t_i, t_f, n_slices, mode, hbar)
+    _check_times(t_i, t_f, hbar)
+    _check_spin(fv, spec)
+    if grid.exact_two_s < fv.spin.two_s:
+        raise GridTooCoarse(
+            f"grid exact through two_s={grid.exact_two_s}, need {fv.spin.two_s}")
+    n_slices = _count("n_slices", n_slices, 1)
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     eps = (t_f - t_i) / (n_slices + 1)
     # H at the slice times t_i + j eps; a static spec's one matrix serves
     # every slice, broadcast over them, not copied
@@ -567,7 +557,8 @@ def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
     n_slices is the number of interior resolution insertions, so the step
     is eps = (t_f - t_i)/(n_slices + 1).  The grid must be exact for the
     fiducial spin (GridTooCoarse otherwise).  Pass the exact_propagator
-    matrix as oracle to attach |amplitude - exact| as error_estimate.
+    matrix as oracle to attach |amplitude - exact| as error_estimate; a NaN
+    or infinite entry in it raises NotFinite (errors._finite).
 
     The endpoint states are built at the angles given, one point each (see
     _point_of), from one rotation call, so with the zero
@@ -575,6 +566,8 @@ def discrete_cspi(fv: FiducialVector, spec: HamiltonianSpec, omega_i, omega_f,
     roundoff for any slice count and spin, since each grid sum is an exact
     resolution of unity.
     """
+    if oracle is not None:
+        oracle = _finite("oracle", oracle, complex, fv.spin.dim)
     amps_i, amps_f = _pair_states(fv, omega_i, omega_f)
     amplitude, n_zeroed, fallback, p = _path_sum(fv, spec, grid, amps_i, amps_f, t_i, t_f,
                                                  n_slices, mode, hbar, grid_ends=False)
@@ -608,9 +601,9 @@ def infinitesimal_overlap(fv: FiducialVector, omega, delta_omega) -> complex | n
     delta_omega are points or (..., 3) stacks that broadcast: a complex for
     one pair, an array for a stack.  Raw angles are accepted and not
     folded, so the deviation from the exact overlap is O(|dOmega|^2) for
-    every theta.  Raises NotFinite or LengthMismatch for a bad
-    delta_omega."""
-    delta_omega = _velocity(delta_omega, "delta_omega")
+    every theta.  Raises TypeError, NotFinite or LengthMismatch for a bad
+    delta_omega (see errors._finite)."""
+    delta_omega = _finite("delta_omega", delta_omega, length=3)
     # the angles are below 4pi (see _angles_of), so no sum overflows
     bra = np.stack(np.broadcast_arrays(*_angles_of(omega)), axis=-1) + delta_omega
     kappa = kinetic_term(fv, bra, delta_omega)

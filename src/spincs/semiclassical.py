@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from .coherent import FiducialVector
-from .errors import InconsistentSystem, LengthMismatch, NotFinite
-from .propagator import HamiltonianSpec, hamiltonian_matrix, _check_hbar, _check_spin
+from .errors import InconsistentSystem, LengthMismatch, NotFinite, _check_hbar, _finite
+from .propagator import HamiltonianSpec, hamiltonian_matrix, _check_spin
 from .spin_core import _cayley_klein, _euler_of, _ladder, _point_of, _rotate
 
 _CONSISTENCY_REL = 1e-8
@@ -183,18 +183,16 @@ def integrate_trajectory(fv: FiducialVector, spec: HamiltonianSpec, omega0,
 
     A reversed span (t1 < t0) integrates backward, with steps no longer than
     dt.  InconsistentSystem names the failure time, NotFinite a NaN or
-    infinite omega0, t_span, dt or hbar, LengthMismatch a stack as omega0;
-    dt <= 0 or hbar <= 0 raises ValueError.
+    infinite omega0, t_span, dt or hbar, LengthMismatch a stack as omega0
+    or a t_span of other than two times; dt <= 0 or hbar <= 0 raises
+    ValueError.
     """
     try:
         g0 = _cayley_klein(*_point_of(omega0))
     except (NotFinite, LengthMismatch) as exc:
         raise type(exc)(f"omega0: {exc}") from None
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    for name, value in (("t_span", (t0, t1)), ("dt", dt)):
-        if not np.isfinite(value).all():
-            raise NotFinite(f"{name}={value} must be finite")
-    if dt <= 0:
+    t0, t1 = _finite("t_span", t_span, length=2).tolist()
+    if _finite("dt", dt) <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = max(1, int(np.ceil(abs(t1 - t0) / dt - 1e-12)))
     samples, (a, b) = _rkmk4_path(fv, spec, g0, t0, t1, n_steps, hbar)

@@ -36,7 +36,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import DecompositionPole, LengthMismatch, NotFinite, NotUnitary
+from .errors import DecompositionPole, LengthMismatch, NotFinite, NotUnitary, _count
 
 __all__ = [
     "Spin",
@@ -60,14 +60,13 @@ _FOUR_PI = 4.0 * math.pi
 
 @dataclass(frozen=True)
 class Spin:
-    """Total spin, stored as the doubled integer ``two_s = 2s >= 0``."""
+    """Total spin, stored as the doubled integer ``two_s = 2s >= 0``
+    (ValueError otherwise)."""
 
     two_s: int
 
     def __post_init__(self):
-        if not isinstance(self.two_s, (int, np.integer)) or self.two_s < 0:
-            raise ValueError(f"two_s must be a non-negative integer, got {self.two_s!r}")
-        object.__setattr__(self, "two_s", int(self.two_s))
+        object.__setattr__(self, "two_s", _count("two_s", self.two_s, 0))
 
     @property
     def s(self) -> float:
@@ -164,7 +163,11 @@ class SpinOperators:
 
 def ladder_factor(spin: Spin, two_m: int) -> float:
     """f(s, m) = sqrt((s + m)(s - m + 1)), the S+ matrix element
-    <m| S+ |m-1>, with m given as the doubled integer ``two_m``."""
+    <m| S+ |m-1>, with m given as the doubled integer ``two_m``: 0.0 at
+    m = -s, and ValueError unless two_m is one of -2s, -2s + 2, ..., 2s."""
+    if not (-spin.two_s <= two_m <= spin.two_s and (spin.two_s - two_m) % 2 == 0):
+        raise ValueError(f"two_m={two_m!r} is not a doubled magnetic number at "
+                         f"two_s={spin.two_s}")
     a = (spin.two_s + two_m) // 2
     b = (spin.two_s - two_m + 2) // 2
     return math.sqrt(a * b)
@@ -272,9 +275,11 @@ def little_d(spin: Spin, theta: float) -> np.ndarray:
     basis, U diag(e^{-i theta m}) U^H on the cached S2 eigenbasis: one
     matrix product when warm, orthogonal to roundoff at any real theta.
     Built only for callers that need the matrix: states never build it.
+    theta enters by the angle rule (see _reduced): NotFinite unless finite.
     """
+    _, theta, _ = _reduced((0.0, float(theta), 0.0))
     u, m = _s2_eigensystem(spin.two_s)
-    return ((u * np.exp(-1j * float(theta) * m)) @ u.conj().T).real
+    return ((u * np.exp(-1j * theta * m)) @ u.conj().T).real
 
 
 def big_r(spin: Spin, omega) -> RotationMatrix:

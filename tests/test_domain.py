@@ -1,6 +1,7 @@
 """Non-finite and out-of-domain input meets a named error, not a NaN result."""
 
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -8,16 +9,19 @@ import pytest
 
 from spincs import (ACoords, EulerAngles, FiducialVector, FockVector, HamiltonianSpec,
                     LengthMismatch, MonomialTerm, NoConvergence, NotFinite, NotHermitian,
-                    NotNormalized, NotUnitary, NumericalFailure, RotationMatrix, Spin,
-                    SubsidiaryViolation, ZCoords, ZeroVector, action_along_path, big_r,
-                    build_grid, canonical_cs, ccs_canonical_rhs, ccs_kinetic_term,
+                    NotNormalized, NotUnitary, NumericalFailure, QuadratureGrid, RotationMatrix,
+                    Spin, SubsidiaryViolation, ZCoords, ZeroVector, action_along_path, big_r,
+                    build_grid, build_system, canonical_cs, ccs_canonical_rhs, ccs_kinetic_term,
                     ccs_resolution_residual, coherent_state, compose_euler,
-                    conjugate_spin_ops, displacement_matrix, dns_amplitudes, euler_from_su2,
-                    exact_propagator, gauge_potential, gaussian_decompose, geometric_phase,
-                    hp_contract_state, infinitesimal_overlap, integrate_trajectory,
-                    invert_euler, kinetic_term, kinetic_term_a, kinetic_term_z, make_fiducial,
-                    make_fock, normal_ordered_matrix, omega_to_a, omega_to_z, one_form, overlap,
-                    propagator, random_fiducial, su2_matrix, transition_amplitude)
+                    conjugate_spin_ops, discrete_cspi, displacement_matrix, dns_amplitudes,
+                    euler_from_su2, exact_propagator, gauge_potential, gaussian_decompose,
+                    generating_function, geometric_phase, h_expectation, h_gradient, h_ratio,
+                    hamiltonian_matrix, hp_contract_state, hp_measure_ratio,
+                    infinitesimal_overlap, integrate_trajectory, invert_euler, kinetic_term,
+                    kinetic_term_a, kinetic_term_z, ladder_factor, little_d, make_fiducial,
+                    make_fock, midpoint_product, normal_ordered_matrix, omega_to_a, omega_to_z,
+                    one_form, overlap, propagator, random_fiducial, resolution_residual,
+                    su2_matrix, transition_amplitude)
 
 nan, inf = math.nan, math.inf
 
@@ -183,3 +187,99 @@ def test_nan_input_raises_named_error(call, error, match):
     # hbar <= 0 is out of the domain too, and meets ValueError
     with pytest.raises(error, match=match):
         call()
+
+
+def _spec(two_s, profile=None):
+    """S3 plus 0.2 (S+ + S-), driven by profile."""
+    return HamiltonianSpec(Spin(two_s), (MonomialTerm(0, 1, 0, 1.0),
+                                         MonomialTerm(1, 0, 0, 0.2, profile),
+                                         MonomialTerm(0, 0, 1, 0.2, profile)))
+
+
+def _driven(call, two_s=1):
+    """call(fv, spec, grid) under a cosine drive whose frequency is NaN."""
+    spin = Spin(two_s)
+    return call(random_fiducial(spin, np.random.default_rng(7)),
+                _spec(two_s, ("cosine", nan, 0.0)), build_grid(spin))
+
+
+def _at(call, two_s=2):
+    """call(fv, spec, grid) for a dense fiducial under the static _spec."""
+    spin = Spin(two_s)
+    return call(random_fiducial(spin, np.random.default_rng(7)), _spec(two_s),
+                build_grid(spin))
+
+
+def _nan_node_grid():
+    grid = build_grid(Spin(2))
+    return QuadratureGrid(np.r_[nan, grid.theta[1:]], grid.theta_weights, grid.phi, grid.psi)
+
+
+_A, _B = (0.1, 0.9, 0.2), (2.1, 1.7, -0.6)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # a NaN drive frequency built a spec: the oracle then ran all 24
+    # doublings (120 s on one BLAS thread) before NoConvergence,
+    # midpoint_product returned NaN, M1/M3 blamed overflow ("take more
+    # slices") and integrate_trajectory raised InconsistentSystem
+    (lambda: MonomialTerm(1, 0, 0, 0.2, ("cosine", nan, 0.0)), NotFinite, "cosine omega"),
+    (lambda: MonomialTerm(1, 0, 0, 0.2, ("cosine", 1.5, inf)), NotFinite, "cosine phase"),
+    (lambda: _driven(lambda fv, spec, grid: exact_propagator(spec, 0.0, 0.01)), NotFinite,
+     "cosine omega"),
+    (lambda: _driven(lambda fv, spec, grid: midpoint_product(spec, 0.0, 1.0, 4)), NotFinite,
+     "cosine omega"),
+    (lambda: _driven(lambda fv, spec, grid: discrete_cspi(fv, spec, _A, _B, 0.0, 1.0, 4, grid,
+                                                          "M1")), NotFinite, "cosine omega"),
+    (lambda: _driven(lambda fv, spec, grid: discrete_cspi(fv, spec, _A, _B, 0.0, 1.0, 4, grid,
+                                                          "M3")), NotFinite, "cosine omega"),
+    (lambda: _driven(lambda fv, spec, grid: integrate_trajectory(fv, spec, _A, (0.0, 0.2), 0.05)),
+     NotFinite, "cosine omega"),
+    # t = nan returned NaN matrices and values, and t = inf a NaN h_ratio
+    (lambda: hamiltonian_matrix(_spec(2), nan), NotFinite, "t=nan"),
+    (lambda: _at(lambda fv, spec, grid: h_expectation(fv, spec, _A, nan)), NotFinite, "t=nan"),
+    (lambda: _at(lambda fv, spec, grid: build_system(fv, spec, _A, nan)), NotFinite, "t=nan"),
+    (lambda: _at(lambda fv, spec, grid: h_gradient(fv, spec, _A, nan)), NotFinite, "t=nan"),
+    (lambda: _at(lambda fv, spec, grid: h_ratio(fv, spec, _A, _B, inf)), NotFinite, "t=inf"),
+    # a NaN theta node made resolution_residual raise numpy's LinAlgError,
+    # and M1 blame chain overflow
+    (_nan_node_grid, NotFinite, "theta="),
+    (lambda: _at(lambda fv, spec, grid: resolution_residual(fv, _nan_node_grid())), NotFinite,
+     "theta="),
+    (lambda: little_d(Spin(2), nan), NotFinite, "Euler angles"),
+    # ladder_factor returned 1.0 for a two_m of the wrong parity and raised
+    # "math domain error" below -two_s
+    (lambda: ladder_factor(Spin(2), 1), ValueError, "two_m=1"),
+    (lambda: ladder_factor(Spin(2), -6), ValueError, "two_m=-6"),
+    (lambda: _at(lambda fv, spec, grid: generating_function(fv, _A, _B, nan, 0.0, 0.0)),
+     NotFinite, "z_plus"),
+    (lambda: _at(lambda fv, spec, grid: generating_function(fv, _A, _B, 0.0, 0.0, inf)),
+     NotFinite, "z_minus"),
+    # counts: a bare TypeError, or (displacement_matrix) a matrix
+    (lambda: _at(lambda fv, spec, grid: discrete_cspi(fv, spec, _A, _B, 0.0, 1.0, 2.5, grid)),
+     ValueError, "n_slices"),
+    (lambda: midpoint_product(_spec(2), 0.0, 1.0, 2.5), ValueError, "n_steps"),
+    (lambda: displacement_matrix(0.3, 2.5), ValueError, "n_max"),
+    (lambda: Spin(2.5), ValueError, "two_s"),
+    # the canonical side: NaN, ZeroDivisionError and a NotFinite that
+    # named alpha for a NaN radius
+    (lambda: hp_measure_ratio(nan, Spin(2)), NotFinite, "alpha"),
+    (lambda: hp_measure_ratio(0.3, Spin(0)), ValueError, "two_s must be >= 1"),
+    (lambda: ccs_resolution_residual(_FOCK, radial_max=nan), NotFinite, "radial_max"),
+], ids=["profile_nan_omega", "profile_inf_phase", "exact_propagator_nan_drive",
+        "midpoint_product_nan_drive", "discrete_cspi_M1_nan_drive", "discrete_cspi_M3_nan_drive",
+        "integrate_trajectory_nan_drive", "hamiltonian_matrix_t_nan", "h_expectation_t_nan",
+        "build_system_t_nan", "h_gradient_t_nan", "h_ratio_t_inf", "QuadratureGrid_nan_theta",
+        "resolution_residual_nan_theta", "little_d_nan", "ladder_factor_parity",
+        "ladder_factor_range", "generating_function_z_plus", "generating_function_z_minus",
+        "discrete_cspi_n_slices", "midpoint_product_n_steps", "displacement_matrix_n_max",
+        "Spin_two_s", "hp_measure_ratio_nan", "hp_measure_ratio_spin_zero",
+        "ccs_resolution_residual_radial_max"])
+def test_number_probe_raises_named_error_at_once(call, error, match):
+    # every non-angle number enters by errors._finite or _count, so each
+    # probe fails where it enters: within a second, where the NaN drive's
+    # oracle took two minutes
+    start = time.perf_counter()
+    with pytest.raises(error, match=match):
+        call()
+    assert time.perf_counter() - start < 1.0
